@@ -231,6 +231,8 @@ def _cmd_bench(names: List[str], quick: bool, out_dir: str,
             line = (f"  {name:<16} wall={result['wall_s']:.3f}s "
                     f"events={result['events']} "
                     f"peak_rss={result['peak_rss']}KiB")
+            if not result.get("peak_rss_exact", True):
+                line += " (lifetime peak)"
             if "speedup_vs_full" in result:
                 line += f" speedup={result['speedup_vs_full']:.2f}x"
             if "speedup_vs_scalar" in result:

@@ -42,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.conn_table import ConnectionTable
 from repro.core.nk_device import NKDevice, ROLE_NSM, ROLE_VM
 from repro.core.nqe import NQE_POOL, Nqe, NqeOp, RESULT_ERRNO
+from repro.core.queues import DEFAULT_RING_SLOTS
 from repro.cpu.core import Core
 from repro.cpu.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.errors import ConfigurationError
@@ -162,7 +163,7 @@ class CoreEngine:
 
     def __init__(self, sim, core: Core,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 batch_size: int = 4, ring_slots: int = 4096,
+                 batch_size: int = 4, ring_slots: int = DEFAULT_RING_SLOTS,
                  scan: Optional[str] = None,
                  vectorized: Optional[bool] = None):
         if batch_size < 1:
@@ -1129,7 +1130,7 @@ class CoreEngine:
                         item = slots[head]
                         slots[head] = None
                         head += 1
-                        ring._head = 0 if head == ring.capacity else head
+                        ring._head = 0 if head == len(slots) else head
                         ring._count = 0
                         ring.consumed += 1
                         if len(scratch) <= filled:
@@ -1328,7 +1329,9 @@ class CoreEngine:
             self._drop_nqe(nqe)
             return True
         count = ring._count
-        if count == ring.capacity:
+        slots = ring._slots
+        slab_full = count == len(slots)
+        if slab_full and count == ring.capacity:
             # Leave the full-ring rejection accounting and the bounded
             # stall to the slow path, so counters match the scalar loop.
             return False
@@ -1337,10 +1340,12 @@ class CoreEngine:
         # SpscRing.try_push inlined (fullness and ownership are already
         # settled above): this runs once per switched NQE and the call
         # overhead is measurable at switching rates.
+        if slab_full:
+            ring._grow()  # full slab below capacity: double it first
         tail = ring._tail
-        ring._slots[tail] = nqe
+        slots[tail] = nqe
         tail += 1
-        ring._tail = 0 if tail == ring.capacity else tail
+        ring._tail = 0 if tail == len(slots) else tail
         count += 1
         ring._count = count
         ring.produced += 1

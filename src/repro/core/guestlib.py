@@ -219,8 +219,11 @@ class GuestLib:
         #: caused the timeouts); the jitter desynchronizes them while
         #: keeping runs bit-reproducible (same seed → same draws, drawn
         #: only by this guest, in its own simulation order).
-        self._backoff_rng = random.Random(
+        #: The generator is built on first draw (most guests never back
+        #: off, and a Random costs ~2.5 KiB per VM); see _backoff_rng.
+        self._backoff_seed = (
             ((backoff_seed & 0xFFFFFFFF) << 32) ^ (0x9E3779B9 * (vm_id + 1)))
+        self._backoff_rng_obj: Optional[random.Random] = None
 
         self.fd_table: Dict[int, NetKernelSocket] = {}
         self.epolls: Dict[int, EpollInstance] = {}
@@ -289,6 +292,15 @@ class GuestLib:
             return None
         engine = reg.engine
         return None if engine is None else engine.overload
+
+    @property
+    def _backoff_rng(self) -> random.Random:
+        """This guest's backoff RNG, built from its seed on first use, so
+        the draw sequence is the same as an eagerly built one's."""
+        rng = self._backoff_rng_obj
+        if rng is None:
+            rng = self._backoff_rng_obj = random.Random(self._backoff_seed)
+        return rng
 
     def _backoff_delay(self, attempt: int) -> float:
         """Seeded, jittered exponential backoff: the nominal doubling

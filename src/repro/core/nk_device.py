@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.core.nqe import Nqe
-from repro.core.queues import QueueSet
+from repro.core.queues import DEFAULT_RING_SLOTS, QueueSet
 from repro.errors import ConfigurationError
 from repro.mem.hugepages import HugepageRegion
 from repro.mem.ring import SpscRing
@@ -32,7 +32,8 @@ class NKDevice:
     """Queue sets + hugepage mapping + notification for one VM or NSM."""
 
     def __init__(self, sim, owner_id: str, role: str, queue_sets: int,
-                 hugepages: HugepageRegion, ring_slots: int = 4096,
+                 hugepages: HugepageRegion,
+                 ring_slots: int = DEFAULT_RING_SLOTS,
                  poll_window_sec: float = 20e-6):
         if queue_sets < 1:
             raise ConfigurationError("NK device needs >=1 queue set")
@@ -41,6 +42,8 @@ class NKDevice:
         self.sim = sim
         self.owner_id = owner_id
         self.role = role
+        #: Ring capacity of every lane, hot-added ones included.
+        self.ring_slots = ring_slots
         self.queue_sets: List[QueueSet] = [
             QueueSet(owner_id, i, slots=ring_slots) for i in range(queue_sets)
         ]
@@ -59,10 +62,12 @@ class NKDevice:
         self.wakeups_polled = 0
         self.wakeups_interrupt = 0
 
-    def add_queue_set(self, ring_slots: int = 4096) -> QueueSet:
+    def add_queue_set(self) -> QueueSet:
         """Hot-add one queue-set lane (§4.4: "queues can be dynamically
-        added or removed with the number of vCPUs")."""
-        qs = QueueSet(self.owner_id, len(self.queue_sets), slots=ring_slots)
+        added or removed with the number of vCPUs"), sized like the
+        device's other lanes."""
+        qs = QueueSet(self.owner_id, len(self.queue_sets),
+                      slots=self.ring_slots)
         self.queue_sets.append(qs)
         return qs
 

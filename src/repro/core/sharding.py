@@ -43,6 +43,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.coreengine import (CoreEngine, _Registration,
                                    DEFAULT_SCAN_MODE, SCAN_MODES)
 from repro.core.nk_device import NKDevice
+from repro.core.queues import DEFAULT_RING_SLOTS
 from repro.cpu.core import Core
 from repro.cpu.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.errors import ConfigurationError
@@ -97,7 +98,7 @@ class _ShardEngine(CoreEngine):
         #: pushed by peer shards, drained at the top of the next pass.
         self._inbound = _HandoffInbox(
             f"shard{shard_index}.handoff",
-            kwargs.get("ring_slots", 4096))
+            kwargs.get("ring_slots", DEFAULT_RING_SLOTS))
         #: Reusable drain scratch for the inbox (never reallocated).
         self._handoff_scratch: list = []
         self.handoffs_in = 0
@@ -224,7 +225,7 @@ class ShardedCoreEngine:
 
     def __init__(self, sim, cores: List[Core],
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 batch_size: int = 4, ring_slots: int = 4096,
+                 batch_size: int = 4, ring_slots: int = DEFAULT_RING_SLOTS,
                  scan: Optional[str] = None,
                  vectorized: Optional[bool] = None):
         if not cores:

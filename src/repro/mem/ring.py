@@ -5,6 +5,17 @@ producer and one consumer (§3, "Scalable Lockless Queues").  We model that
 discipline explicitly: a ring is *claimed* by one producer identity and one
 consumer identity, and any second party touching the same end is a bug the
 simulation surfaces immediately rather than a silent race.
+
+The slot array is a *slab* that follows traffic rather than capacity: it
+starts at :data:`INITIAL_SLAB_SLOTS` slots (or ``capacity`` if smaller)
+and doubles, up to ``capacity``, on a push that finds it full.  Growth
+re-linearizes the queued items to the slab's start and the slab is never
+shrunk, so a ring whose depth has peaked performs no further allocation.
+An idle VM's four rings thus cost a few dozen slots instead of four full
+preallocated arrays, while capacity, fullness and rejection semantics are
+exactly those of a fixed ``capacity``-slot ring.  Growth moves the
+consumer's cursor too; the simulator is single-threaded, so the producer
+does it atomically with respect to the consumer.
 """
 
 from __future__ import annotations
@@ -12,6 +23,9 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.errors import ResourceError, RingEmptyError, RingFullError
+
+#: Slots a fresh ring's slab starts with (capped at the ring's capacity).
+INITIAL_SLAB_SLOTS = 8
 
 
 class SpscRing:
@@ -22,7 +36,8 @@ class SpscRing:
             raise ResourceError(f"ring capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.name = name
-        self._slots: List[Any] = [None] * capacity
+        #: The slab; every cursor wraps at ``len(_slots)``, not capacity.
+        self._slots: List[Any] = [None] * min(capacity, INITIAL_SLAB_SLOTS)
         self._head = 0  # next slot to consume
         self._tail = 0  # next slot to produce
         self._count = 0
@@ -42,6 +57,8 @@ class SpscRing:
         #: caller-owned scratch list; perf smoke asserts this counter stays
         #: flat across steady-state switching.
         self.list_allocs = 0
+        #: Slab doublings so far; flat once the ring's depth has peaked.
+        self.slab_grows = 0
 
     # -- ownership -----------------------------------------------------------
 
@@ -85,6 +102,26 @@ class SpscRing:
     def free_slots(self) -> int:
         return self.capacity - self._count
 
+    # -- slab -------------------------------------------------------------------
+
+    def _grow(self) -> None:
+        """Double the full slab (up to ``capacity``), re-linearized.
+
+        Called by the producer when a push finds ``_count == len(_slots)
+        < capacity``.  The queued items move to the slab's start in FIFO
+        order (head = 0, tail = old size); the list object itself is kept,
+        so a caller holding ``_slots`` still sees the live slab.
+        """
+        slots = self._slots
+        size = len(slots)
+        head = self._head
+        if head:
+            slots[:] = slots[head:] + slots[:head]
+        slots.extend([None] * (min(size * 2, self.capacity) - size))
+        self._head = 0
+        self._tail = size
+        self.slab_grows += 1
+
     # -- produce ---------------------------------------------------------------
 
     def _note_full(self) -> None:
@@ -115,13 +152,16 @@ class SpscRing:
         if owner is not None and self._producer is not owner:
             self.claim_producer(owner)
         count = self._count
-        if count == self.capacity:
-            self._note_full()
-            return False
+        slots = self._slots
+        if count == len(slots):
+            if count == self.capacity:
+                self._note_full()
+                return False
+            self._grow()
         tail = self._tail
-        self._slots[tail] = item
+        slots[tail] = item
         tail += 1
-        self._tail = 0 if tail == self.capacity else tail
+        self._tail = 0 if tail == len(slots) else tail
         count += 1
         self._count = count
         self.produced += 1
@@ -142,8 +182,9 @@ class SpscRing:
 
         ``count`` pushes only ``items[:count]`` without materializing the
         slice: pass a reusable scratch list plus the valid-prefix length
-        and the call is iterator-free and allocation-free (the vectorized
-        producer fast path).
+        and the call is iterator-free and, once the slab has grown to the
+        ring's peak depth, allocation-free (the vectorized producer fast
+        path).
         """
         if owner is not None and self._producer is not owner:
             self.claim_producer(owner)
@@ -157,16 +198,26 @@ class SpscRing:
             n = free
         if n <= 0:
             return 0
-        capacity = self.capacity
-        tail = self._tail
         slots = self._slots
-        for i in range(n):
-            slots[tail] = items[i]
-            tail += 1
-            if tail == capacity:
-                tail = 0
+        tail = self._tail
+        size = len(slots)
+        pushed = 0
+        while pushed < n:
+            if depth == size:
+                # Grow exactly as n single pushes would: only once the
+                # slab is full, then carry on into the doubled slab.
+                self._grow()
+                tail = self._tail
+                size = len(slots)
+            stop = min(n, pushed + size - depth)
+            for i in range(pushed, stop):
+                slots[tail] = items[i]
+                tail += 1
+                if tail == size:
+                    tail = 0
+            depth += stop - pushed
+            pushed = stop
         self._tail = tail
-        depth += n
         self._count = depth
         self.produced += n
         self._note_depth(depth)
@@ -184,7 +235,7 @@ class SpscRing:
         slots = self._slots
         item = slots[head]
         slots[head] = None
-        self._head = head + 1 if head + 1 < self.capacity else 0
+        self._head = head + 1 if head + 1 < len(slots) else 0
         self._count -= 1
         self.consumed += 1
         return item
@@ -220,11 +271,11 @@ class SpscRing:
         batch: List[Any] = []
         head = self._head
         slots = self._slots
-        capacity = self.capacity
+        size = len(slots)
         for _ in range(take):
             batch.append(slots[head])
             slots[head] = None
-            head = (head + 1) % capacity
+            head = (head + 1) % size
         self._head = head
         self._count = count - take
         self.consumed += take
@@ -252,12 +303,12 @@ class SpscRing:
             buf.extend([None] * (need - len(buf)))
         head = self._head
         slots = self._slots
-        capacity = self.capacity
+        size = len(slots)
         for i in range(start, need):
             buf[i] = slots[head]
             slots[head] = None
             head += 1
-            if head == capacity:
+            if head == size:
                 head = 0
         self._head = head
         self._count = count - take
@@ -278,8 +329,9 @@ class SpscRing:
         Inspection only (migration quiescence checks, tests): bypasses the
         ownership discipline because it moves no cursor and mutates no slot.
         """
-        return [self._slots[(self._head + i) % self.capacity]
-                for i in range(self._count)]
+        slots = self._slots
+        size = len(slots)
+        return [slots[(self._head + i) % size] for i in range(self._count)]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<SpscRing {self.name} {self._count}/{self.capacity}>"

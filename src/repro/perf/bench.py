@@ -2,8 +2,10 @@
 
 Each benchmark is a callable ``fn(quick: bool) -> dict`` returning at
 least ``{"wall_s", "events", "peak_rss"}`` (``peak_rss`` in KiB, from
-``getrusage``).  The fig. 8 multiplexing benches additionally run the
-same workload under both CoreEngine scan modes and report the speedup
+``getrusage``, the bench's own peak: the process's high-water mark is
+restarted before every measured call, see :func:`_reset_peak_rss`).
+The fig. 8 multiplexing benches additionally run the same workload
+under both CoreEngine scan modes and report the speedup
 plus whether the two simulated timelines were identical — the harness is
 also the standing proof that the ready-set scheduler changes wall-clock
 only.
@@ -29,9 +31,28 @@ from repro.cpu.cost_model import DEFAULT_COST_MODEL
 from repro.sim import Simulator
 
 
+def _reset_peak_rss() -> bool:
+    """Restart the peak-RSS high-water mark at the current RSS.
+
+    ``ru_maxrss`` is a process-lifetime maximum, so without a reset every
+    bench after the largest one in a multi-bench run reports that one's
+    peak.  Writing ``5`` to ``/proc/self/clear_refs`` (Linux >= 4.0)
+    resets ``VmHWM`` and with it ``ru_maxrss``.  Returns False where that
+    is unavailable; the peak then stays lifetime-wide (inexact).
+    """
+    try:
+        with open("/proc/self/clear_refs", "w") as handle:
+            handle.write("5")
+    except OSError:
+        return False
+    return True
+
+
 def _measure(fn):
-    """(wall seconds, peak RSS KiB, fn result) with a clean GC start."""
+    """(wall seconds, peak RSS KiB, fn result) with a clean GC start and,
+    where the kernel allows, a peak RSS of this call alone."""
     gc.collect()
+    _reset_peak_rss()
     started = time.perf_counter()
     result = fn()
     wall = time.perf_counter() - started
@@ -92,8 +113,8 @@ def _mux_workload(scan: str, n_vms: int, active_vms: int,
     """
     sim = Simulator()
     core = Core(sim, name="bench.ce", hz=DEFAULT_COST_MODEL.core_hz)
-    # Small rings keep device setup cheap (4096-slot rings would make
-    # allocation, not scheduling, dominate the 1000-VM bench).
+    # Ring capacity matters only once a ring fills: ring slabs grow with
+    # traffic, so booting idle devices costs the same at any capacity.
     engine = CoreEngine(sim, core, batch_size=8, ring_slots=ring_slots,
                         scan=scan, vectorized=vectorized)
     nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
@@ -481,6 +502,9 @@ def _bench_fig08_sharded_100k(n_shards: int, vms_per_shard_quick: int,
             "peak_rss": max(peak, peak_ref),
             "n_shards": n_shards,
             "vms_total": vms_total,
+            # Upper bound on memory per VM: the sharded run's peak RSS,
+            # interpreter baseline included, over its VMs.
+            "rss_per_vm_kib": peak / vms_total,
             "cohomed": out["cohomed"],
             "wall_1shard_partition_s": wall_ref,
             "handoffs": out["handoffs"],
@@ -606,6 +630,7 @@ def run_benchmarks(names: Optional[List[str]] = None,
                        f"choose from {list(BENCHMARKS)}")
     results = {}
     for name in names:
+        exact = _reset_peak_rss()
         if profile_top > 0:
             import cProfile
             import io
@@ -623,6 +648,7 @@ def run_benchmarks(names: Optional[List[str]] = None,
         else:
             result = BENCHMARKS[name](quick)
         result["name"] = name
+        result["peak_rss_exact"] = exact
         result["quick"] = quick
         results[name] = result
     return results

@@ -139,3 +139,29 @@ class TestDraining:
         stats = device.stats()
         assert "wakeups_polled" in stats
         assert "wakeups_interrupt" in stats
+
+
+class TestHotAddedLaneSizing:
+    """A hot-added lane takes the device's ring size, not the default."""
+
+    def test_add_queue_set_uses_device_ring_size(self, sim):
+        device = NKDevice(sim, "dev", ROLE_VM, 1,
+                          HugepageRegion(page_count=1), ring_slots=128)
+        qs = device.add_queue_set()
+        assert [r.capacity for r in (qs.job, qs.send, qs.completion,
+                                     qs.receive)] == [128] * 4
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_host_add_vcpu_lane_matches_engine_ring_size(self, sim, shards):
+        from repro.core.host import NetKernelHost
+
+        host = NetKernelHost(sim, ce_shards=shards)
+        host.coreengine.ring_slots = 128
+        host.add_nsm("nsm0", vcpus=1)
+        vm = host.add_vm("vm0")
+        lane = host.add_vcpu(vm)
+        device = host.coreengine.vm_device(vm.vm_id)
+        assert lane == 1 and len(device.queue_sets) == 2
+        assert {ring.capacity for qs in device.queue_sets
+                for ring in (qs.job, qs.send, qs.completion,
+                             qs.receive)} == {128}

@@ -197,7 +197,8 @@ class TestVectorizedIdenticalToScalar:
 class TestZeroAllocSwitching:
     """Perf smoke: steady-state vectorized switching performs zero list
     allocations — every drain goes through ``drain_into`` on a reused
-    scratch, never ``pop_batch`` (which is what ``list_allocs`` counts)."""
+    scratch, never ``pop_batch`` (which is what ``list_allocs`` counts) —
+    and, once a first burst has grown the ring slabs, no slab growth."""
 
     def test_steady_state_switching_allocates_no_lists(self):
         sim = Simulator()
@@ -205,14 +206,24 @@ class TestZeroAllocSwitching:
                             scan="ready", vectorized=True)
         nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=2)
         devices = [nsm_dev]
+        vms = []
         for i in range(4):
             vm_id, vm_dev = engine.register_vm(f"vm{i}", queue_sets=1)
             engine.assign_vm(vm_id, nsm_id)
             devices.append(vm_dev)
-            ring, _ = vm_dev.produce_rings(vm_dev.queue_sets[0])
-            for _ in range(16):
-                ring.push(Nqe(NqeOp.SETSOCKOPT, vm_id, 0, 1), owner="guest")
-            vm_dev.ring_doorbell()
+            vms.append((vm_id, vm_dev))
+
+        def burst():
+            for vm_id, vm_dev in vms:
+                ring, _ = vm_dev.produce_rings(vm_dev.queue_sets[0])
+                for _ in range(16):
+                    ring.push(Nqe(NqeOp.SETSOCKOPT, vm_id, 0, 1),
+                              owner="guest")
+                vm_dev.ring_doorbell()
+
+        def rings():
+            return [ring for dev in devices for qs in dev.queue_sets
+                    for ring in (qs.job, qs.send, qs.completion, qs.receive)]
 
         def responder():
             owner = object()
@@ -240,13 +251,17 @@ class TestZeroAllocSwitching:
         sim.process(responder())
         for dev in devices[1:]:
             sim.process(drainer(dev))
+        burst()  # warm-up: 16-NQE bursts grow the 8-slot slabs
         sim.run(until=0.05)
+        warm_grows = sum(ring.slab_grows for ring in rings())
+        assert warm_grows > 0
+        for _ in range(3):
+            burst()
+            sim.run(until=sim.now + 0.05)
 
-        assert engine.nqes_switched == 4 * 16 * 2  # requests + responses
-        allocs = sum(ring.list_allocs
-                     for dev in devices for qs in dev.queue_sets
-                     for ring in (qs.job, qs.send, qs.completion, qs.receive))
-        assert allocs == 0
+        assert engine.nqes_switched == 4 * 4 * 16 * 2  # requests + responses
+        assert sum(ring.list_allocs for ring in rings()) == 0
+        assert sum(ring.slab_grows for ring in rings()) == warm_grows
 
 
 class TestStaleWakeupFix:
