@@ -6,6 +6,8 @@ the cost model but exercise completely different code; agreeing on
 relative results is strong evidence neither is wired wrong.
 """
 
+import gc
+
 import pytest
 
 from repro.apps.epoll_server import EpollServer
@@ -19,6 +21,10 @@ from repro.units import gbps, usec
 
 def functional_rps(stack: str, requests: int = 600) -> float:
     """Measured requests/second of the functional NetKernel system."""
+    # A finished run leaves every connection's 4 MiB send slab behind in
+    # reference cycles (~5 GB at 600 requests); collect it now so back-to-
+    # back runs do not stack on top of each other until the next full GC.
+    gc.collect()
     sim = Simulator()
     host = NetKernelHost(sim, Network(sim, default_rate_bps=gbps(100),
                                       default_delay_sec=usec(25)))
