@@ -18,6 +18,7 @@ from repro.errors import TimedOutError, TryAgainError
 from repro.faults.chaos import run_chaos
 from repro.mem.ring import SpscRing
 from repro.sim import Simulator
+from tests.goldens import digest
 
 
 @pytest.fixture
@@ -157,6 +158,12 @@ class TestGovernorPolicy:
 # -- switch-side shedding -----------------------------------------------------
 
 
+#: digest(TestSwitchShed._burst(...)): sheds, per-VM EAGAIN/completion
+#: counts, per-VM drops, governor stats and the pool balance.
+BURST_GOLDEN = (
+    "533fe8984b8fb3e34d62238daf59536ad2bcddf23ace6faba58adf997feae95c")
+
+
 class TestSwitchShed:
     def _burst(self, sim, vectorized):
         """Force level 2, then push a one-window burst far beyond the
@@ -235,6 +242,7 @@ class TestSwitchShed:
         fast = self._burst(Simulator(), vectorized=True)
         slow = self._burst(Simulator(), vectorized=False)
         assert fast == slow
+        assert digest(fast) == BURST_GOLDEN
 
 
 # -- the EAGAIN contract (satellite: errno distinction + seeded jitter) -------

@@ -19,6 +19,7 @@ from repro.cpu.core import Core
 from repro.errors import RingEmptyError, RingFullError
 from repro.mem.ring import INITIAL_SLAB_SLOTS, SpscRing
 from repro.sim import Simulator
+from tests.goldens import digest
 
 
 class DequeRing:
@@ -310,11 +311,18 @@ def _burst_workload(vectorized):
     }
 
 
+#: digest(_burst_workload()): timeline, per-VM arrival times and the
+#: counters and slab sizes of every job and completion ring.
+BURST_GOLDEN = (
+    "124d2fcc6202f93a99f079597b85706cf2d2ba05be81266d44d7d400c18101ca")
+
+
 class TestCoreEngineCrossesGrowth:
     def test_vectorized_and_scalar_fingerprints_match(self):
         fast = _burst_workload(vectorized=True)
         scalar = _burst_workload(vectorized=False)
         assert fast == scalar
+        assert digest(fast) == BURST_GOLDEN
         sent = 24 + 1 + 1 + 20 + 80
         for seqs in fast["received"].values():
             assert [seq for _, seq in seqs] == list(range(sent))

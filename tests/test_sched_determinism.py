@@ -21,6 +21,7 @@ from repro.errors import SimulationError
 from repro.experiments import run_experiment
 from repro.perf.bench import _mux_workload
 from repro.sim import Simulator
+from tests.goldens import digest
 
 
 def _reset_global_counters():
@@ -92,14 +93,40 @@ def _experiment_outputs(exp_id, **kwargs):
     return result.rows, result.notes
 
 
+#: Experiment arguments and the digest of their (rows, notes).
+EXPERIMENT_GOLDENS = {
+    "fig8": ({}, (
+        "ac449c2232f4cbdcdd064c5b593777487c9fe8558ce07bcd719d0a7ba92c42bb")),
+    "fig9": ({"duration": 0.3}, (
+        "6d507e20cd55cd41f320862a259406a9884572a4d71deb4a7ab008e3929c5cc7")),
+    "fig21": ({"scale": 0.02, "time_factor": 0.1}, (
+        "4bb94730a3ea3b37b84dd81daf7a4582b463626916f54d1097e8a0fd8297d163")),
+    "table5": ({"requests": 200, "concurrency": 40}, (
+        "bde52000c6298cd9bdc88a161a40f2ba4d1d5049e2b3c319e822e9b1ec756d25")),
+}
+
+#: digest(run_transfer_fingerprint()): GuestLib -> CE -> NSM TCP ->
+#: network and back, through the slab SendBuffer, the chunked
+#: ReceiveBuffer and the memoryview hand-off.
+TRANSFER_GOLDEN = (
+    "f66f72a8513a82aa2b3fb2dc9f15f759f242fdcba0e5a759a380219e0163ae3c")
+
+#: The 40-VM, 4-active raw multiplexing fingerprint.
+MUX_GOLDEN = {"batches": 400, "ce_busy_cycles": 607000.0,
+              "events_cancelled": 0, "events_processed": 1454,
+              "nqes_switched": 400, "received": 200,
+              "sim_now": 0.0010040000000000012}
+
+#: digest of the rate-limited raw run (see _rate_limited_run).
+RATE_LIMITED_GOLDEN = (
+    "9a3297b5bf3cee39552f5c01af705c29d1f9ae763f8de13a320ddad14321b4ac")
+
+
 class TestExperimentsIdenticalAcrossModes:
     """Full experiments, byte-identical rows/notes under both schedulers."""
 
     @pytest.mark.parametrize("exp_id,kwargs", [
-        ("fig8", {}),
-        ("fig9", {"duration": 0.3}),
-        ("fig21", {"scale": 0.02, "time_factor": 0.1}),
-        ("table5", {"requests": 200, "concurrency": 40}),
+        (exp_id, kwargs) for exp_id, (kwargs, _) in EXPERIMENT_GOLDENS.items()
     ])
     def test_rows_and_notes_match(self, exp_id, kwargs):
         with scan_mode("ready"):
@@ -107,6 +134,7 @@ class TestExperimentsIdenticalAcrossModes:
         with scan_mode("full"):
             full = _experiment_outputs(exp_id, **kwargs)
         assert ready == full
+        assert digest(ready) == EXPERIMENT_GOLDENS[exp_id][1]
 
     def test_transfer_fingerprint_matches(self):
         from tests.test_determinism import run_transfer_fingerprint
@@ -116,6 +144,7 @@ class TestExperimentsIdenticalAcrossModes:
         with scan_mode("full"):
             full = run_transfer_fingerprint()
         assert ready == full
+        assert digest(ready) == TRANSFER_GOLDEN
 
 
 class TestRawSwitchIdenticalAcrossModes:
@@ -127,13 +156,15 @@ class TestRawSwitchIdenticalAcrossModes:
         full = _mux_workload("full", n_vms=40, active_vms=4,
                              nqes_per_active=50)
         assert ready == full
+        assert ready == MUX_GOLDEN
 
     def test_rate_limited_fingerprint(self):
         """Stalled devices re-arm every pass, so admission rechecks (and
         their float-path-dependent token refills) happen at the same
         instants in both modes."""
-        assert (self._rate_limited_run("ready")
-                == self._rate_limited_run("full"))
+        ready = self._rate_limited_run("ready")
+        assert ready == self._rate_limited_run("full")
+        assert digest(ready) == RATE_LIMITED_GOLDEN
 
     @staticmethod
     def _rate_limited_run(scan):
@@ -169,6 +200,7 @@ class TestVectorizedIdenticalToScalar:
         scalar_full = _mux_workload("full", n_vms=40, active_vms=4,
                                     nqes_per_active=50, vectorized=False)
         assert fast == scalar == scalar_full
+        assert fast == MUX_GOLDEN
 
     def test_transfer_fingerprint_matches(self):
         """Full stack: GuestLib -> CE -> NSM TCP -> network and back,
@@ -181,6 +213,7 @@ class TestVectorizedIdenticalToScalar:
         with vectorized_mode(False):
             scalar = run_transfer_fingerprint()
         assert fast == scalar
+        assert digest(fast) == TRANSFER_GOLDEN
 
     @pytest.mark.parametrize("exp_id,kwargs", [
         ("fig8", {}),
@@ -192,6 +225,39 @@ class TestVectorizedIdenticalToScalar:
         with vectorized_mode(False):
             scalar = _experiment_outputs(exp_id, **kwargs)
         assert fast == scalar
+        assert digest(fast) == EXPERIMENT_GOLDENS[exp_id][1]
+
+
+#: ``repro bench --quick`` fingerprints of the raw switching benches.
+BENCH_QUICK_GOLDENS = {
+    "nqe_switch": {"batches": 4000, "ce_busy_cycles": 1468000.0,
+                   "events_cancelled": 0, "events_processed": 14006,
+                   "nqes_switched": 32000, "received": 16000,
+                   "sim_now": 0.010000999999999677},
+    "fig08_mux_10": {"batches": 200, "ce_busy_cycles": 189500.0,
+                     "events_cancelled": 0, "events_processed": 715,
+                     "nqes_switched": 200, "received": 100,
+                     "sim_now": 0.0020010000000000036},
+    "fig08_mux_100": {"batches": 1200, "ce_busy_cycles": 1557000.0,
+                      "events_cancelled": 0, "events_processed": 4332,
+                      "nqes_switched": 1200, "received": 600,
+                      "sim_now": 0.0012100000000000019},
+    "fig08_mux_1000": {"batches": 1538, "ce_busy_cycles": 12459026.0,
+                       "events_cancelled": 0, "events_processed": 6150,
+                       "nqes_switched": 2000, "received": 1000,
+                       "sim_now": 0.0003},
+}
+
+
+class TestBenchFingerprints:
+    """The switching benches' simulated timelines, at ``--quick`` size."""
+
+    @pytest.mark.parametrize("name", sorted(BENCH_QUICK_GOLDENS))
+    def test_quick_fingerprint(self, name):
+        from repro.perf.bench import BENCHMARKS
+
+        assert BENCHMARKS[name](True)["fingerprint"] == \
+            BENCH_QUICK_GOLDENS[name]
 
 
 class TestZeroAllocSwitching:

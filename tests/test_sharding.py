@@ -251,6 +251,13 @@ class TestCrossShardHandoff:
         assert out["handoffs"] == 0
 
 
+#: (per-shard fingerprints, sim_now) of the 2 x 30-VM sharded mux run.
+SHARDED_GOLDEN = (
+    [{"nqes_switched": 36, "batches": 36, "received": 18,
+      "ce_busy_cycles": 382350.0}] * 2,
+    0.000123)
+
+
 class TestShardDeterminism:
     def test_per_shard_fingerprint_matches_one_shard_run(self):
         """The acceptance proof at test scale: each shard of a
@@ -276,6 +283,7 @@ class TestShardDeterminism:
                                      active_per_shard=3, nqes_per_active=6)
         assert ready["per_shard"] == full["per_shard"]
         assert ready["sim_now"] == full["sim_now"]
+        assert (ready["per_shard"], ready["sim_now"]) == SHARDED_GOLDEN
 
     def test_seeded_replay_is_bit_identical(self):
         first = _sharded_mux_workload("ready", n_shards=2, vms_per_shard=20,
