@@ -205,8 +205,7 @@ def _cmd_stats(as_json: bool, transfer_bytes: int) -> int:
           f"{ce['rate_limited_stalls']} rate-limit stalls, "
           f"{ce['nqes_dropped']} drops; "
           f"transferred {done.get('server_bytes', 0)} B")
-    print(f"Scheduler: mode={ce['sched.mode']} "
-          f"passes={ce['sched.passes']} "
+    print(f"Scheduler: passes={ce['sched.passes']} "
           f"stale_wakeups={ce['sched.stale_wakeups']} "
           "(stall timeouts disarmed after a doorbell won the race)")
     return _finish(env, as_json)
@@ -233,10 +232,6 @@ def _cmd_bench(names: List[str], quick: bool, out_dir: str,
                     f"peak_rss={result['peak_rss']}KiB")
             if not result.get("peak_rss_exact", True):
                 line += " (lifetime peak)"
-            if "speedup_vs_full" in result:
-                line += f" speedup={result['speedup_vs_full']:.2f}x"
-            if "speedup_vs_scalar" in result:
-                line += f" vec={result['speedup_vs_scalar']:.2f}x"
             if "fingerprint_match" in result:
                 line += f" identical={result['fingerprint_match']}"
             print(line)
@@ -251,7 +246,8 @@ def _cmd_bench(names: List[str], quick: bool, out_dir: str,
                   if r.get("fingerprint_match") is False]
     if mismatched:
         env.fail("divergence",
-                 f"TIMELINE DIVERGENCE between scan modes: {mismatched}")
+                 "TIMELINE DIVERGENCE: a shard's fingerprint differs from "
+                 f"its 1-shard reference run: {mismatched}")
     if floors_path:
         with open(floors_path) as handle:
             floors = json.load(handle)

@@ -15,12 +15,9 @@ per-VM token buckets rate-limit bandwidth (bytes through send NQEs)
 and/or operations (NQEs per second).  Egress only, as in the paper.
 
 Scheduling (§4.3's interrupt-driven polling, applied to the switch
-itself): with ``scan="ready"`` (the default) doorbells carry the kicking
-device and the switch services only a dirty set of ready devices, so one
+itself): doorbells carry the kicking device and the switch services only
+a dirty set of ready devices, in a fixed pass order (see _run), so one
 wake-up costs O(ready devices), not O(registered devices).
-``scan="full"`` preserves the rescan-everything loop; both modes produce
-bit-identical simulated timelines (see _run_ready for the invariants),
-the ready set only removes wall-clock work.
 
 Failure handling (§8): an NSM is a new single point of failure, so the
 switch doubles as the failure detector.  ``enable_health_monitor`` sends
@@ -100,22 +97,6 @@ class TokenBucket:
         self.tokens = min(self.burst, self.tokens + amount)
 
 
-#: Scan-loop flavours: "ready" services only doorbelled devices; "full"
-#: rescans every registered device on every pass (the seed behaviour,
-#: kept for determinism comparisons).
-SCAN_MODES = ("ready", "full")
-
-#: Default used by CoreEngine(scan=None); the determinism suite and the
-#: perf harness flip this to run unchanged experiments under both modes.
-DEFAULT_SCAN_MODE = "ready"
-
-#: Default for CoreEngine(vectorized=None): the slab/scratch datapath.
-#: ``vectorized=False`` keeps the scalar pop-and-route loop for A/B
-#: benching; both produce bit-identical simulated timelines (the
-#: vectorized path only removes Python-level allocations and generator
-#: frames, never a yield the scalar path would have made).
-DEFAULT_VECTORIZED = True
-
 #: _Registration.state values.
 _IDLE, _READY = 0, 1
 
@@ -142,12 +123,12 @@ class _Registration:
                  key: Tuple[int, int], birth_pass: int, engine=None):
         self.numeric_id = numeric_id
         self.device = device
-        #: (role rank, numeric id): the full scan's visiting order, used
-        #: as the ready-heap priority so both modes service identically.
+        #: (role rank, numeric id): the pass visiting order (VMs before
+        #: NSMs, each by id), used as the ready-heap priority.
         self.key = key
         self.state = _IDLE
         #: Pass number at registration: a device registered mid-pass is
-        #: deferred to the next pass, like the full scan's snapshot.
+        #: deferred to the next pass.
         self.birth_pass = birth_pass
         self.active = True
         #: Live migration: a parked device's produced NQEs wait in its
@@ -163,25 +144,16 @@ class CoreEngine:
 
     def __init__(self, sim, core: Core,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 batch_size: int = 4, ring_slots: int = DEFAULT_RING_SLOTS,
-                 scan: Optional[str] = None,
-                 vectorized: Optional[bool] = None):
+                 batch_size: int = 4, ring_slots: int = DEFAULT_RING_SLOTS):
         if batch_size < 1:
             raise ConfigurationError(f"batch size must be >=1: {batch_size}")
-        scan = DEFAULT_SCAN_MODE if scan is None else scan
-        if scan not in SCAN_MODES:
-            raise ConfigurationError(
-                f"unknown scan mode {scan!r}; choose from {SCAN_MODES}")
         self.sim = sim
         self.core = core
         self.cost = cost_model
         self.batch_size = batch_size
         self.ring_slots = ring_slots
-        self.scan = scan
-        self.vectorized = (DEFAULT_VECTORIZED if vectorized is None
-                           else vectorized)
-        #: Reusable drain scratch (vectorized path): grown once to
-        #: batch_size, reread every pass, never reallocated.
+        #: Reusable drain scratch: grown once to batch_size, reread
+        #: every pass, never reallocated.
         self._scratch: List[Nqe] = []
 
         self.table = ConnectionTable()
@@ -202,10 +174,10 @@ class CoreEngine:
         # in-flight NQEs for a vanished VM can still free their payloads.
         self._vm_regions: Dict[int, HugepageRegion] = {}
 
-        # Ready-set scheduler state (scan="ready").  Two heaps replicate
-        # the full scan's pass structure: _current_pass holds devices to
-        # service this pass in key order, _next_pass collects devices
-        # that became ready at or behind the scan position.
+        # Ready-set scheduler state.  Two heaps give each pass its
+        # order: _current_pass holds devices to service this pass in key
+        # order, _next_pass collects devices that became ready at or
+        # behind the scan position.
         self._current_pass: List[Tuple[Tuple[int, int], _Registration]] = []
         self._next_pass: List[Tuple[Tuple[int, int], _Registration]] = []
         self._pass_pos: Optional[Tuple[int, int]] = None
@@ -286,8 +258,7 @@ class CoreEngine:
         self._kicked = False
         self._doorbell_waiter: Optional[object] = None
         self._running = True
-        run = self._run_ready if scan == "ready" else self._run_full
-        self._process = sim.process(run())
+        self._process = sim.process(self._run())
 
     # ------------------------------------------------------------- control --
 
@@ -647,8 +618,7 @@ class CoreEngine:
                     yield self.core.execute(
                         self.cost.ce_batch_cycles(len(batch)), "ce.switch")
                     self.batches += 1
-                    for nqe in batch:
-                        yield from self._route(reg, device, nqe)
+                    yield from self._switch_batch(reg, batch, len(batch))
 
     def _await_nsm_quiescent(self, source_reg: _Registration, source_lib,
                              vm_id: int):
@@ -673,8 +643,7 @@ class CoreEngine:
         """Doorbell a freshly unparked device.  Unlike kick(), never
         subject to injected doorbell loss: resume is an operator-plane
         action, not a guest MMIO write."""
-        if self.scan == "ready":
-            self._mark_ready(reg)
+        self._mark_ready(reg)
         self._wake_switch()
 
     def _pick_standby(self, exclude: int) -> Optional[int]:
@@ -867,16 +836,15 @@ class CoreEngine:
         return self._nsms.get(nsm_id)
 
     #: True on engines whose _pre_pass does real work (the shard engine's
-    #: handoff drain); the scan loops skip the generator round-trip
+    #: handoff drain); the switching loop skips the generator round-trip
     #: entirely when False.  A class attribute so the skip costs one
     #: attribute load per pass.
     _HAS_PRE_PASS = False
 
     def _pre_pass(self):
-        """Hook run at the top of every switching pass, identically in
-        both scan modes (so scan-mode bit-identity is preserved).  The
-        base switch has nothing to do; a shard engine drains its inbound
-        cross-shard handoff queue here."""
+        """Hook run at the top of every switching pass.  The base switch
+        has nothing to do; a shard engine drains its inbound cross-shard
+        handoff queue here."""
         return
         yield  # pragma: no cover — makes this a generator
 
@@ -892,17 +860,16 @@ class CoreEngine:
         if (device is not None and self.faults is not None
                 and self.faults.should_drop_doorbell(device)):
             return  # injected doorbell loss: the MMIO write vanished
-        if self.scan == "ready":
-            if device is not None:
-                reg = device.ce_registration
-                # _mark_ready's already-ready reject, inlined: bursts
-                # usually kick a device that is still queued for service.
-                if reg is not None and reg.active and reg.state != _READY:
+        if device is not None:
+            reg = device.ce_registration
+            # _mark_ready's already-ready reject, inlined: bursts usually
+            # kick a device that is still queued for service.
+            if reg is not None and reg.active and reg.state != _READY:
+                self._mark_ready(reg)
+        else:
+            for registry in (self._vms, self._nsms):
+                for reg in registry.values():
                     self._mark_ready(reg)
-            else:
-                for registry in (self._vms, self._nsms):
-                    for reg in registry.values():
-                        self._mark_ready(reg)
         # _wake_switch() inlined (kick is the datapath's hottest notifier).
         self._kicked = True
         waiter = self._doorbell_waiter
@@ -930,9 +897,9 @@ class CoreEngine:
         self.kick()
 
     def _mark_ready(self, reg: _Registration) -> None:
-        """Enqueue a device into the dirty set, placed where the full
-        scan would next visit it: ahead of the scan position → later this
-        pass; at/behind it (or registered mid-pass) → next pass."""
+        """Enqueue a device into the dirty set in pass order: ahead of
+        the scan position → later this pass; at/behind it (or registered
+        mid-pass) → next pass."""
         if reg.state == _READY or not reg.active:
             return
         reg.state = _READY
@@ -943,60 +910,25 @@ class CoreEngine:
         else:
             heapq.heappush(self._current_pass, (reg.key, reg))
 
-    def _run_full(self):
-        """scan="full": rescan every registered device on every pass."""
-        while self._running:
-            # Clear the kicked flag *before* scanning.  A kick landing
-            # while the scan is suspended mid-pass sets it again, and the
-            # post-pass check rescans instead of sleeping — otherwise a
-            # push landing just after its rings were scanned would sleep
-            # past its doorbell (lost-doorbell race).
-            self._kicked = False
-            self._pass_counter += 1
-            if self._HAS_PRE_PASS:
-                yield from self._pre_pass()
-            progressed = False
-            stall: Optional[float] = None
-            for registry in (self._vms, self._nsms):
-                for reg in list(registry.values()):
-                    if not reg.parked and not reg.device.produce_pending():
-                        # Nothing produced: _service_device would return
-                        # None without yielding; skip the generator.
-                        continue
-                    result = yield from self._service_device(reg)
-                    if result is True:
-                        progressed = True
-                    elif isinstance(result, float):
-                        stall = result if stall is None else min(stall, result)
-            if progressed:
-                continue
-            if self._kicked:
-                # Kicked mid-scan: rescan rather than sleeping past it.
-                continue
-            yield from self._idle_sleep(stall)
+    def _run(self):
+        """The switching loop: service only the dirty set of kicked
+        devices, one pass at a time.
 
-    def _run_ready(self):
-        """scan="ready": service only the dirty set of kicked devices.
+        The pass order is part of the simulated timeline, which the
+        determinism suite pins as golden constants:
 
-        Bit-identity with the full scan rests on three invariants:
-
-        * Idle devices cost the full scan zero *simulated* time (no
-          yields), so skipping them changes wall-clock only.  Devices
-          with work are visited in the same order — the heap priority is
-          the full scan's (role, id) visiting order, and a device kicked
-          at/behind the scan position waits for the next pass, exactly
-          like a push landing behind the full scan's cursor.
+        * Each pass visits ready devices in (role, id) order, VMs first.
+          A device kicked at/behind the scan position waits for the next
+          pass, as does one registered mid-pass.  Idle devices are never
+          visited and cost no simulated time.
         * A rate-stalled device is re-armed for the *next pass* rather
-          than parked until its token deadline: the full scan re-runs
-          its admission check every pass, and TokenBucket refills are
-          float-path-dependent, so skipping rechecks would diverge in
-          the last ulp.  The deadline ordering survives as the sleep
-          timeout (min stall seen this pass), which is exactly the
-          earliest stalled device's deadline.
-        * The sleep itself (kicked-flag reset, waiter shape, stall
-          counter) is shared with the full scan via _idle_sleep, so the
-          event-heap contents — and therefore tie-breaking among
-          same-timestamp events — are identical.
+          than parked until its token deadline: its admission check
+          re-runs every pass, and TokenBucket refills are
+          float-path-dependent, so checking at other instants would move
+          the timeline in the last ulp.  The sleep timeout is the
+          earliest stalled device's deadline (min stall this pass).
+        * A pass that made progress, or was kicked mid-pass, is followed
+          by another pass instead of a sleep (the lost-doorbell guard).
         """
         while self._running:
             self._kicked = False
@@ -1023,8 +955,7 @@ class CoreEngine:
                     progressed = True
                     if reg.state == _IDLE and reg.device.produce_pending():
                         # Leftovers past the batch cap (or pushed while
-                        # routing): revisit next pass, as the full scan's
-                        # rescan-on-progress would.
+                        # routing): revisit next pass.
                         self._mark_ready(reg)
                 elif isinstance(result, float):
                     stall = result if stall is None else min(stall, result)
@@ -1054,8 +985,7 @@ class CoreEngine:
             # itself instead of wrapping it in an AnyOf, which would add
             # one same-timestamp event hop per idle period.  The switch
             # still wakes at the same simulated instant; only the
-            # intra-instant event count shrinks (identically in every
-            # scan/vectorized mode, so fingerprints still match).
+            # intra-instant event count shrinks.
             yield waiter
             return
         self.rate_limited_stalls += 1
@@ -1073,7 +1003,13 @@ class CoreEngine:
 
     def _service_device(self, reg: _Registration):
         """Drain one device's produced rings; returns True, None, or a
-        float (seconds until rate-limit tokens allow progress)."""
+        float (seconds until rate-limit tokens allow progress).
+
+        Each queue set's rings drain into the engine-owned scratch list
+        (zero list allocations), at most ``batch_size`` NQEs per queue
+        set; one ``ce_batch_cycles`` charge covers the batch, then
+        :meth:`_switch_batch` routes it.
+        """
         if reg.parked:
             # Mid-migration: leave produced NQEs in the rings.  They are
             # parked, not failed — the resume doorbell re-services them.
@@ -1081,125 +1017,84 @@ class CoreEngine:
         device = reg.device
         progressed = False
         stall: Optional[float] = None
+        bw = ops = None
         if device.role == ROLE_VM:
             bw = self._bw_limits.get(reg.numeric_id)
             ops = self._op_limits.get(reg.numeric_id)
-        else:
-            bw = ops = None
+        limited = bw is not None or ops is not None
         batch_size = self.batch_size
-        if self.vectorized and bw is None and ops is None:
-            # Vectorized fast path: drain into the engine-owned scratch
-            # list (zero list allocations), resolve each NQE's target
-            # synchronously, and fall back to the generator slow path
-            # only when delivery must actually stall (full ring, faults).
-            # Timeline-identical to the scalar loop below: the same
-            # ce_batch_cycles execute per non-empty lane, the same
-            # per-NQE routing decisions in the same order.
-            scratch = self._scratch
-            role = device.role
-            is_vm = role == ROLE_VM
-            obs = self.obs
-            # Overload accounting applies to VM egress only; the shed
-            # decision runs at the same per-NQE point as the scalar
-            # _route below, so both datapaths decide identically.
-            ov = self.overload if is_vm else None
-            resolve = (self._resolve_vm_to_nsm if is_vm
-                       else self._resolve_nsm_to_vm)
-            deliver_fast = self._deliver_fast
-            core_execute = self.core.execute
-            ce_batch_cycles = self.cost.ce_batch_cycles
-            for qs in device.queue_sets:
-                filled = 0
-                for ring in device.produce_rings(qs):
-                    room = batch_size - filled
-                    if room == 0:
-                        break
-                    count = ring._count
-                    if count == 0:
-                        continue
-                    # One ownership check per drain; the per-item
-                    # operations below run unchecked.
-                    if ring._consumer is not self:
-                        ring.claim_consumer(self)
-                    if count == 1:
-                        # Single-element drain (the common case under
-                        # fine-grained doorbells), inlined from
-                        # SpscRing.drain_into.
-                        head = ring._head
-                        slots = ring._slots
-                        item = slots[head]
-                        slots[head] = None
-                        head += 1
-                        ring._head = 0 if head == len(slots) else head
-                        ring._count = 0
-                        ring.consumed += 1
-                        if len(scratch) <= filled:
-                            scratch.append(None)
-                        scratch[filled] = item
-                        filled += 1
-                    else:
-                        filled += ring.drain_into(scratch, room,
-                                                  start=filled)
-                if not filled:
-                    continue
-                yield core_execute(ce_batch_cycles(filled), "ce.switch")
-                self.batches += 1
-                for i in range(filled):
-                    nqe = scratch[i]
-                    scratch[i] = None
-                    if obs is not None:
-                        obs.on_ce_switch(nqe, role)
-                    if (ov is not None and ov.ingest(nqe)
-                            and self._shed_nqe(nqe)):
-                        self.nqes_switched += 1
-                        continue
-                    dest = resolve(reg, nqe)
-                    if dest is not None and not deliver_fast(
-                            dest[0], nqe, dest[1]):
-                        yield from self._deliver(dest[0], nqe, dest[1])
-                    self.nqes_switched += 1
-                progressed = True
-            if progressed:
-                return True
-            return stall
+        scratch = self._scratch
         for qs in device.queue_sets:
-            batch: List[Nqe] = []
-            # Every VM-egress NQE — job-queue ops included — must pass the
-            # §4.4 admission check; popping the control ring unchecked
-            # would let a rate-capped VM blast unlimited control ops.
+            filled = 0
             for ring in device.produce_rings(qs):
-                room = batch_size - len(batch)
+                room = batch_size - filled
                 if room == 0:
                     break
-                if ring.empty:
+                count = ring._count
+                if count == 0:
                     continue
                 # One ownership check per drain; the per-item operations
-                # below run unchecked (owner=None is a no-op check).
-                ring.claim_consumer(self)
-                if bw is None and ops is None:
-                    batch.extend(ring.pop_batch(room))
-                    continue
-                while len(batch) < batch_size:
-                    nqe: Optional[Nqe] = ring.peek()
-                    if nqe is None:
-                        break
-                    wait = self._admission_delay(bw, ops, nqe)
-                    if wait > 0:
+                # below run unchecked.
+                if ring._consumer is not self:
+                    ring.claim_consumer(self)
+                if limited:
+                    # Every VM-egress NQE — job-queue ops included — must
+                    # pass the §4.4 admission check; draining the control
+                    # ring unchecked would let a rate-capped VM blast
+                    # unlimited control ops.
+                    filled, wait = self._admit(ring, scratch, filled,
+                                               bw, ops)
+                    if wait is not None:
                         stall = wait if stall is None else min(stall, wait)
-                        break
-                    ring.pop()
-                    batch.append(nqe)
-            if not batch:
+                elif count == 1:
+                    # Single-element drain (the common case under
+                    # fine-grained doorbells), inlined from
+                    # SpscRing.drain_into.
+                    head = ring._head
+                    slots = ring._slots
+                    item = slots[head]
+                    slots[head] = None
+                    head += 1
+                    ring._head = 0 if head == len(slots) else head
+                    ring._count = 0
+                    ring.consumed += 1
+                    if len(scratch) <= filled:
+                        scratch.append(None)
+                    scratch[filled] = item
+                    filled += 1
+                else:
+                    filled += ring.drain_into(scratch, room, start=filled)
+            if not filled:
                 continue
-            yield self.core.execute(self.cost.ce_batch_cycles(len(batch)),
+            yield self.core.execute(self.cost.ce_batch_cycles(filled),
                                     "ce.switch")
             self.batches += 1
-            for nqe in batch:
-                yield from self._route(reg, device, nqe)
+            yield from self._switch_batch(reg, scratch, filled)
             progressed = True
         if progressed:
             return True
         return stall
+
+    def _admit(self, ring, scratch: List[Optional[Nqe]], filled: int,
+               bw: Optional[TokenBucket], ops: Optional[TokenBucket]):
+        """Move NQEs that pass a rate-capped VM's token buckets from
+        ``ring`` into ``scratch[filled:]``, up to ``batch_size`` in all.
+        Returns the new fill and the seconds until the ring's head NQE
+        is admissible (None when the ring drained or the batch filled).
+        """
+        while filled < self.batch_size:
+            nqe: Optional[Nqe] = ring.peek()
+            if nqe is None:
+                break
+            wait = self._admission_delay(bw, ops, nqe)
+            if wait > 0:
+                return filled, wait
+            ring.pop()
+            if len(scratch) <= filled:
+                scratch.append(None)
+            scratch[filled] = nqe
+            filled += 1
+        return filled, None
 
     @staticmethod
     def _admission_delay(bw: Optional[TokenBucket],
@@ -1219,24 +1114,32 @@ class CoreEngine:
 
     # ---------------------------------------------------------------- routing --
 
-    def _route(self, reg: _Registration, device: NKDevice, nqe: Nqe):
-        """Scalar routing path (vectorized=False): one generator frame
-        per NQE, delivery always through the generator slow path.  Shares
-        the resolve logic with the vectorized loop, so both make the same
-        decisions in the same order."""
-        if self.obs is not None:
-            self.obs.on_ce_switch(nqe, device.role)
-        if device.role == ROLE_VM:
-            ov = self.overload
+    def _switch_batch(self, reg: _Registration, nqes: List[Optional[Nqe]],
+                      count: int):
+        """Route ``nqes[:count]`` from ``reg``'s device in order, clearing
+        each slot.  Every NQE's destination is resolved synchronously and
+        delivered in place by :meth:`_deliver_fast`; only a delivery that
+        must wait (a full ring, injected faults) enters the generator
+        :meth:`_deliver`, which is also the only place this yields."""
+        role = reg.device.role
+        is_vm = role == ROLE_VM
+        obs = self.obs
+        # Overload accounting applies to VM egress only.
+        ov = self.overload if is_vm else None
+        resolve = self._resolve_vm_to_nsm if is_vm else self._resolve_nsm_to_vm
+        deliver_fast = self._deliver_fast
+        for i in range(count):
+            nqe = nqes[i]
+            nqes[i] = None
+            if obs is not None:
+                obs.on_ce_switch(nqe, role)
             if ov is not None and ov.ingest(nqe) and self._shed_nqe(nqe):
                 self.nqes_switched += 1
-                return
-            dest = self._resolve_vm_to_nsm(reg, nqe)
-        else:
-            dest = self._resolve_nsm_to_vm(reg, nqe)
-        if dest is not None:
-            yield from self._deliver(dest[0], nqe, dest[1])
-        self.nqes_switched += 1
+                continue
+            dest = resolve(reg, nqe)
+            if dest is not None and not deliver_fast(dest[0], nqe, dest[1]):
+                yield from self._deliver(dest[0], nqe, dest[1])
+            self.nqes_switched += 1
 
     def _resolve_vm_to_nsm(self, reg: _Registration, nqe: Nqe):
         """Pick the destination (ring, device) for a VM-egress NQE, or
@@ -1316,7 +1219,7 @@ class CoreEngine:
         return ring, vm_device
 
     def _deliver_fast(self, ring, nqe: Nqe, target_device: NKDevice) -> bool:
-        """Synchronous delivery attempt (vectorized path).  Returns True
+        """Synchronous delivery attempt.  Returns True
         when the NQE was fully handled — pushed and the consumer woken,
         or dropped because the target died.  Returns False when the
         generator slow path must take over (active fault injection, or a
@@ -1333,7 +1236,7 @@ class CoreEngine:
         slab_full = count == len(slots)
         if slab_full and count == ring.capacity:
             # Leave the full-ring rejection accounting and the bounded
-            # stall to the slow path, so counters match the scalar loop.
+            # stall to the slow path, so each is counted exactly once.
             return False
         if ring._producer is not self:
             ring.claim_producer(self)
@@ -1442,10 +1345,8 @@ class CoreEngine:
             "vms_migrated": self.vms_migrated,
             "conns_migrated": self.conns_migrated,
             "migration_parked_ops": self.migration_parked_ops,
-            "sched.mode": self.scan,
             "sched.passes": self._pass_counter,
             "sched.stale_wakeups": self.stale_wakeups,
-            "sched.vectorized": self.vectorized,
         }
 
     def per_vm_drops(self) -> Dict[int, dict]:

@@ -41,7 +41,7 @@ class NetKernelHost:
     def __init__(self, sim, network: Optional[Network] = None,
                  cost_model: CostModel = DEFAULT_COST_MODEL,
                  ce_batch_size: int = 4, name: str = "host",
-                 ce_scan: Optional[str] = None, ce_shards: int = 1):
+                 ce_shards: int = 1):
         if ce_shards < 1:
             raise ConfigurationError(
                 f"ce_shards must be >=1: {ce_shards}")
@@ -53,8 +53,7 @@ class NetKernelHost:
             self.ce_cores = [Core(sim, name=f"{name}.ce",
                                   hz=cost_model.core_hz)]
             self.coreengine = CoreEngine(sim, self.ce_cores[0], cost_model,
-                                         batch_size=ce_batch_size,
-                                         scan=ce_scan)
+                                         batch_size=ce_batch_size)
         else:
             from repro.core.sharding import ShardedCoreEngine
 
@@ -63,7 +62,7 @@ class NetKernelHost:
                              for i in range(ce_shards)]
             self.coreengine = ShardedCoreEngine(
                 sim, self.ce_cores, cost_model,
-                batch_size=ce_batch_size, scan=ce_scan)
+                batch_size=ce_batch_size)
         #: Kept as an alias for the single-switch layout; accounting
         #: sums over ce_cores so sharded hosts attribute every shard.
         self.ce_core = self.ce_cores[0]

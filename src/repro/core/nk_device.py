@@ -110,8 +110,7 @@ class NKDevice:
         so ``callbacks`` is empty exactly when nobody is waiting and a
         succeed would only queue a ghost event nobody observes.  Batched
         deliveries used to queue one such ghost per NQE after the first —
-        pure event-loop churn, skipped identically in vectorized and
-        scalar switching so the A/B timelines stay bit-identical.
+        pure event-loop churn.
         """
         if self._poll_started_at is not None:
             elapsed = self.sim._now - self._poll_started_at

@@ -50,8 +50,8 @@ before the level flipped).
 
 Everything here is deterministic: no wall clock, no RNG — decisions are
 pure functions of ring states, lifetime counters, and simulated time, so
-admission decisions fingerprint identically in vectorized and scalar
-switch modes (tests/test_overload.py holds this).
+a seeded run's admission decisions repeat exactly (tests/test_overload.py
+pins one burst's as a golden).
 """
 
 from __future__ import annotations
@@ -150,8 +150,7 @@ class OverloadGovernor:
 
     def note_delivery(self, latency: float) -> None:
         """Fold one delivery's production→ring latency into the EWMA.
-        Called by the switch at every successful delivery, identically
-        in the vectorized and scalar datapaths."""
+        Called by the switch at every successful delivery."""
         alpha = self.ewma_alpha
         self.latency_ewma += alpha * (latency - self.latency_ewma)
 

@@ -104,6 +104,9 @@ class ServiceLib:
         self.nqes_processed = 0
         self.nqes_emitted = 0
         self.nqes_dropped_crashed = 0
+        #: SEND/SENDTO NQEs dropped because their guest-supplied
+        #: ``data_ptr`` named no live buffer in the VM's region, by VM id.
+        self.vm_bad_data_ptrs: Dict[int, int] = {}
         #: Pump passes run with an overload-clamped receive window.
         self.rx_window_clamps = 0
         #: Handlers currently executing (migration waits for zero before
@@ -501,9 +504,25 @@ class ServiceLib:
 
     # -- data path ----------------------------------------------------------------------
 
+    def _payload(self, nqe: Nqe):
+        """The live hugepage buffer a SEND/SENDTO NQE points at, or None.
+
+        ``data_ptr`` is guest-controlled: a dangling or freed pointer
+        must cost only the offending VM its send (the NQE is dropped and
+        counted against it), never raise out of the poller and take
+        every tenant on this NSM down with it."""
+        region = self._regions.get(nqe.vm_id)
+        buffer = region.lookup(nqe.data_ptr) if region is not None else None
+        if buffer is None or buffer.freed:
+            bad = self.vm_bad_data_ptrs
+            bad[nqe.vm_id] = bad.get(nqe.vm_id, 0) + 1
+            return None
+        return buffer
+
     def _op_send(self, nqe: Nqe, qset: int, core):
-        region = self._region_for(nqe.vm_id)
-        buffer = region.get(nqe.data_ptr)
+        buffer = self._payload(nqe)
+        if buffer is None:
+            return
         ctx = self._by_vm_tuple.get(nqe.vm_tuple)
         if ctx is None or ctx.closing:
             buffer.free()  # socket gone: drop the payload, no leak
@@ -549,8 +568,9 @@ class ServiceLib:
             self._finish_close(ctx)
 
     def _op_sendto(self, nqe: Nqe, qset: int, core):
-        region = self._region_for(nqe.vm_id)
-        buffer = region.get(nqe.data_ptr)
+        buffer = self._payload(nqe)
+        if buffer is None:
+            return
         ctx = self._by_vm_tuple.get(nqe.vm_tuple)
         if ctx is None or ctx.kind != "udp":
             buffer.free()
@@ -818,6 +838,7 @@ class ServiceLib:
             "nqes_processed": self.nqes_processed,
             "nqes_emitted": self.nqes_emitted,
             "nqes_dropped_crashed": self.nqes_dropped_crashed,
+            "vm_bad_data_ptrs": dict(self.vm_bad_data_ptrs),
             "rx_window_clamps": self.rx_window_clamps,
             "live_contexts": len(self._by_nsm_id),
             "crashed": self.crashed,

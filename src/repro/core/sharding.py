@@ -25,9 +25,9 @@ and liveness checks all apply exactly once, on the destination side).
 Determinism
 -----------
 
-Each shard is itself a CoreEngine, so PR 2's ready-vs-full bit-identity
-invariants hold *per shard* unchanged (``_pre_pass`` runs identically in
-both scan loops).  When the partition is traffic-closed — every VM homed
+Each shard is itself a CoreEngine with the same pass order (its
+``_pre_pass`` drain runs at the top of every pass).  When the partition
+is traffic-closed — every VM homed
 with its serving NSM, as the fig08_sharded bench arranges — a shard's
 simulated timeline is independent of every other shard's, and its
 counters are bit-identical to a standalone one-shard run of the same
@@ -40,8 +40,7 @@ import itertools
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.coreengine import (CoreEngine, _Registration,
-                                   DEFAULT_SCAN_MODE, SCAN_MODES)
+from repro.core.coreengine import CoreEngine, _Registration
 from repro.core.nk_device import NKDevice
 from repro.core.queues import DEFAULT_RING_SLOTS
 from repro.cpu.core import Core
@@ -143,8 +142,8 @@ class _ShardEngine(CoreEngine):
         yield from CoreEngine._deliver(self, ring, nqe, target_device)
 
     def _deliver_fast(self, ring, nqe, target_device: NKDevice) -> bool:
-        """Vectorized delivery: a cross-shard handoff is synchronous by
-        construction (push + doorbell, no yields), so it is always fast."""
+        """A cross-shard handoff is synchronous by construction (push +
+        doorbell, no yields), so it is always fast."""
         home = self._home_of(target_device)
         if home is not self:
             self.handoffs_out += 1
@@ -225,25 +224,16 @@ class ShardedCoreEngine:
 
     def __init__(self, sim, cores: List[Core],
                  cost_model: CostModel = DEFAULT_COST_MODEL,
-                 batch_size: int = 4, ring_slots: int = DEFAULT_RING_SLOTS,
-                 scan: Optional[str] = None,
-                 vectorized: Optional[bool] = None):
+                 batch_size: int = 4, ring_slots: int = DEFAULT_RING_SLOTS):
         if not cores:
             raise ConfigurationError("need at least one shard core")
-        scan = DEFAULT_SCAN_MODE if scan is None else scan
-        if scan not in SCAN_MODES:
-            raise ConfigurationError(
-                f"unknown scan mode {scan!r}; choose from {SCAN_MODES}")
         self.sim = sim
-        self.scan = scan
         self.batch_size = batch_size
         self.shards: List[_ShardEngine] = [
             _ShardEngine(sim, core, index, self, cost_model=cost_model,
-                         batch_size=batch_size, ring_slots=ring_slots,
-                         scan=scan, vectorized=vectorized)
+                         batch_size=batch_size, ring_slots=ring_slots)
             for index, core in enumerate(cores)
         ]
-        self.vectorized = self.shards[0].vectorized
         # Control plane: shard 0's objects become the host-global ones.
         first = self.shards[0]
         self.table = first.table
@@ -616,14 +606,11 @@ class ShardedCoreEngine:
         per_shard = [shard.stats() for shard in self.shards]
         out: Dict[str, object] = {
             "shards": len(self.shards),
-            "sched.mode": self.scan,
             "connections": len(self.table),
         }
-        out["sched.vectorized"] = self.vectorized
         numeric = [k for k in per_shard[0]
                    if isinstance(per_shard[0][k], (int, float))
-                   and k not in ("avg_batch", "connections",
-                                 "sched.vectorized")]
+                   and k not in ("avg_batch", "connections")]
         for key in numeric:
             out[key] = sum(stats[key] for stats in per_shard)
         out["avg_batch"] = (out["nqes_switched"] / out["batches"]

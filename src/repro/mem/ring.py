@@ -52,7 +52,7 @@ class SpscRing:
         #: resettable via :meth:`take_hwm`, so the overload detector can
         #: sample per-interval peaks instead of a lifetime maximum.
         self.hwm_depth = 0
-        #: Drains that built a fresh list (``pop_batch``).  The vectorized
+        #: Drains that built a fresh list (``pop_batch``).  The switching
         #: datapath drains through ``drain_into`` instead, which reuses a
         #: caller-owned scratch list; perf smoke asserts this counter stays
         #: flat across steady-state switching.
@@ -183,8 +183,7 @@ class SpscRing:
         ``count`` pushes only ``items[:count]`` without materializing the
         slice: pass a reusable scratch list plus the valid-prefix length
         and the call is iterator-free and, once the slab has grown to the
-        ring's peak depth, allocation-free (the vectorized producer fast
-        path).
+        ring's peak depth, allocation-free (the producer fast path).
         """
         if owner is not None and self._producer is not owner:
             self.claim_producer(owner)
@@ -192,8 +191,8 @@ class SpscRing:
         depth = self._count
         free = self.capacity - depth
         if n > free:
-            # One rejection per overflowing batch, matching the scalar
-            # loop's behaviour of counting the first refused element.
+            # One rejection per overflowing batch, as a push loop would
+            # count only its first refused element.
             self._note_full()
             n = free
         if n <= 0:

@@ -2,9 +2,9 @@
 
 Unlike ``repro.experiments`` — which reproduces the paper's *simulated*
 numbers — this package measures how fast the simulator itself runs:
-events per second, NQE switches per second, and the CoreEngine ready-set
-scheduler's wall-clock advantage over the full scan at fig. 8-style
-multiplexing scale.  Results are pinned-seed and deterministic in
+events per second, NQE switches per second, CoreEngine multiplexing at
+fig. 8 scale (one switch and sharded), end-to-end echo round trips and
+capacity search.  Results are pinned-seed and deterministic in
 simulated time; only the wall-clock readings vary between machines.
 """
 

@@ -4,11 +4,9 @@ Each benchmark is a callable ``fn(quick: bool) -> dict`` returning at
 least ``{"wall_s", "events", "peak_rss"}`` (``peak_rss`` in KiB, from
 ``getrusage``, the bench's own peak: the process's high-water mark is
 restarted before every measured call, see :func:`_reset_peak_rss`).
-The fig. 8 multiplexing benches additionally run the same workload
-under both CoreEngine scan modes and report the speedup
-plus whether the two simulated timelines were identical — the harness is
-also the standing proof that the ready-set scheduler changes wall-clock
-only.
+The switching benches also return the ``fingerprint`` of their simulated
+timeline; the sharded ones check each shard's against a standalone
+1-shard run of the same partition (``fingerprint_match``).
 
 Workload sizes are fixed constants (no RNG, no clock inputs), so the
 simulated side of every result is reproducible bit-for-bit.
@@ -88,10 +86,9 @@ def bench_events(quick: bool) -> dict:
 # -- CoreEngine NQE switching ------------------------------------------------
 
 
-def _mux_workload(scan: str, n_vms: int, active_vms: int,
+def _mux_workload(n_vms: int, active_vms: int,
                   nqes_per_active: int, burst: int = 1,
                   period: float = 20e-6, ring_slots: int = 256,
-                  vectorized: Optional[bool] = None,
                   seed_conns: bool = False) -> dict:
     """Fig. 8-style multiplexing on raw NK devices.
 
@@ -100,9 +97,7 @@ def _mux_workload(scan: str, n_vms: int, active_vms: int,
     apart, staggered so wake-ups usually find one dirty device).  A raw
     ring consumer on the NSM device echoes every request as an
     OP_RESULT; per-VM drainers recycle the responses.  Returns a
-    fingerprint of the simulated timeline — identical across scan modes
-    *and* across ``vectorized`` settings by the scheduler's bit-identity
-    invariants.
+    fingerprint of the simulated timeline.
 
     ``seed_conns`` exercises the connection-plane control path at boot:
     every VM is placed with ``assign_vm_auto`` (which consults
@@ -115,8 +110,7 @@ def _mux_workload(scan: str, n_vms: int, active_vms: int,
     core = Core(sim, name="bench.ce", hz=DEFAULT_COST_MODEL.core_hz)
     # Ring capacity matters only once a ring fills: ring slabs grow with
     # traffic, so booting idle devices costs the same at any capacity.
-    engine = CoreEngine(sim, core, batch_size=8, ring_slots=ring_slots,
-                        scan=scan, vectorized=vectorized)
+    engine = CoreEngine(sim, core, batch_size=8, ring_slots=ring_slots)
     nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
     vms = []
     for i in range(n_vms):
@@ -221,30 +215,16 @@ def _mux_workload(scan: str, n_vms: int, active_vms: int,
 
 
 def bench_nqe_switch(quick: bool) -> dict:
-    """CoreEngine switch throughput: bursts of 8 through one hot VM.
-
-    Runs the same workload with ``vectorized`` on and off: ``wall_s`` is
-    the vectorized run (what the floor tracks), ``speedup_vs_scalar`` is
-    the A/B ratio, and ``fingerprint_match`` asserts the two simulated
-    timelines were bit-identical (vectorization is wall-clock only).
-    """
+    """CoreEngine switch throughput: bursts of 8 through one hot VM."""
     nqes = 2_000 if quick else 20_000
     wall, peak, fp = _measure(
-        lambda: _mux_workload("ready", n_vms=1, active_vms=1,
-                              nqes_per_active=nqes, burst=8,
-                              period=5e-6, vectorized=True))
-    wall_scalar, peak_scalar, fp_scalar = _measure(
-        lambda: _mux_workload("ready", n_vms=1, active_vms=1,
-                              nqes_per_active=nqes, burst=8,
-                              period=5e-6, vectorized=False))
+        lambda: _mux_workload(n_vms=1, active_vms=1, nqes_per_active=nqes,
+                              burst=8, period=5e-6))
     return {"wall_s": wall, "events": fp["events_processed"],
-            "peak_rss": max(peak, peak_scalar),
+            "peak_rss": peak,
             "nqes_switched": fp["nqes_switched"],
             "nqe_switches_per_sec":
                 fp["nqes_switched"] / wall if wall else 0.0,
-            "wall_scalar_s": wall_scalar,
-            "speedup_vs_scalar": wall_scalar / wall if wall else 0.0,
-            "fingerprint_match": fp == fp_scalar,
             "fingerprint": fp}
 
 
@@ -252,27 +232,10 @@ def _bench_fig08(n_vms: int, nqes_quick: int, nqes_full: int):
     def bench(quick: bool) -> dict:
         active = max(1, n_vms // 10)  # 10% duty cycle
         nqes = nqes_quick if quick else nqes_full
-        wall_ready, peak, fp_ready = _measure(
-            lambda: _mux_workload("ready", n_vms, active, nqes))
-        wall_full, peak_full, fp_full = _measure(
-            lambda: _mux_workload("full", n_vms, active, nqes))
-        wall_scalar, peak_scalar, fp_scalar = _measure(
-            lambda: _mux_workload("ready", n_vms, active, nqes,
-                                  vectorized=False))
-        return {
-            "wall_s": wall_ready,
-            "events": fp_ready["events_processed"],
-            "peak_rss": max(peak, peak_full, peak_scalar),
-            "wall_full_s": wall_full,
-            "speedup_vs_full": wall_full / wall_ready if wall_ready else 0.0,
-            "wall_scalar_s": wall_scalar,
-            "speedup_vs_scalar":
-                wall_scalar / wall_ready if wall_ready else 0.0,
-            # One flag covers both standing proofs: ready-vs-full scan
-            # AND vectorized-vs-scalar produce the same simulated timeline.
-            "fingerprint_match": fp_ready == fp_full == fp_scalar,
-            "fingerprint": fp_ready,
-        }
+        wall, peak, fp = _measure(
+            lambda: _mux_workload(n_vms, active, nqes))
+        return {"wall_s": wall, "events": fp["events_processed"],
+                "peak_rss": peak, "fingerprint": fp}
 
     return bench
 
@@ -285,7 +248,7 @@ def _bench_fig08(n_vms: int, nqes_quick: int, nqes_full: int):
 _SHARD_FP_KEYS = ("nqes_switched", "batches", "received", "ce_busy_cycles")
 
 
-def _sharded_mux_workload(scan: str, n_shards: int, vms_per_shard: int,
+def _sharded_mux_workload(n_shards: int, vms_per_shard: int,
                           active_per_shard: int, nqes_per_active: int,
                           burst: int = 1, period: float = 20e-6,
                           ring_slots: int = 256,
@@ -298,8 +261,7 @@ def _sharded_mux_workload(scan: str, n_shards: int, vms_per_shard: int,
     independent.  Producers stagger by their *within-shard* index,
     making every shard's workload identical to a standalone 1-shard run
     of the same size; per-shard counters must therefore be bit-identical
-    to that reference (the sharding analogue of PR 2's ready-vs-full
-    scan proof).
+    to that reference.
 
     ``seed_conns`` mirrors :func:`_mux_workload`'s flag at cluster
     scale: every VM is placed with ``assign_vm_auto`` (shard-aware — the
@@ -312,7 +274,7 @@ def _sharded_mux_workload(scan: str, n_shards: int, vms_per_shard: int,
     cores = [Core(sim, name=f"bench.ce{i}", hz=DEFAULT_COST_MODEL.core_hz)
              for i in range(n_shards)]
     engine = ShardedCoreEngine(sim, cores, batch_size=8,
-                               ring_slots=ring_slots, scan=scan)
+                               ring_slots=ring_slots)
     received = [0] * n_shards
 
     def responder(shard_index, nsm_dev):
@@ -436,12 +398,12 @@ def _bench_fig08_sharded(n_shards: int, vms_per_shard: int,
         # Reference: a standalone 1-shard CoreEngine running exactly one
         # partition's workload.
         wall_ref, peak_ref, ref = _measure(
-            lambda: _mux_workload("ready", vms_per_shard, active, nqes,
+            lambda: _mux_workload(vms_per_shard, active, nqes,
                                   ring_slots=slots))
         ref_fp = {key: ref[key] for key in _SHARD_FP_KEYS}
         wall, peak, out = _measure(
-            lambda: _sharded_mux_workload("ready", n_shards, vms_per_shard,
-                                          active, nqes, ring_slots=slots))
+            lambda: _sharded_mux_workload(n_shards, vms_per_shard, active,
+                                          nqes, ring_slots=slots))
         match = (all(fp == ref_fp for fp in out["per_shard"])
                  and out["sim_now"] == ref["sim_now"]
                  and out["handoffs"] == 0)
@@ -484,12 +446,12 @@ def _bench_fig08_sharded_100k(n_shards: int, vms_per_shard_quick: int,
         nqes = nqes_quick if quick else nqes_full
         slots = 1024
         wall_ref, peak_ref, ref = _measure(
-            lambda: _mux_workload("ready", vms_per_shard, active, nqes,
+            lambda: _mux_workload(vms_per_shard, active, nqes,
                                   ring_slots=slots, seed_conns=True))
         ref_fp = {key: ref[key] for key in _SHARD_FP_KEYS}
         wall, peak, out = _measure(
-            lambda: _sharded_mux_workload("ready", n_shards, vms_per_shard,
-                                          active, nqes, ring_slots=slots,
+            lambda: _sharded_mux_workload(n_shards, vms_per_shard, active,
+                                          nqes, ring_slots=slots,
                                           seed_conns=True))
         vms_total = n_shards * vms_per_shard
         match = (all(fp == ref_fp for fp in out["per_shard"])

@@ -102,8 +102,7 @@ def _measure_mux(rate: float, seed: int, window: float,
     pool_before = NQE_POOL.outstanding
     sim = Simulator()
     core = Core(sim, name="cap.ce", hz=DEFAULT_COST_MODEL.core_hz)
-    engine = CoreEngine(sim, core, batch_size=8, ring_slots=128,
-                        scan="ready", vectorized=True)
+    engine = CoreEngine(sim, core, batch_size=8, ring_slots=128)
     governor = engine.enable_overload_control()
     nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
     vms = []

@@ -4,14 +4,10 @@ Both carry real bytes so data integrity can be asserted end to end.  The
 send buffer holds everything written-but-unacked; the receive buffer
 reassembles out-of-order segments and exposes the advertised window.
 
-Two storage strategies live side by side, selected by ``vectorized``
-(default True, the slab-backed fast path; ``False`` is the pre-existing
-scalar layout kept as the A/B baseline for benchmarking).  Both produce
-byte-identical streams and identical window arithmetic — the vectorized
-path only changes *how many times payload bytes are copied*:
+Both are laid out to copy payload bytes as few times as possible:
 
-* ``SendBuffer`` (vectorized) is a fixed ring over one preallocated
-  ``bytearray`` slab.  ``write`` copies bytes in once; ``peek`` returns a
+* ``SendBuffer`` is a fixed ring over one preallocated ``bytearray``
+  slab.  ``write`` copies bytes in once; ``peek`` returns a
   zero-copy ``memoryview`` of the slab for the contiguous common case
   (so every transmission and retransmission reads the slab in place);
   ``advance`` is O(1) index arithmetic instead of an O(n) front-delete
@@ -20,7 +16,7 @@ path only changes *how many times payload bytes are copied*:
   before ``advance`` passes it, and receivers copy on delivery (below)
   before the ACK that would free it can exist.
 
-* ``ReceiveBuffer`` (vectorized) stores ready data as a deque of bytes
+* ``ReceiveBuffer`` stores ready data as a deque of bytes
   chunks: ``deliver`` materializes each accepted payload slice exactly
   once (``bytes(view)`` — the single per-direction copy), ``read`` hands
   the head chunk back zero-copy when it satisfies the read, and the
@@ -40,32 +36,23 @@ from repro.errors import ResourceError
 
 Payload = Union[bytes, bytearray, memoryview]
 
-#: Module default for the slab/zero-copy fast path; engines inherit it
-#: unless constructed with an explicit ``vectorized=`` override.
-VECTORIZED_DEFAULT = True
-
 
 class SendBuffer:
     """Unacked + unsent outbound bytes, addressed relative to SND.UNA."""
 
-    def __init__(self, capacity: int = 4 * 1024 * 1024,
-                 vectorized: bool = VECTORIZED_DEFAULT):
+    def __init__(self, capacity: int = 4 * 1024 * 1024):
         if capacity < 1:
             raise ResourceError(f"send buffer capacity must be >=1: {capacity}")
         self.capacity = capacity
-        self.vectorized = vectorized
-        if vectorized:
-            # Ring over one preallocated slab; _start/_len replace the
-            # legacy grow-and-memmove bytearray.
-            self._slab = bytearray(capacity)
-            self._mv = memoryview(self._slab)
-            self._start = 0
-            self._len = 0
-        else:
-            self._data = bytearray()
+        # Ring over one preallocated slab: bytes live at _start.._start +
+        # _len, wrapping at capacity.
+        self._slab = bytearray(capacity)
+        self._mv = memoryview(self._slab)
+        self._start = 0
+        self._len = 0
 
     def __len__(self) -> int:
-        return self._len if self.vectorized else len(self._data)
+        return self._len
 
     @property
     def free_space(self) -> int:
@@ -73,11 +60,6 @@ class SendBuffer:
 
     def write(self, data: Payload) -> int:
         """Append up to ``free_space`` bytes; returns how many were taken."""
-        if not self.vectorized:
-            take = min(len(data), self.free_space)
-            if take:
-                self._data.extend(data[:take])
-            return take
         take = min(len(data), self.capacity - self._len)
         if not take:
             return 0
@@ -95,16 +77,14 @@ class SendBuffer:
     def peek(self, offset: int, length: int) -> Payload:
         """Bytes at ``offset`` from SND.UNA (for (re)transmission).
 
-        Vectorized mode returns a zero-copy ``memoryview`` of the slab
-        when the range is contiguous (the overwhelmingly common case);
+        Returns a zero-copy ``memoryview`` of the slab when the range is
+        contiguous (the overwhelmingly common case);
         a range that wraps the ring boundary is joined into fresh bytes.
         The view is guaranteed stable until ``advance`` passes its last
         byte — i.e. for as long as the bytes are unacked.
         """
         if offset < 0:
             raise ResourceError(f"negative peek offset: {offset}")
-        if not self.vectorized:
-            return bytes(self._data[offset:offset + length])
         take = min(length, self._len - offset)
         if take <= 0:
             return b""
@@ -120,13 +100,10 @@ class SendBuffer:
         """Drop ``acked`` bytes from the front (cumulative ACK)."""
         if acked < 0:
             raise ResourceError(f"negative ack advance: {acked}")
-        if acked > len(self):
+        if acked > self._len:
             raise ResourceError(
-                f"ack advances past buffered data: {acked} > {len(self)}"
+                f"ack advances past buffered data: {acked} > {self._len}"
             )
-        if not self.vectorized:
-            del self._data[:acked]
-            return
         start = self._start + acked
         if start >= self.capacity:
             start -= self.capacity
@@ -137,35 +114,25 @@ class SendBuffer:
 class ReceiveBuffer:
     """In-order delivery queue plus out-of-order reassembly."""
 
-    def __init__(self, capacity: int = 4 * 1024 * 1024, initial_seq: int = 0,
-                 vectorized: bool = VECTORIZED_DEFAULT):
+    def __init__(self, capacity: int = 4 * 1024 * 1024, initial_seq: int = 0):
         if capacity < 1:
             raise ResourceError(f"recv buffer capacity must be >=1: {capacity}")
         self.capacity = capacity
         self.rcv_nxt = initial_seq
-        self.vectorized = vectorized
         self._out_of_order: Dict[int, bytes] = {}
-        if vectorized:
-            self._chunks: deque = deque()
-            self._ready_len = 0
-            self._read_pos = 0  # consumed prefix of _chunks[0]
-            self._ooo_keys: List[int] = []  # sorted view of _out_of_order
-            self._ooo_bytes = 0
-        else:
-            self._ready = bytearray()
+        self._chunks: deque = deque()
+        self._ready_len = 0
+        self._read_pos = 0  # consumed prefix of _chunks[0]
+        self._ooo_keys: List[int] = []  # sorted view of _out_of_order
+        self._ooo_bytes = 0
 
     def __len__(self) -> int:
-        return self._ready_len if self.vectorized else len(self._ready)
+        return self._ready_len
 
     @property
     def window(self) -> int:
         """Advertised receive window (free space for in-order data)."""
-        if self.vectorized:
-            pending = self._ready_len + self._ooo_bytes
-        else:
-            pending = len(self._ready) + sum(
-                len(chunk) for chunk in self._out_of_order.values())
-        return max(0, self.capacity - pending)
+        return max(0, self.capacity - self._ready_len - self._ooo_bytes)
 
     def deliver(self, seq: int, data: Payload) -> int:
         """Accept a data segment; returns bytes newly made ready.
@@ -180,8 +147,6 @@ class ReceiveBuffer:
         (``bytes(view)``), and it happens *before* the ACK covering them
         can be emitted, so the viewed region cannot have been recycled.
         """
-        if not self.vectorized:
-            return self._deliver_scalar(seq, data)
         length = len(data)
         if not length:
             return 0
@@ -222,16 +187,11 @@ class ReceiveBuffer:
         """Deliver several segments in one call; returns total newly ready.
 
         Exactly equivalent to summing :meth:`deliver` over ``segments`` in
-        order (the equivalence is asserted by tests under overlap and
-        out-of-order patterns).  The fast path — consecutive in-order
+        order (tests check both against a reference model under overlap
+        and out-of-order patterns).  The fast path — consecutive in-order
         segments with an empty reassembly stash — appends chunks directly
         without re-running the stash purge/drain machinery per segment.
         """
-        if not self.vectorized:
-            made = 0
-            for seq, data in segments:
-                made += self._deliver_scalar(seq, data)
-            return made
         made = 0
         chunks = self._chunks
         for seq, data in segments:
@@ -252,37 +212,7 @@ class ReceiveBuffer:
             made += self.deliver(seq, data)
         return made
 
-    # -- scalar (pre-vectorization) delivery path --------------------------
-
-    def _deliver_scalar(self, seq: int, data: Payload) -> int:
-        if not data:
-            return 0
-        end = seq + len(data)
-        if end <= self.rcv_nxt:
-            return 0  # entirely duplicate
-        if seq < self.rcv_nxt:
-            data = data[self.rcv_nxt - seq:]
-            seq = self.rcv_nxt
-
-        if seq > self.rcv_nxt:
-            # Out of order: stash (bounded by window; beyond it, drop).
-            if len(data) <= self.window and seq not in self._out_of_order:
-                self._out_of_order[seq] = bytes(data)
-            return 0
-
-        # In order: take what fits the window.
-        take = min(len(data), self.window)
-        if take <= 0:
-            return 0
-        self._ready.extend(data[:take])
-        self.rcv_nxt += take
-        made_ready = take
-        made_ready += self._drain_out_of_order()
-        return made_ready
-
     def _drain_out_of_order(self) -> int:
-        if not self.vectorized:
-            return self._drain_out_of_order_scalar()
         drained = 0
         ooo = self._out_of_order
         keys = self._ooo_keys
@@ -318,29 +248,6 @@ class ReceiveBuffer:
             drained += take
         return drained
 
-    def _drain_out_of_order_scalar(self) -> int:
-        drained = 0
-        progress = True
-        while progress:
-            progress = False
-            self._purge_stale_out_of_order()
-            if self.rcv_nxt not in self._out_of_order:
-                break
-            chunk = self._out_of_order.pop(self.rcv_nxt)
-            take = min(len(chunk), self.capacity - len(self._ready))
-            if take <= 0:
-                # Window closed mid-drain; put the chunk back.
-                self._out_of_order[self.rcv_nxt] = chunk
-                break
-            self._ready.extend(chunk[:take])
-            self.rcv_nxt += take
-            drained += take
-            progress = True
-            if take < len(chunk):
-                self._out_of_order[self.rcv_nxt] = chunk[take:]
-                break
-        return drained
-
     def _purge_stale_out_of_order(self) -> None:
         """Drop or trim stashed segments the cursor has passed.
 
@@ -349,22 +256,9 @@ class ReceiveBuffer:
         without purging they would count against the advertised window
         forever (a permanent zero-window in long transfers with loss).
 
-        The vectorized path walks ``_ooo_keys`` (kept sorted by bisect on
-        insert) from the front, so the common no-stale-chunks case is a
-        single comparison instead of the scalar path's full re-sort of
-        every stashed key per drain iteration.
+        It walks ``_ooo_keys`` (kept sorted by bisect on insert) from the
+        front, so the common no-stale-chunks case is a single comparison.
         """
-        if not self.vectorized:
-            for seq in sorted(self._out_of_order):
-                if seq >= self.rcv_nxt:
-                    break
-                chunk = self._out_of_order.pop(seq)
-                if seq + len(chunk) > self.rcv_nxt:
-                    trimmed = chunk[self.rcv_nxt - seq:]
-                    existing = self._out_of_order.get(self.rcv_nxt)
-                    if existing is None or len(existing) < len(trimmed):
-                        self._out_of_order[self.rcv_nxt] = trimmed
-            return
         keys = self._ooo_keys
         ooo = self._out_of_order
         nxt = self.rcv_nxt
@@ -387,17 +281,11 @@ class ReceiveBuffer:
     def read(self, max_bytes: int) -> bytes:
         """Consume up to ``max_bytes`` of in-order data.
 
-        Vectorized mode returns the ready head chunk itself (zero-copy)
-        when it exactly satisfies the read; otherwise a single slice or
-        join.  The scalar path's slice-then-delete double copy is gone.
+        Returns the ready head chunk itself (zero-copy) when it exactly
+        satisfies the read; otherwise a single slice or join.
         """
         if max_bytes < 0:
             raise ResourceError(f"negative read: {max_bytes}")
-        if not self.vectorized:
-            take = min(max_bytes, len(self._ready))
-            data = bytes(self._ready[:take])
-            del self._ready[:take]
-            return data
         take = min(max_bytes, self._ready_len)
         if take <= 0:
             return b""

@@ -27,8 +27,7 @@ from repro.errors import (
 from repro.net.packet import Packet
 from repro.stack.cc.base import CongestionControl
 from repro.stack.cc.cubic import CubicCC
-from repro.stack.tcp.buffers import (VECTORIZED_DEFAULT, ReceiveBuffer,
-                                     SendBuffer)
+from repro.stack.tcp.buffers import ReceiveBuffer, SendBuffer
 from repro.stack.tcp.tcb import Address, Segment, TcpState
 
 CcFactory = Callable[[int], CongestionControl]
@@ -59,10 +58,8 @@ class TcpConnection:
         self._forwarders: List["TcpEngine"] = []
         self._port_forwarders: List["TcpEngine"] = []
 
-        self.send_buf = SendBuffer(engine.send_buf_bytes,
-                                   vectorized=engine.vectorized)
-        self.recv_buf = ReceiveBuffer(engine.recv_buf_bytes,
-                                      vectorized=engine.vectorized)
+        self.send_buf = SendBuffer(engine.send_buf_bytes)
+        self.recv_buf = ReceiveBuffer(engine.recv_buf_bytes)
 
         # Sequence space (absolute; SYN and FIN each occupy one number).
         self.iss = 0
@@ -157,18 +154,13 @@ class TcpEngine:
                  rx_cycles_fn: Optional[Callable[[int], float]] = None,
                  conn_setup_cycles: float = 0.0,
                  conn_teardown_cycles: float = 0.0,
-                 register_endpoint: bool = True,
-                 vectorized: Optional[bool] = None):
+                 register_endpoint: bool = True):
         if mss < 64:
             raise ConfigurationError(f"mss too small: {mss}")
         self.sim = sim
         self.network = network
         self.host_id = host_id
         self.mss = mss
-        #: Slab-backed buffers + zero-copy payload views (see buffers.py).
-        #: ``False`` selects the scalar pre-vectorization layout for A/B
-        #: benchmarking; both produce identical packet timelines.
-        self.vectorized = VECTORIZED_DEFAULT if vectorized is None else vectorized
         self.cc_factory = cc_factory or (
             lambda m: CubicCC(m, clock=lambda: sim.now))
         self.send_buf_bytes = send_buf_bytes

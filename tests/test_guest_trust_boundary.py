@@ -1,0 +1,77 @@
+"""A hostile guest's NQEs must not take down the host or its neighbours.
+
+A VM controls every field of the NQEs it produces.  A SEND or SENDTO
+whose ``data_ptr`` names no live buffer in the VM's hugepage region is
+dropped by ServiceLib and counted against that VM; it must not raise out
+of the NSM's poller (and with it out of ``sim.run()``), which would stop
+every tenant that NSM serves."""
+
+from repro.core.host import NetKernelHost
+from repro.core.nqe import NQE_POOL, NqeOp
+from repro.net.fabric import Network
+from repro.sim import Simulator
+from repro.units import gbps, usec
+
+PAYLOAD = bytes(range(256)) * 16
+
+
+def test_dangling_send_pointers_are_dropped_and_neighbours_unharmed():
+    outstanding_before = NQE_POOL.outstanding
+    sim = Simulator()
+    host = NetKernelHost(sim, Network(sim, default_rate_bps=gbps(10),
+                                      default_delay_sec=usec(25)))
+    nsm = host.add_nsm("nsm0", vcpus=1, stack="kernel")
+    server_vm = host.add_vm("srv", vcpus=1, nsm=nsm)
+    client_vm = host.add_vm("cli", vcpus=1, nsm=nsm)
+    hostile_vm = host.add_vm("hostile", vcpus=1, nsm=nsm)
+    api_s, api_c = host.socket_api(server_vm), host.socket_api(client_vm)
+    done = {}
+
+    def server():
+        listener = yield from api_s.socket()
+        yield from api_s.bind(listener, 80)
+        yield from api_s.listen(listener)
+        conn = yield from api_s.accept(listener)
+        while True:
+            data = yield from api_s.recv(conn, 65536)
+            if not data:
+                break
+            yield from api_s.send(conn, data)
+        yield from api_s.close(conn)
+
+    def client():
+        yield sim.timeout(1e-3)
+        sock = yield from api_c.socket()
+        yield from api_c.connect(sock, ("nsm0", 80))
+        yield from api_c.send(sock, PAYLOAD)
+        echoed = b""
+        while len(echoed) < len(PAYLOAD):
+            echoed += yield from api_c.recv(sock, 65536)
+        yield from api_c.close(sock)
+        done["echoed"] = echoed
+
+    def hostile():
+        # Raw NQEs straight into the hostile VM's send ring: a pointer
+        # that was never allocated and one to a buffer already freed.
+        device = host.coreengine.vm_device(hostile_vm.vm_id)
+        freed = device.hugepages.alloc(64)
+        freed.free()
+        _, send_ring = device.produce_rings(device.queue_sets[0])
+        yield sim.timeout(1.5e-3)  # mid-echo
+        for op, data_ptr in ((NqeOp.SEND, 987_654),
+                             (NqeOp.SENDTO, 987_655),
+                             (NqeOp.SEND, freed.buffer_id)):
+            send_ring.push(NQE_POOL.acquire(op, hostile_vm.vm_id, 0, 1,
+                                            data_ptr=data_ptr, size=64),
+                           owner="hostile")
+        device.ring_doorbell()
+
+    server_vm.spawn(server())
+    client_vm.spawn(client())
+    sim.process(hostile())
+    sim.run(until=0.5)  # must not raise
+
+    assert done["echoed"] == PAYLOAD
+    stats = nsm.servicelib.stats()
+    assert stats["vm_bad_data_ptrs"] == {hostile_vm.vm_id: 3}
+    assert NQE_POOL.outstanding == outstanding_before

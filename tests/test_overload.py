@@ -1,5 +1,5 @@
 """Overload control: ring watermarks, governor policy, the EAGAIN
-contract, chaos integration, and vectorized/scalar determinism."""
+contract, chaos integration, and the shed policy's pinned timeline."""
 
 import pytest
 
@@ -63,9 +63,8 @@ class TestRingWatermarks:
 # -- governor policy (unit) ---------------------------------------------------
 
 
-def _raw_engine(sim, n_vms=1, **kw):
-    engine = CoreEngine(sim, Core(sim), batch_size=8, ring_slots=128,
-                        **kw)
+def _raw_engine(sim, n_vms=1):
+    engine = CoreEngine(sim, Core(sim), batch_size=8, ring_slots=128)
     governor = engine.enable_overload_control()
     nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
     vms = []
@@ -165,12 +164,11 @@ BURST_GOLDEN = (
 
 
 class TestSwitchShed:
-    def _burst(self, sim, vectorized):
+    def _burst(self, sim):
         """Force level 2, then push a one-window burst far beyond the
         shed quota, bypassing the admission gate (a misbehaving guest)."""
         pool_before = NQE_POOL.outstanding
-        engine, governor, vms = _raw_engine(sim, n_vms=2,
-                                            vectorized=vectorized)
+        engine, governor, vms = _raw_engine(sim, n_vms=2)
         nsm_dev = engine._nsms[min(engine._nsms)].device
         consumed = [0]
         owner = object()
@@ -227,7 +225,7 @@ class TestSwitchShed:
         }
 
     def test_sheds_surface_as_eagain_results(self, sim):
-        out = self._burst(sim, vectorized=True)
+        out = self._burst(sim)
         assert out["sheds"] > 0
         # Every shed came back to its producer as a -EAGAIN completion:
         # fail-fast, never a silent drop.
@@ -239,10 +237,11 @@ class TestSwitchShed:
         assert out["pool_delta"] == 0
 
     def test_shed_policy_identical_vectorized_and_scalar(self):
-        fast = self._burst(Simulator(), vectorized=True)
-        slow = self._burst(Simulator(), vectorized=False)
-        assert fast == slow
-        assert digest(fast) == BURST_GOLDEN
+        """Shed decisions are pure functions of ring state, counters and
+        simulated time, so the burst's outcome is a fixed constant,
+        pinned when this test still ran it on the vectorized and the
+        scalar datapath (hence its name)."""
+        assert digest(self._burst(Simulator())) == BURST_GOLDEN
 
 
 # -- the EAGAIN contract (satellite: errno distinction + seeded jitter) -------

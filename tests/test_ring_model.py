@@ -217,7 +217,7 @@ class TestSlabGrowth:
         assert (ring.slab_grows, len(ring._slots)) == (grows, size) == (3, 64)
 
 
-def _burst_workload(vectorized):
+def _burst_workload():
     """Bursts larger than a fresh slab through a CoreEngine, then a long
     trickle of single NQEs.
 
@@ -229,8 +229,7 @@ def _burst_workload(vectorized):
     """
     sim = Simulator()
     core = Core(sim, name="ce")
-    engine = CoreEngine(sim, core, batch_size=8, ring_slots=256,
-                        vectorized=vectorized)
+    engine = CoreEngine(sim, core, batch_size=8, ring_slots=256)
     nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
     vms = []
     for i in range(2):
@@ -319,14 +318,14 @@ BURST_GOLDEN = (
 
 class TestCoreEngineCrossesGrowth:
     def test_vectorized_and_scalar_fingerprints_match(self):
-        fast = _burst_workload(vectorized=True)
-        scalar = _burst_workload(vectorized=False)
-        assert fast == scalar
-        assert digest(fast) == BURST_GOLDEN
+        """The burst's timeline, pinned when this test still compared
+        the vectorized and the scalar datapath (hence its name)."""
+        out = _burst_workload()
+        assert digest(out) == BURST_GOLDEN
         sent = 24 + 1 + 1 + 20 + 80
-        for seqs in fast["received"].values():
+        for seqs in out["received"].values():
             assert [seq for _, seq in seqs] == list(range(sent))
-        rings = fast["rings"]
+        rings = out["rings"]
         # Grown by the CE's inlined push (NSM job) and by its VM-bound
         # deliveries (VM completion), and by guest/ServiceLib pushes on
         # the rings the CE drains.

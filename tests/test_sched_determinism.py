@@ -1,19 +1,19 @@
-"""Ready-set scheduling must not change the simulated timeline.
+"""The switching datapath's simulated timeline, pinned as goldens.
 
-The CoreEngine ready-set scheduler (``scan="ready"``) is a wall-clock
-optimization only: every experiment output, stat, latency, and drop
-counter must be bit-identical to the seed full-scan (``scan="full"``).
-This suite runs representative workloads under both modes and diffs the
-results, and unit-tests the supporting machinery (cancellable timeouts,
-the NQE pool, the stale-wakeup fix).
+Representative workloads — full experiments, a GuestLib-to-TCP
+transfer, raw-device multiplexing with and without rate limits, and the
+switching benches — must reproduce constants recorded when the ready-set
+scheduler and the slab TCP buffers were proven bit-identical to the seed
+full-scan scheduler and the scalar buffer layout, which they replaced
+(see ``tests/goldens.py`` for how to re-record them).  The suite also
+unit-tests the supporting machinery (cancellable timeouts, the NQE
+pool, the stale-wakeup fix, zero-allocation switching).
 """
 
 import itertools
-from contextlib import contextmanager
 
 import pytest
 
-from repro.core import coreengine
 from repro.core.coreengine import CoreEngine
 from repro.core.nqe import NQE_POOL, Nqe, NqeOp, NqePool
 from repro.cpu.core import Core
@@ -28,9 +28,8 @@ def _reset_global_counters():
     """Rewind the process-wide id counters (socket ids, NQE tokens,
     packet ids, ...) and drain the NQE pool so two in-process runs start
     from identical state.  Socket ids feed ``hash(vm_tuple)`` (the NSM
-    queue-set choice), so without this two *same-mode* runs in one
-    process already diverge — that leakage predates this suite and would
-    mask a genuine scheduler divergence."""
+    queue-set choice), so without this a run's output would depend on
+    what ran before it in the same process."""
     from repro.core import guestlib, nqe, servicelib
     from repro.net import packet
     from repro.stack import udp
@@ -45,50 +44,15 @@ def _reset_global_counters():
     udp.UdpSocket._ids = itertools.count(1)
 
 
-@contextmanager
-def vectorized_mode(flag):
-    """Flip every vectorized default (CoreEngine routing and TCP stream
-    buffers) so unchanged experiment code builds its whole datapath in
-    the given mode, with global counters rewound for comparability.
-    ``tcp.engine`` imports the buffer default by value, so it is patched
-    in both modules."""
-    from repro.stack.tcp import buffers, engine as tcp_engine
-
-    previous = (coreengine.DEFAULT_VECTORIZED, buffers.VECTORIZED_DEFAULT,
-                tcp_engine.VECTORIZED_DEFAULT)
-    coreengine.DEFAULT_VECTORIZED = flag
-    buffers.VECTORIZED_DEFAULT = flag
-    tcp_engine.VECTORIZED_DEFAULT = flag
-    _reset_global_counters()
-    try:
-        yield
-    finally:
-        (coreengine.DEFAULT_VECTORIZED, buffers.VECTORIZED_DEFAULT,
-         tcp_engine.VECTORIZED_DEFAULT) = previous
-
-
-@contextmanager
-def scan_mode(mode):
-    """Flip the default scan mode so unchanged experiment code (which
-    never passes ``scan=``) builds its CoreEngine in the given mode,
-    with global counters rewound for run-for-run comparability."""
-    previous = coreengine.DEFAULT_SCAN_MODE
-    coreengine.DEFAULT_SCAN_MODE = mode
-    _reset_global_counters()
-    try:
-        yield
-    finally:
-        coreengine.DEFAULT_SCAN_MODE = previous
-
-
 def _strip_sched(stats):
-    """Scheduler bookkeeping is allowed to differ between modes; the
-    datapath counters are not."""
+    """Datapath counters without the scheduler's bookkeeping (pass and
+    stale-wakeup counts), as pinned in RATE_LIMITED_GOLDEN."""
     return {key: value for key, value in stats.items()
             if not key.startswith("sched.")}
 
 
 def _experiment_outputs(exp_id, **kwargs):
+    _reset_global_counters()
     result = run_experiment(exp_id, **kwargs)
     return result.rows, result.notes
 
@@ -123,54 +87,42 @@ RATE_LIMITED_GOLDEN = (
 
 
 class TestExperimentsIdenticalAcrossModes:
-    """Full experiments, byte-identical rows/notes under both schedulers."""
+    """Full experiments' rows and notes match their pinned digests (the
+    class name records the ready-vs-full-scan proof they were pinned
+    from)."""
 
     @pytest.mark.parametrize("exp_id,kwargs", [
         (exp_id, kwargs) for exp_id, (kwargs, _) in EXPERIMENT_GOLDENS.items()
     ])
     def test_rows_and_notes_match(self, exp_id, kwargs):
-        with scan_mode("ready"):
-            ready = _experiment_outputs(exp_id, **kwargs)
-        with scan_mode("full"):
-            full = _experiment_outputs(exp_id, **kwargs)
-        assert ready == full
-        assert digest(ready) == EXPERIMENT_GOLDENS[exp_id][1]
+        outputs = _experiment_outputs(exp_id, **kwargs)
+        assert digest(outputs) == EXPERIMENT_GOLDENS[exp_id][1]
 
     def test_transfer_fingerprint_matches(self):
         from tests.test_determinism import run_transfer_fingerprint
 
-        with scan_mode("ready"):
-            ready = run_transfer_fingerprint()
-        with scan_mode("full"):
-            full = run_transfer_fingerprint()
-        assert ready == full
-        assert digest(ready) == TRANSFER_GOLDEN
+        _reset_global_counters()
+        assert digest(run_transfer_fingerprint()) == TRANSFER_GOLDEN
 
 
 class TestRawSwitchIdenticalAcrossModes:
-    """Raw NK-device workloads (no GuestLib): timeline fingerprints."""
+    """Raw NK-device workloads (no GuestLib) match their pinned
+    fingerprints (pinned from the ready-vs-full-scan proof)."""
 
     def test_multiplexing_fingerprint(self):
-        ready = _mux_workload("ready", n_vms=40, active_vms=4,
-                              nqes_per_active=50)
-        full = _mux_workload("full", n_vms=40, active_vms=4,
-                             nqes_per_active=50)
-        assert ready == full
-        assert ready == MUX_GOLDEN
+        assert _mux_workload(n_vms=40, active_vms=4,
+                             nqes_per_active=50) == MUX_GOLDEN
 
     def test_rate_limited_fingerprint(self):
         """Stalled devices re-arm every pass, so admission rechecks (and
-        their float-path-dependent token refills) happen at the same
-        instants in both modes."""
-        ready = self._rate_limited_run("ready")
-        assert ready == self._rate_limited_run("full")
-        assert digest(ready) == RATE_LIMITED_GOLDEN
+        their float-path-dependent token refills) happen at fixed
+        instants."""
+        assert digest(self._rate_limited_run()) == RATE_LIMITED_GOLDEN
 
     @staticmethod
-    def _rate_limited_run(scan):
+    def _rate_limited_run():
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim, name="ce"), batch_size=4,
-                            scan=scan)
+        engine = CoreEngine(sim, Core(sim, name="ce"), batch_size=4)
         nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
         vm_id, vm_dev = engine.register_vm("vm0", queue_sets=1)
         engine.assign_vm(vm_id, nsm_id)
@@ -185,47 +137,6 @@ class TestRawSwitchIdenticalAcrossModes:
         return (sim.now, sim.events_processed, engine.nqes_switched,
                 engine.batches, stats["rate_limited_stalls"],
                 _strip_sched(stats))
-
-
-class TestVectorizedIdenticalToScalar:
-    """The vectorized datapath (slab rings, scratch drains, zero-copy
-    hand-off, batched delivery) is a wall-clock optimization only: the
-    simulated timeline must be bit-identical to ``vectorized=False``."""
-
-    def test_multiplexing_fingerprint(self):
-        fast = _mux_workload("ready", n_vms=40, active_vms=4,
-                             nqes_per_active=50, vectorized=True)
-        scalar = _mux_workload("ready", n_vms=40, active_vms=4,
-                               nqes_per_active=50, vectorized=False)
-        scalar_full = _mux_workload("full", n_vms=40, active_vms=4,
-                                    nqes_per_active=50, vectorized=False)
-        assert fast == scalar == scalar_full
-        assert fast == MUX_GOLDEN
-
-    def test_transfer_fingerprint_matches(self):
-        """Full stack: GuestLib -> CE -> NSM TCP -> network and back,
-        exercising the slab SendBuffer, chunked ReceiveBuffer, and the
-        memoryview hand-off end to end."""
-        from tests.test_determinism import run_transfer_fingerprint
-
-        with vectorized_mode(True):
-            fast = run_transfer_fingerprint()
-        with vectorized_mode(False):
-            scalar = run_transfer_fingerprint()
-        assert fast == scalar
-        assert digest(fast) == TRANSFER_GOLDEN
-
-    @pytest.mark.parametrize("exp_id,kwargs", [
-        ("fig8", {}),
-        ("table5", {"requests": 200, "concurrency": 40}),
-    ])
-    def test_experiment_rows_match(self, exp_id, kwargs):
-        with vectorized_mode(True):
-            fast = _experiment_outputs(exp_id, **kwargs)
-        with vectorized_mode(False):
-            scalar = _experiment_outputs(exp_id, **kwargs)
-        assert fast == scalar
-        assert digest(fast) == EXPERIMENT_GOLDENS[exp_id][1]
 
 
 #: ``repro bench --quick`` fingerprints of the raw switching benches.
@@ -261,15 +172,14 @@ class TestBenchFingerprints:
 
 
 class TestZeroAllocSwitching:
-    """Perf smoke: steady-state vectorized switching performs zero list
+    """Perf smoke: steady-state switching performs zero list
     allocations — every drain goes through ``drain_into`` on a reused
     scratch, never ``pop_batch`` (which is what ``list_allocs`` counts) —
     and, once a first burst has grown the ring slabs, no slab growth."""
 
     def test_steady_state_switching_allocates_no_lists(self):
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim, name="ce"), batch_size=8,
-                            scan="ready", vectorized=True)
+        engine = CoreEngine(sim, Core(sim, name="ce"), batch_size=8)
         nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=2)
         devices = [nsm_dev]
         vms = []
@@ -334,10 +244,9 @@ class TestStaleWakeupFix:
     """The doorbell-vs-stall-timeout race: the losing timeout must be
     disarmed instead of lingering in the heap as a no-op wakeup."""
 
-    def _build(self, scan):
+    def _build(self):
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim, name="ce"), batch_size=4,
-                            scan=scan)
+        engine = CoreEngine(sim, Core(sim, name="ce"), batch_size=4)
         nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
         limited_id, limited_dev = engine.register_vm("vm-limited",
                                                      queue_sets=1)
@@ -348,9 +257,8 @@ class TestStaleWakeupFix:
         engine.set_ops_limit(limited_id, 100.0)
         return sim, engine, (limited_id, limited_dev), (other_id, other_dev)
 
-    @pytest.mark.parametrize("scan", ["ready", "full"])
-    def test_doorbell_win_cancels_stall_timeout(self, scan):
-        sim, engine, (lim_id, lim_dev), (oth_id, oth_dev) = self._build(scan)
+    def test_doorbell_win_cancels_stall_timeout(self):
+        sim, engine, (lim_id, lim_dev), (oth_id, oth_dev) = self._build()
         ring, _ = lim_dev.produce_rings(lim_dev.queue_sets[0])
         for _ in range(2):
             ring.push(Nqe(NqeOp.SETSOCKOPT, lim_id, 0, 1), owner="guest")
@@ -423,7 +331,7 @@ class TestNqePool:
 
     def test_datapath_recycles_through_global_pool(self):
         before = NQE_POOL.reused + NQE_POOL.allocated
-        _mux_workload("ready", n_vms=2, active_vms=2, nqes_per_active=30)
+        _mux_workload(n_vms=2, active_vms=2, nqes_per_active=30)
         after = NQE_POOL.reused + NQE_POOL.allocated
         assert after > before
         assert NQE_POOL.reused > 0
@@ -432,7 +340,7 @@ class TestNqePool:
 class TestReadySetBehaviour:
     def test_kick_without_device_marks_everything(self):
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim, name="ce"), scan="ready")
+        engine = CoreEngine(sim, Core(sim, name="ce"))
         nsm_id, _ = engine.register_nsm("nsm0", queue_sets=1)
         vm_id, vm_dev = engine.register_vm("vm0", queue_sets=1)
         engine.assign_vm(vm_id, nsm_id)
@@ -441,15 +349,3 @@ class TestReadySetBehaviour:
         engine.kick()  # device=None: conservative mark-all
         sim.run(until=0.01)
         assert engine.nqes_switched == 1
-
-    def test_full_scan_mode_still_available(self):
-        sim = Simulator()
-        engine = CoreEngine(sim, Core(sim, name="ce"), scan="full")
-        assert engine.stats()["sched.mode"] == "full"
-
-    def test_unknown_scan_mode_rejected(self):
-        from repro.errors import ConfigurationError
-
-        sim = Simulator()
-        with pytest.raises(ConfigurationError):
-            CoreEngine(sim, Core(sim, name="ce"), scan="sometimes")

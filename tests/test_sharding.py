@@ -3,8 +3,8 @@
 Covers the facade (placement, pinning, counter aggregation), cross-shard
 handoff correctness on a real echo workload, and the determinism proofs:
 a traffic-closed partition's per-shard fingerprint is bit-identical to a
-standalone one-shard run, and PR 2's ready-vs-full scan identity holds
-per shard under sharding.
+standalone one-shard run, and a two-shard run's per-shard timelines match
+their pinned golden.
 """
 
 import pytest
@@ -246,7 +246,7 @@ class TestCrossShardHandoff:
         assert len(engine.table) == 0
 
     def test_traffic_closed_partition_has_no_handoffs(self):
-        out = _sharded_mux_workload("ready", n_shards=2, vms_per_shard=20,
+        out = _sharded_mux_workload(n_shards=2, vms_per_shard=20,
                                     active_per_shard=2, nqes_per_active=6)
         assert out["handoffs"] == 0
 
@@ -263,10 +263,10 @@ class TestShardDeterminism:
         """The acceptance proof at test scale: each shard of a
         traffic-closed partition runs a timeline bit-identical to a
         standalone single-shard CoreEngine over the same population."""
-        ref = _mux_workload("ready", n_vms=40, active_vms=4,
+        ref = _mux_workload(n_vms=40, active_vms=4,
                             nqes_per_active=8)
         ref_fp = {key: ref[key] for key in _SHARD_FP_KEYS}
-        out = _sharded_mux_workload("ready", n_shards=3, vms_per_shard=40,
+        out = _sharded_mux_workload(n_shards=3, vms_per_shard=40,
                                     active_per_shard=4, nqes_per_active=8)
         assert out["handoffs"] == 0
         assert len(out["per_shard"]) == 3
@@ -275,19 +275,15 @@ class TestShardDeterminism:
         assert out["sim_now"] == ref["sim_now"]
 
     def test_ready_vs_full_scan_identity_holds_per_shard(self):
-        """PR 2's scheduler proof survives sharding: the ready-set scan
-        and the full scan produce bit-identical per-shard timelines."""
-        ready = _sharded_mux_workload("ready", n_shards=2, vms_per_shard=30,
-                                      active_per_shard=3, nqes_per_active=6)
-        full = _sharded_mux_workload("full", n_shards=2, vms_per_shard=30,
-                                     active_per_shard=3, nqes_per_active=6)
-        assert ready["per_shard"] == full["per_shard"]
-        assert ready["sim_now"] == full["sim_now"]
-        assert (ready["per_shard"], ready["sim_now"]) == SHARDED_GOLDEN
+        """Per-shard timelines, pinned when this test still compared the
+        ready-set and the full-scan scheduler (hence its name)."""
+        out = _sharded_mux_workload(n_shards=2, vms_per_shard=30,
+                                    active_per_shard=3, nqes_per_active=6)
+        assert (out["per_shard"], out["sim_now"]) == SHARDED_GOLDEN
 
     def test_seeded_replay_is_bit_identical(self):
-        first = _sharded_mux_workload("ready", n_shards=2, vms_per_shard=20,
+        first = _sharded_mux_workload(n_shards=2, vms_per_shard=20,
                                       active_per_shard=2, nqes_per_active=5)
-        second = _sharded_mux_workload("ready", n_shards=2, vms_per_shard=20,
+        second = _sharded_mux_workload(n_shards=2, vms_per_shard=20,
                                        active_per_shard=2, nqes_per_active=5)
         assert first == second

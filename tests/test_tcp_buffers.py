@@ -1,10 +1,93 @@
-"""Tests (including property-based) for TCP stream buffers."""
+"""Tests (including property-based) for TCP stream buffers, checked
+against small reference models of their byte-stream semantics."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ResourceError
 from repro.stack.tcp.buffers import ReceiveBuffer, SendBuffer
+
+
+class ReceiveModel:
+    """The reference receive semantics over plain containers: a
+    bytearray of ready bytes and a dict of stashed out-of-order
+    segments, re-scanned in full wherever ReceiveBuffer keeps an index.
+
+    An out-of-order segment is stashed only if it fits the window and
+    its sequence number is not stashed already; in-order data is taken
+    up to the window; stashed segments the cursor has passed are trimmed
+    (keeping the longer of two at the same start) or dropped."""
+
+    def __init__(self, capacity, initial_seq=0):
+        self.capacity = capacity
+        self.rcv_nxt = initial_seq
+        self.ready = bytearray()
+        self.stash = {}
+
+    @property
+    def window(self):
+        pending = len(self.ready) + sum(map(len, self.stash.values()))
+        return max(0, self.capacity - pending)
+
+    def deliver(self, seq, data):
+        data = bytes(data)
+        if not data or seq + len(data) <= self.rcv_nxt:
+            return 0
+        if seq < self.rcv_nxt:
+            data, seq = data[self.rcv_nxt - seq:], self.rcv_nxt
+        if seq > self.rcv_nxt:
+            if len(data) <= self.window and seq not in self.stash:
+                self.stash[seq] = data
+            return 0
+        take = min(len(data), self.window)
+        self.ready += data[:take]
+        self.rcv_nxt += take
+        return take + self._drain() if take else 0
+
+    def _drain(self):
+        drained = 0
+        while True:
+            for seq in sorted(self.stash):
+                if seq >= self.rcv_nxt:
+                    break
+                chunk = self.stash.pop(seq)
+                if seq + len(chunk) > self.rcv_nxt:
+                    trimmed = chunk[self.rcv_nxt - seq:]
+                    if len(self.stash.get(self.rcv_nxt, b"")) < len(trimmed):
+                        self.stash[self.rcv_nxt] = trimmed
+            chunk = self.stash.pop(self.rcv_nxt, None)
+            if chunk is None:
+                return drained
+            take = min(len(chunk), self.capacity - len(self.ready))
+            if take <= 0:
+                self.stash[self.rcv_nxt] = chunk
+                return drained
+            self.ready += chunk[:take]
+            self.rcv_nxt += take
+            drained += take
+            if take < len(chunk):
+                self.stash[self.rcv_nxt] = chunk[take:]
+                return drained
+
+    def read(self, max_bytes):
+        data = bytes(self.ready[:max_bytes])
+        del self.ready[:max_bytes]
+        return data
+
+
+def _segments(data, payload, copies=1):
+    """A drawn permutation of ``copies`` cuts of ``payload`` into
+    (seq, bytes) segments."""
+    cuts = sorted(data.draw(st.sets(
+        st.integers(min_value=1, max_value=max(1, len(payload) - 1)),
+        max_size=8)))
+    bounds = [0] + cuts + [len(payload)]
+    segments = [
+        (bounds[i], payload[bounds[i]:bounds[i + 1]])
+        for i in range(len(bounds) - 1)
+        if bounds[i] < bounds[i + 1]
+    ]
+    return data.draw(st.permutations(segments * copies))
 
 
 class TestSendBuffer:
@@ -103,17 +186,7 @@ class TestReceiveBuffer:
         """Delivering segments of a stream in any order yields the
         original bytes, in order, exactly once."""
         payload = data.draw(st.binary(min_size=1, max_size=200))
-        # Cut into segments.
-        cuts = sorted(data.draw(st.sets(
-            st.integers(min_value=1, max_value=max(1, len(payload) - 1)),
-            max_size=8)))
-        bounds = [0] + cuts + [len(payload)]
-        segments = [
-            (bounds[i], payload[bounds[i]:bounds[i + 1]])
-            for i in range(len(bounds) - 1)
-            if bounds[i] < bounds[i + 1]
-        ]
-        order = data.draw(st.permutations(segments))
+        order = _segments(data, payload)
         buf = ReceiveBuffer(10_000, initial_seq=0)
         for seq, chunk in order:
             buf.deliver(seq, chunk)
@@ -124,55 +197,63 @@ class TestReceiveBuffer:
 
 
 class TestDeliverBatchEquivalence:
-    """``deliver_batch(segs)`` must equal N single ``deliver`` calls —
-    same bytes made ready, same cursor, same window — in both storage
-    modes (the vectorized fast path takes a different code path only
-    for consecutive in-order segments with an empty stash)."""
+    """``deliver_batch(segs)`` and N single ``deliver`` calls (the
+    ``batched`` parameter) must each match the reference model — same
+    bytes made ready, same cursor, same window, same stream.  The batch
+    fast path takes a different code path only for consecutive in-order
+    segments with an empty stash."""
 
-    def _check(self, segments, vectorized, capacity=1000):
-        batched = ReceiveBuffer(capacity, initial_seq=0, vectorized=vectorized)
-        single = ReceiveBuffer(capacity, initial_seq=0, vectorized=vectorized)
-        made_b = batched.deliver_batch(segments)
-        made_s = sum(single.deliver(seq, data) for seq, data in segments)
-        assert made_b == made_s
-        assert batched.rcv_nxt == single.rcv_nxt
-        assert batched.window == single.window
-        assert batched.read(10 * capacity) == single.read(10 * capacity)
+    def _check(self, segments, batched, capacity=1000):
+        buf = ReceiveBuffer(capacity, initial_seq=0)
+        model = ReceiveModel(capacity)
+        if batched:
+            made = buf.deliver_batch(segments)
+        else:
+            made = sum(buf.deliver(seq, data) for seq, data in segments)
+        assert made == sum(model.deliver(seq, data)
+                           for seq, data in segments)
+        assert buf.rcv_nxt == model.rcv_nxt
+        assert buf.window == model.window
+        assert len(buf) == len(model.ready)
+        assert buf.read(10 * capacity) == model.read(10 * capacity)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_in_order_run(self, vectorized):
-        self._check([(0, b"abc"), (3, b"def"), (6, b"ghi")], vectorized)
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_in_order_run(self, batched):
+        self._check([(0, b"abc"), (3, b"def"), (6, b"ghi")], batched)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_out_of_order_then_fill(self, vectorized):
-        self._check([(6, b"ghi"), (3, b"def"), (0, b"abc")], vectorized)
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_out_of_order_then_fill(self, batched):
+        self._check([(6, b"ghi"), (3, b"def"), (0, b"abc")], batched)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_overlap_and_duplicates(self, vectorized):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_overlap_and_duplicates(self, batched):
         self._check(
             [(0, b"abcd"), (2, b"cdef"), (0, b"abcd"), (4, b"efgh")],
-            vectorized)
+            batched)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_stash_mid_batch_disables_fast_path(self, vectorized):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_stash_mid_batch_disables_fast_path(self, batched):
         # Segment 2 stashes; segments 3-4 must go through full deliver()
         # even though they are in-order, or the stash would never drain.
         self._check(
-            [(0, b"aa"), (4, b"cc"), (2, b"bb"), (6, b"dd")], vectorized)
+            [(0, b"aa"), (4, b"cc"), (2, b"bb"), (6, b"dd")], batched)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_window_closes_mid_batch(self, vectorized):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_window_closes_mid_batch(self, batched):
         self._check([(0, b"abcd"), (4, b"efgh"), (8, b"ijkl")],
-                    vectorized, capacity=6)
+                    batched, capacity=6)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_memoryview_segments(self, vectorized):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_memoryview_segments(self, batched):
         # The zero-copy hand-off delivers memoryviews over the sender
-        # slab; batch delivery must materialize them exactly like deliver.
+        # slab; both delivery paths must materialize them on arrival.
         slab = bytearray(b"abcdefgh")
         segs = [(0, memoryview(slab)[0:4]), (4, memoryview(slab)[4:8])]
-        buf = ReceiveBuffer(100, initial_seq=0, vectorized=vectorized)
-        assert buf.deliver_batch(segs) == 8
+        buf = ReceiveBuffer(100, initial_seq=0)
+        if batched:
+            assert buf.deliver_batch(segs) == 8
+        else:
+            assert sum(buf.deliver(seq, data) for seq, data in segs) == 8
         slab[:] = b"XXXXXXXX"  # mutating the slab must not alias ready data
         assert buf.read(100) == b"abcdefgh"
 
@@ -180,18 +261,76 @@ class TestDeliverBatchEquivalence:
     @settings(max_examples=50, deadline=None)
     def test_batch_equivalence_property(self, data):
         payload = data.draw(st.binary(min_size=1, max_size=200))
-        cuts = sorted(data.draw(st.sets(
-            st.integers(min_value=1, max_value=max(1, len(payload) - 1)),
-            max_size=8)))
-        bounds = [0] + cuts + [len(payload)]
-        segments = [
-            (bounds[i], payload[bounds[i]:bounds[i + 1]])
-            for i in range(len(bounds) - 1)
-            if bounds[i] < bounds[i + 1]
-        ]
-        order = data.draw(st.permutations(segments + segments))
-        vectorized = data.draw(st.booleans())
-        self._check(order, vectorized, capacity=10_000)
+        order = _segments(data, payload, copies=2)
+        capacity = data.draw(st.sampled_from((10_000, len(payload) // 2 + 1)))
+        self._check(order, data.draw(st.booleans()), capacity=capacity)
+
+
+class TestBuffersMatchModels:
+    """Interleaved operation sequences, compared with the reference
+    models after every step."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_receive_ops_match_model(self, data):
+        payload = data.draw(st.binary(min_size=1, max_size=300))
+        capacity = data.draw(st.integers(min_value=1, max_value=120))
+        buf = ReceiveBuffer(capacity, initial_seq=0)
+        model = ReceiveModel(capacity)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=40))):
+            op = data.draw(st.sampled_from(("deliver", "batch", "read")))
+            if op == "read":
+                n = data.draw(st.integers(min_value=0, max_value=64))
+                assert buf.read(n) == model.read(n)
+            else:
+                segs = []
+                for _ in range(1 if op == "deliver" else
+                               data.draw(st.integers(0, 4))):
+                    # Near the cursor, possibly stale or overlapping,
+                    # like a retransmitting sender's segments.
+                    seq = data.draw(st.integers(
+                        max(0, model.rcv_nxt - 20),
+                        min(len(payload) - 1, model.rcv_nxt + 60)))
+                    end = data.draw(st.integers(seq + 1, len(payload)))
+                    segs.append((seq, payload[seq:end]))
+                made = (buf.deliver(*segs[0]) if op == "deliver"
+                        else buf.deliver_batch(segs))
+                assert made == sum(model.deliver(seq, chunk)
+                                   for seq, chunk in segs)
+            assert buf.rcv_nxt == model.rcv_nxt
+            assert buf.window == model.window
+            assert len(buf) == len(model.ready)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_send_ops_match_model(self, data):
+        """A bytearray model of write/peek/advance; small capacities make
+        the slab ring wrap, so peeks straddle the boundary too."""
+        capacity = data.draw(st.integers(min_value=1, max_value=64))
+        buf = SendBuffer(capacity)
+        model = bytearray()
+        counter = 0
+        for _ in range(data.draw(st.integers(min_value=1, max_value=40))):
+            op = data.draw(st.sampled_from(("write", "peek", "advance")))
+            if op == "write":
+                n = data.draw(st.integers(min_value=0, max_value=48))
+                chunk = bytes((counter + i) % 251 for i in range(n))
+                counter += n
+                take = min(n, capacity - len(model))
+                assert buf.write(memoryview(chunk)) == take
+                model += chunk[:take]
+            elif op == "peek":
+                offset = data.draw(st.integers(0, capacity))
+                length = data.draw(st.integers(0, capacity))
+                assert bytes(buf.peek(offset, length)) == \
+                    bytes(model[offset:offset + length])
+            else:
+                n = data.draw(st.integers(0, len(model)))
+                buf.advance(n)
+                del model[:n]
+            assert len(buf) == len(model)
+            assert buf.free_space == capacity - len(model)
+        assert bytes(buf.peek(0, capacity)) == bytes(model)
 
 
 class TestStaleOutOfOrderPurge:
@@ -216,6 +355,17 @@ class TestStaleOutOfOrderPurge:
         buf.read(100)
         assert buf.window == 100
         assert not buf._out_of_order
+
+    def test_longer_stashed_chunk_survives_purge(self):
+        buf = ReceiveBuffer(100, initial_seq=0)
+        model = ReceiveModel(100)
+        # A stale chunk trimmed to start at the cursor must not replace
+        # a longer chunk already stashed there.
+        for seq, data in ((5, b"a" * 10), (10, b"b" * 20), (0, b"c" * 10)):
+            assert buf.deliver(seq, data) == model.deliver(seq, data)
+        assert buf.rcv_nxt == model.rcv_nxt == 30
+        assert buf.read(100) == model.read(100) == b"c" * 10 + b"b" * 20
+        assert buf.window == model.window == 100
 
     def test_long_lossy_stream_never_wedges_window(self):
         """Simulates heavy retransmission overlap patterns."""
