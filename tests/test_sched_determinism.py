@@ -59,14 +59,14 @@ def _experiment_outputs(exp_id, **kwargs):
 
 #: Experiment arguments and the digest of their (rows, notes).
 EXPERIMENT_GOLDENS = {
-    "fig8": ({}, (
-        "ac449c2232f4cbdcdd064c5b593777487c9fe8558ce07bcd719d0a7ba92c42bb")),
-    "fig9": ({"duration": 0.3}, (
-        "6d507e20cd55cd41f320862a259406a9884572a4d71deb4a7ab008e3929c5cc7")),
-    "fig21": ({"scale": 0.02, "time_factor": 0.1}, (
-        "4bb94730a3ea3b37b84dd81daf7a4582b463626916f54d1097e8a0fd8297d163")),
-    "table5": ({"requests": 200, "concurrency": 40}, (
-        "bde52000c6298cd9bdc88a161a40f2ba4d1d5049e2b3c319e822e9b1ec756d25")),
+    "fig8": ({},
+             "ac449c2232f4cbdcdd064c5b593777487c9fe8558ce07bcd719d0a7ba92c42bb"),
+    "fig9": ({"duration": 0.3},
+             "6d507e20cd55cd41f320862a259406a9884572a4d71deb4a7ab008e3929c5cc7"),
+    "fig21": ({"scale": 0.02, "time_factor": 0.1},
+              "4bb94730a3ea3b37b84dd81daf7a4582b463626916f54d1097e8a0fd8297d163"),
+    "table5": ({"requests": 200, "concurrency": 40},
+               "bde52000c6298cd9bdc88a161a40f2ba4d1d5049e2b3c319e822e9b1ec756d25"),
 }
 
 #: digest(run_transfer_fingerprint()): GuestLib -> CE -> NSM TCP ->
