@@ -94,6 +94,22 @@ class ServiceLib:
 
         self._by_vm_tuple: Dict[VmTuple, _SocketContext] = {}
         self._by_nsm_id: Dict[int, _SocketContext] = {}
+        #: NQE op -> handler; an op outside it completes with EINVAL.
+        self._handlers = {
+            NqeOp.SOCKET: self._op_socket,
+            NqeOp.BIND: self._op_bind,
+            NqeOp.LISTEN: self._op_listen,
+            NqeOp.CONNECT: self._op_connect,
+            NqeOp.ACCEPT_ATTACH: self._op_accept_attach,
+            NqeOp.SEND: self._op_send,
+            NqeOp.SENDTO: self._op_sendto,
+            NqeOp.RECV_CREDIT: self._op_recv_credit,
+            NqeOp.CLOSE: self._op_close,
+            NqeOp.SETSOCKOPT: self._op_setsockopt,
+            NqeOp.GETSOCKOPT: self._op_getsockopt,
+            NqeOp.SHUTDOWN: self._op_shutdown,
+            NqeOp.HEARTBEAT: self._op_heartbeat,
+        }
 
         self._pollers = [
             sim.process(self._poller(idx))
@@ -240,21 +256,7 @@ class ServiceLib:
                     NQE_POOL.release(nqe)
 
     def _handle(self, nqe: Nqe, qset: int, core):
-        handler = {
-            NqeOp.SOCKET: self._op_socket,
-            NqeOp.BIND: self._op_bind,
-            NqeOp.LISTEN: self._op_listen,
-            NqeOp.CONNECT: self._op_connect,
-            NqeOp.ACCEPT_ATTACH: self._op_accept_attach,
-            NqeOp.SEND: self._op_send,
-            NqeOp.SENDTO: self._op_sendto,
-            NqeOp.RECV_CREDIT: self._op_recv_credit,
-            NqeOp.CLOSE: self._op_close,
-            NqeOp.SETSOCKOPT: self._op_setsockopt,
-            NqeOp.GETSOCKOPT: self._op_getsockopt,
-            NqeOp.SHUTDOWN: self._op_shutdown,
-            NqeOp.HEARTBEAT: self._op_heartbeat,
-        }.get(nqe.op)
+        handler = self._handlers.get(nqe.op)
         if handler is None:
             self._respond_errno(nqe, qset, "EINVAL")
             return

@@ -125,28 +125,24 @@ class Simulator:
         sees a full window.
         """
         if until is None:
-            # Drain-the-heap fast path: step() inlined (one pop per
-            # event, no peek).  Identical pop order, so the simulated
-            # timeline is bit-identical to the step() loop.
-            heap = self._heap
-            pop = heapq.heappop
-            while heap:
-                when, _seq, event = pop(heap)
-                self._now = when
-                if event._cancelled:
-                    self.events_cancelled += 1
-                    continue
-                self.events_processed += 1
-                event._process()
-            return
-        if until < self._now:
+            horizon = float("inf")
+        elif until < self._now:
             raise SimulationError(f"run(until={until}) is in the past")
-        while self._heap:
-            when = self._heap[0][0]
-            if when > until:
-                break
-            self.step()
-        if self._now < until:
+        else:
+            horizon = until
+        # step() inlined: one pop per event, in step()'s order and with
+        # its accounting, so the timeline is bit-identical to a step() loop.
+        heap = self._heap
+        pop = heapq.heappop
+        while heap and heap[0][0] <= horizon:
+            when, _seq, event = pop(heap)
+            self._now = when
+            if event._cancelled:
+                self.events_cancelled += 1
+                continue
+            self.events_processed += 1
+            event._process()
+        if until is not None and self._now < until:
             self._now = until
 
     def run_until_event(self, event: Event, limit: float = float("inf")) -> Any:

@@ -6,15 +6,22 @@ reassembles out-of-order segments and exposes the advertised window.
 
 Both are laid out to copy payload bytes as few times as possible:
 
-* ``SendBuffer`` is a fixed ring over one preallocated ``bytearray``
-  slab.  ``write`` copies bytes in once; ``peek`` returns a
-  zero-copy ``memoryview`` of the slab for the contiguous common case
-  (so every transmission and retransmission reads the slab in place);
-  ``advance`` is O(1) index arithmetic instead of an O(n) front-delete
-  memmove per ACK.  Views handed out by ``peek`` stay valid exactly as
-  long as the bytes are unacked — the ring cannot recycle a region
-  before ``advance`` passes it, and receivers copy on delivery (below)
-  before the ACK that would free it can exist.
+* ``SendBuffer`` is a ring over one ``bytearray`` slab that follows
+  the bytes it holds rather than its capacity: the slab starts at
+  :data:`INITIAL_SLAB_BYTES` (or ``capacity`` if smaller) and doubles,
+  up to ``capacity``, on a ``write`` that does not fit.  It is never
+  shrunk, so a connection whose backlog has peaked allocates no more,
+  while ``capacity``, ``free_space`` and every result are exactly those
+  of a preallocated ``capacity``-byte ring.  ``write`` copies bytes in
+  once; ``peek`` returns a zero-copy ``memoryview`` of the slab for the
+  contiguous common case (so every transmission and retransmission
+  reads the slab in place); ``advance`` is O(1) index arithmetic
+  instead of an O(n) front-delete memmove per ACK.  Views handed out by
+  ``peek`` stay valid as long as their bytes are unacked: the ring
+  cannot recycle a region before ``advance`` passes it, and growth
+  copies the live bytes into a *new* slab, leaving the old one (and
+  every view of it) unchanged.  Receivers copy on delivery (below)
+  before the ACK that would free a region can exist.
 
 * ``ReceiveBuffer`` stores ready data as a deque of bytes
   chunks: ``deliver`` materializes each accepted payload slice exactly
@@ -36,6 +43,9 @@ from repro.errors import ResourceError
 
 Payload = Union[bytes, bytearray, memoryview]
 
+#: Bytes a fresh send buffer's slab starts with (capped at its capacity).
+INITIAL_SLAB_BYTES = 4096
+
 
 class SendBuffer:
     """Unacked + unsent outbound bytes, addressed relative to SND.UNA."""
@@ -44,10 +54,10 @@ class SendBuffer:
         if capacity < 1:
             raise ResourceError(f"send buffer capacity must be >=1: {capacity}")
         self.capacity = capacity
-        # Ring over one preallocated slab: bytes live at _start.._start +
-        # _len, wrapping at capacity.
-        self._slab = bytearray(capacity)
-        self._mv = memoryview(self._slab)
+        # Ring over the slab: bytes live at _start.._start + _len,
+        # wrapping at the slab's size, not at capacity.
+        self._size = min(capacity, INITIAL_SLAB_BYTES)
+        self._mv = memoryview(bytearray(self._size))
         self._start = 0
         self._len = 0
 
@@ -63,16 +73,34 @@ class SendBuffer:
         take = min(len(data), self.capacity - self._len)
         if not take:
             return 0
+        if self._len + take > self._size:
+            self._grow(self._len + take)
+        size = self._size
         src = data if type(data) is memoryview else memoryview(data)
         pos = self._start + self._len
-        if pos >= self.capacity:
-            pos -= self.capacity
-        first = min(take, self.capacity - pos)
+        if pos >= size:
+            pos -= size
+        first = min(take, size - pos)
         self._mv[pos:pos + first] = src[:first]
         if first < take:
             self._mv[:take - first] = src[first:take]
         self._len += take
         return take
+
+    def _grow(self, need: int) -> None:
+        """Move the live bytes, in order, to the start of a new slab of
+        the next doubling that holds ``need`` bytes (capped at capacity).
+        The old slab is dropped, not reused, so views of it stay valid."""
+        size = self._size
+        while size < need:
+            size *= 2
+        mv = memoryview(bytearray(min(size, self.capacity)))
+        first = min(self._len, self._size - self._start)
+        mv[:first] = self._mv[self._start:self._start + first]
+        mv[first:self._len] = self._mv[:self._len - first]
+        self._mv = mv
+        self._size = len(mv)
+        self._start = 0
 
     def peek(self, offset: int, length: int) -> Payload:
         """Bytes at ``offset`` from SND.UNA (for (re)transmission).
@@ -88,10 +116,11 @@ class SendBuffer:
         take = min(length, self._len - offset)
         if take <= 0:
             return b""
+        size = self._size
         pos = self._start + offset
-        if pos >= self.capacity:
-            pos -= self.capacity
-        first = self.capacity - pos
+        if pos >= size:
+            pos -= size
+        first = size - pos
         if take <= first:
             return self._mv[pos:pos + take]
         return bytes(self._mv[pos:]) + bytes(self._mv[:take - first])
@@ -105,8 +134,8 @@ class SendBuffer:
                 f"ack advances past buffered data: {acked} > {self._len}"
             )
         start = self._start + acked
-        if start >= self.capacity:
-            start -= self.capacity
+        if start >= self._size:
+            start -= self._size
         self._start = start
         self._len -= acked
 

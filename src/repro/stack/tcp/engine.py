@@ -15,6 +15,7 @@ encoding.  None of these change who wins in the paper's experiments.
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 from collections import deque
 
@@ -620,14 +621,22 @@ class TcpEngine:
             return
         conn._rtx_generation += 1
         generation = conn._rtx_generation
+        # The timer holds its connection weakly.  A timer whose connection
+        # only it references is superseded anyway (a connection stays in
+        # its engine's table until _destroy bumps the generation), so a
+        # closed connection is freed at once, not when its stale timers
+        # fire up to an RTO later.
+        ref = weakref.ref(conn)
         self.sim.call_later(conn.rto,
-                            lambda: self._on_rtx_timer(conn, generation))
+                            lambda: self._on_rtx_timer(ref, generation))
 
     def _cancel_rtx(self, conn: TcpConnection) -> None:
         conn._rtx_generation += 1
 
-    def _on_rtx_timer(self, conn: TcpConnection, generation: int) -> None:
-        if generation != conn._rtx_generation:
+    def _on_rtx_timer(self, ref: "weakref.ref[TcpConnection]",
+                      generation: int) -> None:
+        conn = ref()
+        if conn is None or generation != conn._rtx_generation:
             return  # superseded
         if conn.inflight == 0:
             return

@@ -2,12 +2,13 @@
 
 A VM controls every field of the NQEs it produces.  A SEND or SENDTO
 whose ``data_ptr`` names no live buffer in the VM's hugepage region is
-dropped by ServiceLib and counted against that VM; it must not raise out
-of the NSM's poller (and with it out of ``sim.run()``), which would stop
-every tenant that NSM serves."""
+dropped by ServiceLib and counted against that VM, and an op ServiceLib
+does not serve completes with EINVAL; neither may raise out of the NSM's
+poller (and with it out of ``sim.run()``), which would stop every tenant
+that NSM serves."""
 
 from repro.core.host import NetKernelHost
-from repro.core.nqe import NQE_POOL, NqeOp
+from repro.core.nqe import NQE_POOL, RESULT_ERRNO, NqeOp
 from repro.net.fabric import Network
 from repro.sim import Simulator
 from repro.units import gbps, usec
@@ -15,7 +16,11 @@ from repro.units import gbps, usec
 PAYLOAD = bytes(range(256)) * 16
 
 
-def test_dangling_send_pointers_are_dropped_and_neighbours_unharmed():
+def _echo_next_to(hostile_nqes):
+    """Run a 4 KiB echo between two well-behaved VMs while a third pushes
+    ``hostile_nqes(device, vm)`` — (ring index, NQE) pairs — straight
+    into its own produce rings mid-echo.  Returns the NSM, the hostile VM
+    and the NQE pool's outstanding count before the run."""
     outstanding_before = NQE_POOL.outstanding
     sim = Simulator()
     host = NetKernelHost(sim, Network(sim, default_rate_bps=gbps(10),
@@ -51,19 +56,12 @@ def test_dangling_send_pointers_are_dropped_and_neighbours_unharmed():
         done["echoed"] = echoed
 
     def hostile():
-        # Raw NQEs straight into the hostile VM's send ring: a pointer
-        # that was never allocated and one to a buffer already freed.
         device = host.coreengine.vm_device(hostile_vm.vm_id)
-        freed = device.hugepages.alloc(64)
-        freed.free()
-        _, send_ring = device.produce_rings(device.queue_sets[0])
+        rings = device.produce_rings(device.queue_sets[0])
+        nqes = hostile_nqes(device, hostile_vm)
         yield sim.timeout(1.5e-3)  # mid-echo
-        for op, data_ptr in ((NqeOp.SEND, 987_654),
-                             (NqeOp.SENDTO, 987_655),
-                             (NqeOp.SEND, freed.buffer_id)):
-            send_ring.push(NQE_POOL.acquire(op, hostile_vm.vm_id, 0, 1,
-                                            data_ptr=data_ptr, size=64),
-                           owner="hostile")
+        for ring, nqe in nqes:
+            rings[ring].push(nqe, owner="hostile")
         device.ring_doorbell()
 
     server_vm.spawn(server())
@@ -72,6 +70,50 @@ def test_dangling_send_pointers_are_dropped_and_neighbours_unharmed():
     sim.run(until=0.5)  # must not raise
 
     assert done["echoed"] == PAYLOAD
+    return nsm, hostile_vm, outstanding_before
+
+
+def test_dangling_send_pointers_are_dropped_and_neighbours_unharmed():
+    def nqes(device, vm):
+        # Raw NQEs into the send ring: a pointer that was never allocated
+        # and one to a buffer already freed.
+        freed = device.hugepages.alloc(64)
+        freed.free()
+        return [(1, NQE_POOL.acquire(op, vm.vm_id, 0, 1, data_ptr=data_ptr,
+                                     size=64))
+                for op, data_ptr in ((NqeOp.SEND, 987_654),
+                                     (NqeOp.SENDTO, 987_655),
+                                     (NqeOp.SEND, freed.buffer_id))]
+
+    nsm, hostile_vm, outstanding_before = _echo_next_to(nqes)
     stats = nsm.servicelib.stats()
     assert stats["vm_bad_data_ptrs"] == {hostile_vm.vm_id: 3}
+    assert NQE_POOL.outstanding == outstanding_before
+
+
+def test_unserved_ops_complete_with_einval_and_neighbours_unharmed():
+    # Completion and event ops travel NSM -> VM only: pushed into the job
+    # ring, they reach ServiceLib, which serves none of them.
+    unserved = (NqeOp.OP_RESULT, NqeOp.SEND_RESULT, NqeOp.DATA_ARRIVED)
+    waiters = []
+
+    def nqes(device, vm):
+        out = []
+        for op in unserved:
+            nqe = NQE_POOL.acquire(op, vm.vm_id, 0, 1)
+            # Wait for the completion the way GuestLib's _call does.
+            waiters.append(vm.guestlib.sim.event())
+            vm.guestlib._pending[nqe.token] = waiters[-1]
+            out.append((0, nqe))
+        return out
+
+    _, _, outstanding_before = _echo_next_to(nqes)
+    einval = -RESULT_ERRNO["EINVAL"]
+    assert len(waiters) == len(unserved)
+    for op, waiter in zip(unserved, waiters):
+        response = waiter.value
+        assert response.op is NqeOp.OP_RESULT
+        assert response.aux["req_op"] is op
+        assert response.op_data == einval
+        NQE_POOL.release(response)  # the waiter is its final consumer
     assert NQE_POOL.outstanding == outstanding_before

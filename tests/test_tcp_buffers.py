@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ResourceError
-from repro.stack.tcp.buffers import ReceiveBuffer, SendBuffer
+from repro.stack.tcp.buffers import (
+    INITIAL_SLAB_BYTES,
+    ReceiveBuffer,
+    SendBuffer,
+)
 
 
 class ReceiveModel:
@@ -128,6 +132,39 @@ class TestSendBuffer:
             assert buf.write(chunk) == len(chunk)
         out = buf.peek(0, len(joined))
         assert out == joined
+
+    def test_slab_starts_small_and_grows_by_doubling_to_capacity(self):
+        capacity = 5 * INITIAL_SLAB_BYTES
+        buf = SendBuffer(capacity)
+        assert len(buf._mv) == INITIAL_SLAB_BYTES
+        assert len(SendBuffer(100)._mv) == 100
+        buf.write(bytes(INITIAL_SLAB_BYTES))
+        assert len(buf._mv) == INITIAL_SLAB_BYTES  # fits: no growth
+        buf.write(b"x")
+        assert len(buf._mv) == 2 * INITIAL_SLAB_BYTES
+        buf.write(bytes(INITIAL_SLAB_BYTES + 1))
+        assert len(buf._mv) == 4 * INITIAL_SLAB_BYTES
+        buf.write(bytes(capacity))
+        assert len(buf._mv) == capacity  # capped, not the next doubling
+        assert buf.free_space == 0
+        buf.advance(capacity)
+        assert len(buf._mv) == capacity  # never shrunk
+
+    def test_growth_relinearizes_a_wrapped_ring(self):
+        buf = SendBuffer(4 * INITIAL_SLAB_BYTES)
+        head = bytes(i % 251 for i in range(INITIAL_SLAB_BYTES))
+        buf.write(head)
+        buf.advance(INITIAL_SLAB_BYTES - 10)  # 10 bytes left at the end
+        wrapped = b"w" * 20
+        buf.write(wrapped)  # wraps to the slab's start
+        assert len(buf._mv) == INITIAL_SLAB_BYTES
+        held = buf.peek(0, 10)
+        buf.write(b"g" * INITIAL_SLAB_BYTES)  # does not fit: grows
+        assert len(buf._mv) == 2 * INITIAL_SLAB_BYTES
+        expect = head[-10:] + wrapped + b"g" * INITIAL_SLAB_BYTES
+        assert bytes(buf.peek(0, len(expect))) == expect
+        assert isinstance(buf.peek(0, len(expect)), memoryview)
+        assert bytes(held) == head[-10:]  # the old slab is left untouched
 
 
 class TestReceiveBuffer:
@@ -304,16 +341,26 @@ class TestBuffersMatchModels:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_send_ops_match_model(self, data):
-        """A bytearray model of write/peek/advance; small capacities make
-        the slab ring wrap, so peeks straddle the boundary too."""
-        capacity = data.draw(st.integers(min_value=1, max_value=64))
+        """A bytearray model of write/peek/advance.  Capacities up to
+        several initial slabs make writes cross slab growth, small ones
+        make the ring wrap, so peeks straddle the boundary too.  A "hold"
+        keeps a peeked view across later writes, growth and advances: it
+        must keep showing the model's bytes for as long as they are
+        unacked."""
+        small = data.draw(st.booleans())
+        capacity = data.draw(st.integers(
+            min_value=1, max_value=64 if small else 5 * INITIAL_SLAB_BYTES))
+        most = 48 if small else 2 * INITIAL_SLAB_BYTES
         buf = SendBuffer(capacity)
         model = bytearray()
+        acked = 0  # stream offset of model[0]
+        held = []  # (stream offset, view)
         counter = 0
         for _ in range(data.draw(st.integers(min_value=1, max_value=40))):
-            op = data.draw(st.sampled_from(("write", "peek", "advance")))
+            op = data.draw(st.sampled_from(
+                ("write", "peek", "hold", "advance")))
             if op == "write":
-                n = data.draw(st.integers(min_value=0, max_value=48))
+                n = data.draw(st.integers(min_value=0, max_value=most))
                 chunk = bytes((counter + i) % 251 for i in range(n))
                 counter += n
                 take = min(n, capacity - len(model))
@@ -324,10 +371,25 @@ class TestBuffersMatchModels:
                 length = data.draw(st.integers(0, capacity))
                 assert bytes(buf.peek(offset, length)) == \
                     bytes(model[offset:offset + length])
-            else:
+            elif op == "hold" and model:
+                offset = data.draw(st.integers(0, len(model) - 1))
+                length = data.draw(st.integers(1, len(model) - offset))
+                view = buf.peek(offset, length)
+                assert bytes(view) == bytes(model[offset:offset + length])
+                held.append((acked + offset, view))
+            elif op == "advance":
                 n = data.draw(st.integers(0, len(model)))
                 buf.advance(n)
                 del model[:n]
+                acked += n
+            # Held views: their unacked bytes still match; once an
+            # advance passes the last byte, the view is let go.
+            held = [(start, view) for start, view in held
+                    if start + len(view) > acked]
+            for start, view in held:
+                skip = max(0, acked - start)
+                assert bytes(view[skip:]) == bytes(
+                    model[start + skip - acked:start + len(view) - acked])
             assert len(buf) == len(model)
             assert buf.free_space == capacity - len(model)
         assert bytes(buf.peek(0, capacity)) == bytes(model)
