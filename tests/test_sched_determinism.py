@@ -5,7 +5,10 @@ transfer, raw-device multiplexing with and without rate limits, and the
 switching benches — must reproduce constants recorded when the ready-set
 scheduler and the slab TCP buffers were proven bit-identical to the seed
 full-scan scheduler and the scalar buffer layout, which they replaced
-(see ``tests/goldens.py`` for how to re-record them).  The suite also
+(see ``tests/goldens.py`` for how to re-record them).  A multi-stream
+bulk transfer pins the per-segment TCP, fabric and link path: clock,
+event counts, link and segment counters and per-component cycles.
+The suite also
 unit-tests the supporting machinery (cancellable timeouts, the NQE
 pool, the stale-wakeup fix, zero-allocation switching).
 """
@@ -88,6 +91,13 @@ EXPERIMENT_GOLDENS = {
 TRANSFER_GOLDEN = (
     "f66f72a8513a82aa2b3fb2dc9f15f759f242fdcba0e5a759a380219e0163ae3c")
 
+#: digest(_bulk_timeline()): four 64 KiB streams through NetKernelHost,
+#: drained to quiescence — the simulator clock and event counts, every
+#: link's counters, every TCP engine's segment counts and every core's
+#: per-component cycles.
+BULK_TIMELINE_GOLDEN = (
+    "a1854ae88bea2d6680a770862deb99499407ab66ae3d1a1824b8b7dfc88f4bb6")
+
 #: The 40-VM, 4-active raw multiplexing fingerprint.
 MUX_GOLDEN = {"batches": 400, "ce_busy_cycles": 607000.0,
               "events_cancelled": 0, "events_processed": 1454,
@@ -112,6 +122,60 @@ class TestExperimentsIdenticalAcrossModes:
 
     def test_transfer_fingerprint_matches(self):
         assert _transfer_digest() == TRANSFER_GOLDEN
+
+
+def _bulk_timeline():
+    """Four 64 KiB-message streams from one VM to another through one
+    kernel-stack NSM, run until the event heap drains.  The self-looped
+    fabric overflows its uplink, so the run also takes the drop,
+    retransmission and timer paths."""
+    from repro.apps.iperf import StreamReceiver, StreamSender
+    from repro.core.host import NetKernelHost
+
+    _reset_global_counters()
+    sim = Simulator()
+    host = NetKernelHost(sim)
+    nsm = host.add_nsm("nsm0", vcpus=2, stack="kernel")
+    server = host.add_vm("srv", vcpus=2, nsm=nsm)
+    client = host.add_vm("cli", vcpus=2, nsm=nsm)
+    receiver = StreamReceiver(sim, host.socket_api(server), 5001,
+                              read_size=65536)
+    receiver.start(server)
+    sender = StreamSender(sim, host.socket_api(client), ("nsm0", 5001),
+                          message_size=65536, duration=2e-3, streams=4)
+
+    def launch():
+        yield sim.timeout(1e-4)
+        sender.start(client)
+
+    client.spawn(launch())
+    sim.run()
+    links = {}
+    for endpoint in host.network._endpoints.values():
+        for link in (endpoint.uplink, endpoint.downlink):
+            links[link.name] = (link.delivered_packets, link.delivered_bytes,
+                                link.dropped_packets)
+    engines = {name: (nsm.stack.engine.segments_sent,
+                      nsm.stack.engine.segments_received)
+               for name, nsm in host.nsms.items()}
+    cores = list(host.ce_cores)
+    for nsm in host.nsms.values():
+        cores.extend(nsm.cores)
+    for vm in host.vms.values():
+        cores.extend(vm.cores)
+    busy = {core.name: sorted(core.busy_by_component.items())
+            for core in cores}
+    return {"sim": (sim.now, sim.events_processed, sim.events_cancelled),
+            "bytes": (sender.stats.bytes, receiver.stats.bytes),
+            "links": links, "engines": engines, "busy": busy}
+
+
+class TestBulkTimeline:
+    """The full-stack bulk path (TCP -> fabric -> link -> simulator ->
+    TCP) keeps its simulated timeline and event counts."""
+
+    def test_bulk_timeline_matches(self):
+        assert digest(_bulk_timeline()) == BULK_TIMELINE_GOLDEN
 
 
 class TestRawSwitchIdenticalAcrossModes:
