@@ -60,7 +60,7 @@ class TokenBucket:
         self._last = sim.now
 
     def _refill(self) -> None:
-        now = self.sim.now
+        now = self.sim._now
         self.tokens = min(self.burst, self.tokens + (now - self._last) * self.rate)
         self._last = now
 
@@ -685,7 +685,7 @@ class CoreEngine:
             result = NQE_POOL.acquire(
                 NqeOp.SEND_RESULT, nqe.vm_id, nqe.queue_set_id,
                 nqe.socket_id, op_data=reset, size=nqe.size,
-                created_at=self.sim.now)
+                created_at=self.sim._now)
             NQE_POOL.release(nqe)
             self.nqes_failed_fast += 1
             self._push_to_vm(result, event=False)
@@ -693,7 +693,7 @@ class CoreEngine:
             result = NQE_POOL.acquire(
                 NqeOp.OP_RESULT, nqe.vm_id, nqe.queue_set_id,
                 nqe.socket_id, op_data=reset, token=nqe.token,
-                aux={"req_op": op}, created_at=self.sim.now)
+                aux={"req_op": op}, created_at=self.sim._now)
             NQE_POOL.release(nqe)
             self.nqes_failed_fast += 1
             self._push_to_vm(result, event=False)
@@ -731,12 +731,12 @@ class CoreEngine:
             result = NQE_POOL.acquire(
                 NqeOp.SEND_RESULT, nqe.vm_id, nqe.queue_set_id,
                 nqe.socket_id, op_data=again, size=nqe.size,
-                created_at=self.sim.now)
+                created_at=self.sim._now)
         elif op in _TOKENED_REQUESTS:
             result = NQE_POOL.acquire(
                 NqeOp.OP_RESULT, nqe.vm_id, nqe.queue_set_id,
                 nqe.socket_id, op_data=again, token=nqe.token,
-                aux={"req_op": op}, created_at=self.sim.now)
+                aux={"req_op": op}, created_at=self.sim._now)
         else:
             return False
         NQE_POOL.release(nqe)
@@ -1188,7 +1188,7 @@ class CoreEngine:
         if op is NqeOp.HEARTBEAT_ACK:
             # Liveness answer for the health monitor; never reaches a VM.
             self.heartbeat_acks += 1
-            self._last_ack[reg.numeric_id] = self.sim.now
+            self._last_ack[reg.numeric_id] = self.sim._now
             NQE_POOL.release(nqe)
             return None
         vm_reg = self._vm_registration(nqe.vm_id)
@@ -1258,7 +1258,7 @@ class CoreEngine:
             ring.hwm_depth = count
         ov = self.overload
         if ov is not None and nqe.created_at > 0.0:
-            ov.note_delivery(self.sim.now - nqe.created_at)
+            ov.note_delivery(self.sim._now - nqe.created_at)
         target_device.wake()
         return True
 
@@ -1293,15 +1293,15 @@ class CoreEngine:
                 self._drop_nqe(nqe)  # consumer died while we stalled
                 return
             if deadline is None:
-                deadline = self.sim.now + self.deliver_stall_budget
-            elif self.sim.now >= deadline:
+                deadline = self.sim._now + self.deliver_stall_budget
+            elif self.sim._now >= deadline:
                 self._count_backpressure_drop(nqe.vm_id)
                 self._drop_nqe(nqe)
                 return
             yield self.sim.timeout(2e-6)
         ov = self.overload
         if ov is not None and nqe.created_at > 0.0:
-            ov.note_delivery(self.sim.now - nqe.created_at)
+            ov.note_delivery(self.sim._now - nqe.created_at)
         target_device.wake()
 
     def _count_backpressure_drop(self, vm_id: int) -> None:

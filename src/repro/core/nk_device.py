@@ -130,7 +130,7 @@ class NKDevice:
         Marks the start of the polling window for wake accounting.
         """
         if self._poll_started_at is None:
-            self._poll_started_at = self.sim.now
+            self._poll_started_at = self.sim._now
         return self._wake_event
 
     # -- bulk access ------------------------------------------------------------------

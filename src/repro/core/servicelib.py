@@ -224,8 +224,8 @@ class ServiceLib:
         # Reusable drain scratch: steady-state passes allocate no lists.
         scratch: list = []
         while not self.crashed:
-            if self._stall_until > self.sim.now:
-                yield self.sim.timeout(self._stall_until - self.sim.now)
+            if self._stall_until > self.sim._now:
+                yield self.sim.timeout(self._stall_until - self.sim._now)
                 continue
             n = job_ring.drain_into(scratch, 32, owner=self)
             n += send_ring.drain_into(scratch, 32, owner=self, start=n)
@@ -564,7 +564,7 @@ class ServiceLib:
             vm_id, vm_qset, vm_sock = ctx.vm_tuple
             credit = NQE_POOL.acquire(
                 NqeOp.SEND_RESULT, vm_id, vm_qset, vm_sock,
-                op_data=0, size=accepted_total, created_at=self.sim.now)
+                op_data=0, size=accepted_total, created_at=self.sim._now)
             self._emit(ctx.qset, credit, event=False)
         if ctx.closing and not ctx.pending_tx:
             self._finish_close(ctx)
@@ -587,12 +587,12 @@ class ServiceLib:
             self.stack.udp_sendto(ctx.stack_sock, data, dest)
             credit = NQE_POOL.acquire(
                 NqeOp.SEND_RESULT, vm_id, vm_qset, vm_sock,
-                op_data=0, size=len(data), created_at=self.sim.now)
+                op_data=0, size=len(data), created_at=self.sim._now)
         except SocketError as error:
             code = RESULT_ERRNO.get(error.errno_name, 5)
             credit = NQE_POOL.acquire(
                 NqeOp.SEND_RESULT, vm_id, vm_qset, vm_sock,
-                op_data=-code, size=len(data), created_at=self.sim.now)
+                op_data=-code, size=len(data), created_at=self.sim._now)
         self._emit(ctx.qset, credit, event=False)
 
     def _pump_udp_rx(self, ctx: _SocketContext) -> None:
@@ -615,7 +615,7 @@ class ServiceLib:
             event = NQE_POOL.acquire(
                 NqeOp.DATA_ARRIVED, vm_id, vm_qset, vm_sock,
                 data_ptr=buffer.buffer_id, size=len(data),
-                aux={"from": source}, created_at=self.sim.now)
+                aux={"from": source}, created_at=self.sim._now)
             self._emit(ctx.qset, event, event=True)
 
     def _op_recv_credit(self, nqe: Nqe, qset: int, core):
@@ -675,12 +675,12 @@ class ServiceLib:
             event = NQE_POOL.acquire(
                 NqeOp.DATA_ARRIVED, vm_id, vm_qset, vm_sock,
                 data_ptr=buffer.buffer_id, size=len(data),
-                created_at=self.sim.now)
+                created_at=self.sim._now)
             self._emit(ctx.qset, event, event=True)
         if getattr(sock, "eof", False) and not ctx.peer_closed_sent:
             ctx.peer_closed_sent = True
             event = NQE_POOL.acquire(NqeOp.PEER_CLOSED, vm_id, vm_qset,
-                                     vm_sock, created_at=self.sim.now)
+                                     vm_sock, created_at=self.sim._now)
             self._emit(ctx.qset, event, event=True)
 
     def _emit_error(self, ctx: _SocketContext, errno_name: str) -> None:
@@ -689,7 +689,7 @@ class ServiceLib:
         vm_id, vm_qset, vm_sock = ctx.vm_tuple
         code = RESULT_ERRNO.get(errno_name, 5)
         event = NQE_POOL.acquire(NqeOp.ERROR_EVENT, vm_id, vm_qset, vm_sock,
-                                 op_data=-code, created_at=self.sim.now)
+                                 op_data=-code, created_at=self.sim._now)
         self._emit(ctx.qset, event, event=True)
 
     # -- stack callbacks -------------------------------------------------------------------
@@ -720,7 +720,7 @@ class ServiceLib:
                 NqeOp.ACCEPT_EVENT, vm_id, vm_qset, vm_sock,
                 op_data=ctx.nsm_sock_id,
                 aux={"peer": getattr(child, "remote", None)},
-                created_at=self.sim.now)
+                created_at=self.sim._now)
             self._emit(listener_ctx.qset, event, event=True)
 
     # -- live migration ----------------------------------------------------------------------

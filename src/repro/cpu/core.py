@@ -72,7 +72,8 @@ class Core:
             raise ResourceError(f"negative work: {cycles}")
         self.busy_cycles += cycles
         self.busy_by_component[component] += cycles
-        start = self._free_at if self._free_at > self.sim.now else self.sim.now
+        now = self.sim._now
+        start = self._free_at if self._free_at > now else now
         self._free_at = start + cycles / self.hz
 
     @property

@@ -27,6 +27,13 @@ class _Endpoint:
         self.uplink = uplink
         self.downlink = downlink
         self.handler = handler
+        #: Bound once: every packet to this endpoint is handed off through
+        #: the same callable instead of a closure of its own.
+        self.deliver = self._deliver
+
+    def _deliver(self, packet: Packet) -> None:
+        """Last hop: the downlink, then the RX handler."""
+        self.downlink.transmit(packet, self.handler)
 
 
 class Network:
@@ -73,21 +80,16 @@ class Network:
 
         Returns False if it was dropped anywhere along the path.
         """
-        src = self._endpoints.get(packet.src_host)
-        dst = self._endpoints.get(packet.dst_host)
+        endpoints = self._endpoints
+        src = endpoints.get(packet.src[0])
+        dst = endpoints.get(packet.dst[0])
         if src is None:
             raise ConfigurationError(f"unknown source host {packet.src_host}")
         if dst is None:
             raise ConfigurationError(f"unknown dest host {packet.dst_host}")
-
-        def deliver_to_dst(pkt: Packet) -> None:
-            dst.downlink.transmit(pkt, dst.handler)
-
-        if self._bottleneck is not None:
-            bottleneck = self._bottleneck
-
-            def through_bottleneck(pkt: Packet) -> None:
-                bottleneck.transmit(pkt, deliver_to_dst)
-
-            return src.uplink.transmit(packet, through_bottleneck)
-        return src.uplink.transmit(packet, deliver_to_dst)
+        bottleneck = self._bottleneck
+        if bottleneck is not None:
+            deliver = dst.deliver
+            return src.uplink.transmit(
+                packet, lambda pkt: bottleneck.transmit(pkt, deliver))
+        return src.uplink.transmit(packet, dst.deliver)

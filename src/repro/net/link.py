@@ -71,32 +71,36 @@ class Link:
         if self.loss_rate and self._rng.random() < self.loss_rate:
             self.dropped_packets += 1
             return False
-        if self._backlog_bytes + packet.size > self.queue_bytes:
+        size = packet.size
+        backlog = self._backlog_bytes
+        if backlog + size > self.queue_bytes:
             self.dropped_packets += 1
             return False
         if (packet.ecn_capable and self.ecn_threshold_bytes is not None
-                and self._backlog_bytes >= self.ecn_threshold_bytes):
+                and backlog >= self.ecn_threshold_bytes):
             packet.ecn_marked = True
             self.marked_packets += 1
 
-        packet.enqueued_at = self.sim.now
-        self._backlog_bytes += packet.size
-        serialize = packet.size * 8.0 / self.rate_bps
-        start = max(self.sim.now, self._busy_until)
-        self._busy_until = start + serialize
-        done_at = self._busy_until
+        sim = self.sim
+        now = sim._now
+        packet.enqueued_at = now
+        self._backlog_bytes = backlog + size
+        serialize = size * 8.0 / self.rate_bps
+        busy_until = self._busy_until
+        start = busy_until if busy_until > now else now
+        self._busy_until = done_at = start + serialize
 
         def _dequeue_and_deliver() -> None:
             # Backlog is freed at delivery rather than at the end of
             # serialization — a delay_sec-worth of over-count, negligible
             # next to the queue size, and it halves the event count.
-            self._backlog_bytes -= packet.size
-            packet.sent_at = self.sim.now
+            self._backlog_bytes -= size
+            packet.sent_at = sim._now
             self.delivered_packets += 1
-            self.delivered_bytes += packet.size
+            self.delivered_bytes += size
             deliver(packet)
 
-        self.sim.call_at(done_at + self.delay_sec, _dequeue_and_deliver)
+        sim.call_at(done_at + self.delay_sec, _dequeue_and_deliver)
         return True
 
     def utilization(self, window: Optional[float] = None) -> float:

@@ -21,8 +21,9 @@ Address = Tuple[str, int]  # (host id, port)
 class Packet:
     """One packet in flight."""
 
-    __slots__ = ("packet_id", "src", "dst", "payload_bytes", "segment",
-                 "ecn_capable", "ecn_marked", "enqueued_at", "sent_at")
+    __slots__ = ("packet_id", "src", "dst", "payload_bytes", "size",
+                 "segment", "ecn_capable", "ecn_marked", "enqueued_at",
+                 "sent_at")
 
     def __init__(self, src: Address, dst: Address, payload_bytes: int,
                  segment: Any = None, ecn_capable: bool = False):
@@ -32,16 +33,13 @@ class Packet:
         self.src = src
         self.dst = dst
         self.payload_bytes = payload_bytes
+        #: Wire size in bytes, headers included.
+        self.size = payload_bytes + HEADER_BYTES
         self.segment = segment
         self.ecn_capable = ecn_capable
         self.ecn_marked = False
         self.enqueued_at: Optional[float] = None
         self.sent_at: Optional[float] = None
-
-    @property
-    def size(self) -> int:
-        """Wire size in bytes, headers included."""
-        return self.payload_bytes + HEADER_BYTES
 
     @property
     def src_host(self) -> str:

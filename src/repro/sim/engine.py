@@ -6,7 +6,7 @@ import heapq
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.event import AllOf, AnyOf, Event, Timeout
+from repro.sim.event import AllOf, AnyOf, Call, Event, Timeout
 
 
 class Simulator:
@@ -52,21 +52,20 @@ class Simulator:
 
         return Process(self, generator)
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> Event:
+    def call_at(self, when: float, fn: Callable[[], None]) -> Call:
         """Run ``fn`` at absolute simulated time ``when``."""
-        if when < self._now:
+        now = self._now
+        if when < now:
             raise SimulationError(
-                f"call_at({when}) is in the past (now={self._now})"
+                f"call_at({when}) is in the past (now={now})"
             )
-        event = self.timeout(when - self._now)
-        event.callbacks.append(lambda _evt: fn())
-        return event
+        # Scheduled at now + (when - now), not at ``when``: the float sum
+        # is the due time every timeline was recorded with.
+        return Call(self, when - now, fn)
 
-    def call_later(self, delay: float, fn: Callable[[], None]) -> Event:
+    def call_later(self, delay: float, fn: Callable[[], None]) -> Call:
         """Run ``fn`` after ``delay`` seconds of simulated time."""
-        event = self.timeout(delay)
-        event.callbacks.append(lambda _evt: fn())
-        return event
+        return Call(self, delay, fn)
 
     def every(self, interval: float, fn: Callable[[], None],
               start_delay: float = 0.0) -> "Process":

@@ -7,6 +7,7 @@ wait on events by yielding them.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, List, Optional, TYPE_CHECKING
 
 from repro.errors import SimulationError
@@ -89,7 +90,10 @@ class Event:
             raise SimulationError("event triggered twice")
         self._state = TRIGGERED
         self._value = value
-        self.sim._queue_event(self)
+        # Simulator._queue_event(self), inlined (hot): same (when, seq) key.
+        sim = self.sim
+        heappush(sim._heap, (sim._now, sim._seq, self))
+        sim._seq += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -140,7 +144,9 @@ class Timeout(Event):
         self._exception = None
         self.delay = delay
         self._cancelled = False
-        sim._queue_event(self, delay=delay)
+        # Simulator._queue_event(self, delay), inlined (hot).
+        heappush(sim._heap, (sim._now + delay, sim._seq, self))
+        sim._seq += 1
 
     @property
     def completed(self) -> bool:
@@ -163,6 +169,49 @@ class Timeout(Event):
             raise SimulationError("cannot cancel a processed timeout")
         self._cancelled = True
         self.callbacks = []
+
+
+class Call(Timeout):
+    """A timeout that runs ``fn()`` when it fires, before any callback
+    appended to it (what :meth:`Simulator.call_at` and
+    :meth:`Simulator.call_later` return).
+
+    One object and one heap entry per scheduled call, with no wrapping
+    callback.  Cancelling drops ``fn``, so whatever it closes over is
+    freed before the due time.
+    """
+
+    __slots__ = ("_fn",)
+
+    def __init__(self, sim: "Simulator", delay: float, fn: Callable[[], None]):
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        # Timeout.__init__ inlined (one call per scheduled call).
+        self.sim = sim
+        self.callbacks = []
+        self._state = TRIGGERED
+        self._value = None
+        self._exception = None
+        self.delay = delay
+        self._cancelled = False
+        self._fn = fn
+        heappush(sim._heap, (sim._now + delay, sim._seq, self))
+        sim._seq += 1
+
+    def cancel(self) -> None:
+        Timeout.cancel(self)
+        self._fn = None
+
+    def _process(self) -> None:
+        self._state = PROCESSED
+        fn = self._fn
+        self._fn = None
+        fn()
+        callbacks = self.callbacks
+        if callbacks:
+            self.callbacks = []
+            for callback in callbacks:
+                callback(self)
 
 
 class _Condition(Event):

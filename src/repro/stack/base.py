@@ -9,7 +9,7 @@ shared-memory stack provides its own channel type).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.cpu.core import Core
 from repro.cpu.cost_model import CostModel, DEFAULT_COST_MODEL
@@ -45,6 +45,8 @@ class NetworkStack:
         self.cores: List[Core] = list(cores)
         self.cost = cost_model
         self._rr = 0
+        #: "{name}.{component}" ledger labels, formatted once each.
+        self._labels: Dict[str, str] = {}
         self.engine = TcpEngine(
             sim, network, host_id, mss=mss, cc_factory=cc_factory,
             on_cpu=self._charge,
@@ -66,9 +68,13 @@ class NetworkStack:
         CPU-limited capacity and queueing-driven latency tails emerge in
         the functional simulation.
         """
-        core = self.cores[self._rr % len(self.cores)]
+        cores = self.cores
+        core = cores[self._rr % len(cores)]
         self._rr += 1
-        core.execute_nowait(cycles, f"{self.name}.{component}")
+        label = self._labels.get(component)
+        if label is None:
+            label = self._labels[component] = f"{self.name}.{component}"
+        core.execute_nowait(cycles, label)
 
     def _segment_tx_cycles(self, payload_bytes: int) -> float:
         return 0.0

@@ -38,6 +38,10 @@ EPHEMERAL_BASE = 20000
 
 _conn_ids = itertools.count(1)
 
+#: States in which :meth:`TcpEngine._pump` may transmit.
+_PUMP_STATES = (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT,
+                TcpState.FIN_WAIT, TcpState.LAST_ACK)
+
 
 class TcpConnection:
     """One TCP endpoint (a stack-level socket)."""
@@ -163,7 +167,7 @@ class TcpEngine:
         self.host_id = host_id
         self.mss = mss
         self.cc_factory = cc_factory or (
-            lambda m: CubicCC(m, clock=lambda: sim.now))
+            lambda m: CubicCC(m, clock=lambda: sim._now))
         self.send_buf_bytes = send_buf_bytes
         self.recv_buf_bytes = recv_buf_bytes
         self.rto_initial = rto_initial
@@ -320,7 +324,11 @@ class TcpEngine:
                 udp.handle_packet(packet)
             return
         self.segments_received += 1
-        self._charge(self._rx_cycles(len(segment.payload)), "tcp_rx")
+        on_cpu = self.on_cpu
+        if on_cpu is not None:  # charged inline: once per segment
+            rx_cycles = self._rx_cycles_fn
+            on_cpu(rx_cycles(len(segment.payload)) if rx_cycles else 0.0,
+                   "tcp_rx")
 
         local_port = packet.dst[1]
         key = (local_port, packet.src)
@@ -454,7 +462,7 @@ class TcpEngine:
                 else:
                     self._retransmit_one(conn)  # NewReno partial ack
 
-            if conn.inflight == 0:
+            if conn.snd_nxt == conn.snd_una:  # nothing in flight
                 self._cancel_rtx(conn)
                 self._check_fin_acked(conn)
             else:
@@ -462,7 +470,7 @@ class TcpEngine:
 
             if conn.on_writable and conn.send_buf.free_space > 0:
                 conn.on_writable(conn)
-        elif (ack == conn.snd_una and conn.inflight > 0
+        elif (ack == conn.snd_una and conn.snd_nxt > ack
               and not segment.payload and not segment.syn and not segment.fin):
             conn.dup_acks += 1
             if conn.dup_acks == 3 and conn.recovery_point is None:
@@ -540,26 +548,41 @@ class TcpEngine:
 
     def _pump(self, conn: TcpConnection) -> None:
         """Transmit whatever the congestion/flow windows currently allow."""
-        if conn.state not in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT,
-                              TcpState.FIN_WAIT, TcpState.LAST_ACK):
+        if conn.state not in _PUMP_STATES:
             return
         sent_any = False
-        while conn.fin_seq is None:  # no data may follow the FIN
-            offset = self._data_inflight(conn)
-            available = len(conn.send_buf) - offset
-            window_room = conn.send_window - conn.inflight
-            chunk = min(self.mss, available, window_room)
-            if chunk <= 0:
-                break
-            payload = conn.send_buf.peek(offset, chunk)
-            self._emit(conn, Segment(
-                seq=conn.snd_nxt, ack=conn.recv_buf.rcv_nxt, is_ack=True,
-                window=conn.recv_buf.window, payload=payload))
-            conn.snd_nxt += chunk
-            conn.bytes_sent += chunk
-            sent_any = True
+        send_buf = conn.send_buf
+        buffered = len(send_buf)
+        snd_nxt = conn.snd_nxt
+        inflight = snd_nxt - conn.snd_una
+        if conn.fin_seq is None:  # no data may follow the FIN
+            # With no FIN sent, everything in flight is data, so inflight
+            # is also the send-buffer offset of the first unsent byte.
+            # Emitting only schedules packets: the windows and the
+            # receive side stay as read here for the whole burst.
+            mss = self.mss
+            room = min(conn.cc.window_bytes, conn.rwnd) - inflight
+            chunk = min(mss, buffered - inflight, room)
+            if chunk > 0:
+                recv_buf = conn.recv_buf
+                ack = recv_buf.rcv_nxt
+                window = recv_buf.window
+                emit = self._emit
+                while chunk > 0:
+                    emit(conn, Segment(
+                        seq=snd_nxt, ack=ack, is_ack=True, window=window,
+                        payload=send_buf.peek(inflight, chunk)))
+                    snd_nxt += chunk
+                    inflight += chunk
+                    room -= chunk
+                    conn.snd_nxt = snd_nxt
+                    conn.bytes_sent += chunk
+                    chunk = min(mss, buffered - inflight, room)
+                sent_any = True
 
-        if self._should_send_fin(conn):
+        # FIN goes out once every buffered byte has been transmitted.
+        if (conn.fin_pending and conn.fin_seq is None
+                and inflight >= buffered):
             conn.fin_seq = conn.snd_nxt
             self._emit(conn, Segment(
                 seq=conn.snd_nxt, ack=conn.recv_buf.rcv_nxt, is_ack=True,
@@ -582,12 +605,6 @@ class TcpEngine:
         """snd_nxt includes the FIN's sequence slot once sent."""
         return 1 if (conn.fin_seq is not None
                      and conn.snd_nxt > conn.fin_seq) else 0
-
-    def _should_send_fin(self, conn: TcpConnection) -> bool:
-        """FIN goes out once every buffered byte has been transmitted."""
-        if not conn.fin_pending or conn.fin_seq is not None:
-            return False
-        return self._data_inflight(conn) >= len(conn.send_buf)
 
     # -- retransmission ----------------------------------------------------------------
 
@@ -686,7 +703,7 @@ class TcpEngine:
     def _sample_rtt(self, conn: TcpConnection, segment: Segment) -> None:
         if segment.ts_echo is None:
             return
-        sample = self.sim.now - segment.ts_echo
+        sample = self.sim._now - segment.ts_echo
         if sample < 0:
             return
         if conn.srtt is None:
@@ -749,16 +766,23 @@ class TcpEngine:
             ts_echo=ts_echo))
 
     def _emit(self, conn: TcpConnection, segment: Segment) -> None:
-        if conn.remote is None:
+        remote = conn.remote
+        if remote is None:
             raise NotConnectedError("emit without remote")
-        segment.ts = self.sim.now
-        wants_ecn = getattr(conn.cc, "wants_ecn", conn.cc.name == "dctcp")
-        packet = Packet(src=(conn.local_host or self.host_id,
-                             conn.local_port or 0),
-                        dst=conn.remote, payload_bytes=len(segment.payload),
-                        segment=segment, ecn_capable=wants_ecn)
+        segment.ts = self.sim._now
+        cc = conn.cc
+        wants_ecn = getattr(cc, "wants_ecn", None)
+        if wants_ecn is None:
+            wants_ecn = cc.name == "dctcp"
+        payload_bytes = len(segment.payload)
+        packet = Packet((conn.local_host or self.host_id,
+                         conn.local_port or 0),
+                        remote, payload_bytes, segment, wants_ecn)
         self.segments_sent += 1
-        self._charge(self._tx_cycles(len(segment.payload)), "tcp_tx")
+        on_cpu = self.on_cpu
+        if on_cpu is not None:  # charged inline: once per segment
+            tx_cycles = self._tx_cycles_fn
+            on_cpu(tx_cycles(payload_bytes) if tx_cycles else 0.0, "tcp_tx")
         self.network.send(packet)
 
     def _send_raw_rst(self, packet: Packet) -> None:
@@ -781,12 +805,6 @@ class TcpEngine:
     def _charge(self, cycles: float, component: str) -> None:
         if self.on_cpu is not None:
             self.on_cpu(cycles, component)
-
-    def _tx_cycles(self, payload: int) -> float:
-        return self._tx_cycles_fn(payload) if self._tx_cycles_fn else 0.0
-
-    def _rx_cycles(self, payload: int) -> float:
-        return self._rx_cycles_fn(payload) if self._rx_cycles_fn else 0.0
 
     # -- live migration -----------------------------------------------------------------
 

@@ -1,10 +1,12 @@
 """Tests for the discrete-event engine: events, processes, run loop."""
 
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
-from repro.sim.event import PENDING, Event
+from repro.sim.event import Call, Timeout
 from repro.sim.process import Interrupt
 
 
@@ -206,6 +208,52 @@ class TestProcesses:
         process = sim.process(late_waiter())
         assert sim.run_until_event(process) == "early"
 
+    def test_interrupt_wins_over_already_processed_wait(self, sim):
+        """A process parked on an event that was processed before it
+        waited is interrupted at that wait: it never sees the value."""
+        done = sim.event()
+        done.succeed("v")
+        sim.run()
+        log = []
+
+        def waiter():
+            try:
+                got = yield done
+                log.append(("resumed", got))
+                yield sim.timeout(1.0)
+            except Interrupt as interrupt:
+                log.append(("interrupted", interrupt.cause))
+
+        process = sim.process(waiter())
+        sim.call_later(0, lambda: process.interrupt("stop"))
+        sim.run()
+        assert log == [("interrupted", "stop")]
+        assert not process.is_alive
+
+    def test_interrupt_wins_over_triggered_wait(self, sim):
+        """An event triggered in the same instant as the interrupt, but
+        not yet processed, does not resume the process either."""
+        event = sim.event()
+        log = []
+
+        def waiter():
+            try:
+                got = yield event
+                log.append(("resumed", got))
+                yield sim.timeout(1.0)
+            except Interrupt as interrupt:
+                log.append(("interrupted", interrupt.cause, sim.now))
+
+        process = sim.process(waiter())
+
+        def fire_then_interrupt():
+            event.succeed("v")
+            process.interrupt("stop")
+
+        sim.call_later(0.5, fire_then_interrupt)
+        sim.run()
+        assert log == [("interrupted", "stop", 0.5)]
+
     def test_deadlock_detected(self, sim):
         event = sim.event()  # never triggered
 
@@ -283,3 +331,73 @@ class TestConditionTimeoutRegression:
         sim.process(waiter())
         sim.run()
         assert log == [pytest.approx(0.5)]
+
+
+class TestCallbackTimeouts:
+    """call_at/call_later return a Timeout that runs its callable."""
+
+    @staticmethod
+    def _schedule(sim, how, when, fn):
+        if how == "call_at":
+            return sim.call_at(when, fn)
+        return sim.call_later(when - sim.now, fn)
+
+    @pytest.mark.parametrize("how", ["call_at", "call_later"])
+    def test_fn_runs_before_later_callbacks(self, sim, how):
+        order = []
+        call = self._schedule(sim, how, 1.0, lambda: order.append("fn"))
+        assert isinstance(call, Timeout) and isinstance(call, Call)
+        call.callbacks.append(lambda event: order.append("callback"))
+
+        def waiter():
+            yield call
+            order.append("process")
+
+        sim.process(waiter())
+        sim.run()
+        assert order == ["fn", "callback", "process"]
+        assert call.processed and sim.now == 1.0
+
+    @pytest.mark.parametrize("how", ["call_at", "call_later"])
+    def test_cancel_drops_the_callable(self, sim, how):
+        class Payload:
+            pass
+
+        def schedule():
+            payload = Payload()
+            return (weakref.ref(payload),
+                    self._schedule(sim, how, 5.0, lambda: payload))
+
+        ref, call = schedule()
+        sim.run(until=1.0)
+        assert ref() is not None
+        call.cancel()
+        assert ref() is None  # freed before the 5.0 due time
+        sim.run()
+        assert sim.now == 5.0
+        assert (sim.events_processed, sim.events_cancelled) == (0, 1)
+
+    def test_cancelled_and_fired_calls_are_counted(self, sim):
+        fired = []
+        sim.call_later(1.0, lambda: fired.append(sim.now))
+        cancelled = sim.call_at(2.0, lambda: fired.append("never"))
+        sim.call_at(3.0, lambda: fired.append(sim.now))
+        sim.timeout(4.0)
+        cancelled.cancel()
+        sim.run()
+        assert fired == [1.0, 3.0]
+        assert sim.now == 4.0
+        assert sim.events_processed == 3
+        assert sim.events_cancelled == 1
+
+    def test_calls_and_events_share_insertion_order(self, sim):
+        order = []
+        sim.call_at(0.0, lambda: order.append("call_at"))
+        sim.timeout(0.0).callbacks.append(
+            lambda event: order.append("timeout"))
+        sim.call_later(0.0, lambda: order.append("call_later"))
+        event = sim.event()
+        event.callbacks.append(lambda event: order.append("event"))
+        event.succeed()
+        sim.run()
+        assert order == ["call_at", "timeout", "call_later", "event"]
