@@ -199,7 +199,7 @@ class Call(Timeout):
         sim._seq += 1
 
     def cancel(self) -> None:
-        Timeout.cancel(self)
+        super().cancel()
         self._fn = None
 
     def _process(self) -> None:
