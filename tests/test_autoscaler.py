@@ -13,9 +13,9 @@ from repro.core.autoscaler import (AutoscalePolicy, assignment_violations,
                                    forward_leak_count, reap_crashed_stack)
 from repro.core.host import NetKernelHost
 from repro.errors import ConfigurationError
-from repro.experiments.fig_autoscale import run_autoscale_scenario
 from repro.net.fabric import Network
 from repro.sim import Simulator
+from tests import scenario_runs
 
 
 class TestPolicy:
@@ -173,12 +173,12 @@ class TestInvariantHelpers:
 
 @pytest.fixture(scope="module")
 def clean_run():
-    return run_autoscale_scenario(seed=0, chaos=False)
+    return scenario_runs.autoscale(0, False)
 
 
 @pytest.fixture(scope="module")
 def chaos_run():
-    return run_autoscale_scenario(seed=0, chaos=True)
+    return scenario_runs.autoscale(0, True)
 
 
 class TestScenarioInvariants:

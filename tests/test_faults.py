@@ -13,6 +13,7 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, FaultPlan, PLAN_NAMES, named_plan
 from repro.faults.chaos import run_chaos
+from tests import scenario_runs
 
 
 class TestFaultPlan:
@@ -79,7 +80,7 @@ class TestInjectorWiring:
 
 class TestChaosDeterminism:
     def test_same_seed_same_fingerprint(self):
-        first = run_chaos(seed=11, plan_name="nsm-crash", duration=0.2)
+        first = scenario_runs.chaos(11, "nsm-crash", 0.2)
         second = run_chaos(seed=11, plan_name="nsm-crash", duration=0.2)
         assert (first["switch_fingerprint"]
                 == second["switch_fingerprint"])

@@ -17,6 +17,7 @@ from repro.faults.migration import run_migration
 from repro.faults.plan import PLAN_NAMES
 from repro.net.fabric import Network
 from repro.sim import Simulator
+from tests import scenario_runs
 
 #: Plans mild enough that every stream must ride through the overlapped
 #: migration without a single guest-visible reset.  nsm-crash and
@@ -29,7 +30,7 @@ ZERO_RESET_PLANS = ("doorbell-loss", "hugepage-squeeze",
 
 class TestMigrationWorkload:
     def test_hundred_streams_migrate_with_zero_resets(self):
-        result = run_migration(seed=0, streams=100, duration=0.12)
+        result = scenario_runs.migration(0, 100, 0.12)
         record = result["migration"]
         counters = result["counters"]
         assert record is not None, result["migration_error"]

@@ -18,6 +18,7 @@ from repro.errors import TimedOutError, TryAgainError
 from repro.faults.chaos import run_chaos
 from repro.mem.ring import SpscRing
 from repro.sim import Simulator
+from tests import scenario_runs
 from tests.goldens import digest
 
 
@@ -297,7 +298,7 @@ class TestOverloadChaos:
         assert result["leaks"] == []
 
     def test_overload_plan_is_seed_deterministic(self):
-        first = run_chaos(seed=7, plan_name="overload", duration=0.25)
+        first = scenario_runs.chaos(7, "overload", 0.25)
         second = run_chaos(seed=7, plan_name="overload", duration=0.25)
         assert (first["switch_fingerprint"]
                 == second["switch_fingerprint"])
@@ -361,7 +362,7 @@ class TestCapacitySearch:
         from repro.perf.capacity import run_capacity
 
         kw = dict(scenario="mux", seed=0, window=0.004, iterations=3)
-        first = run_capacity(**kw)
+        first = scenario_runs.capacity("mux", 0, 0.004, 3)
         second = run_capacity(**kw)
         assert first["fingerprint"] == second["fingerprint"]
         assert first["leaks"] == []
