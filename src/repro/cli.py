@@ -5,7 +5,10 @@ Every subcommand supports ``--json``, emitting one result envelope —
 its process exit code from the single ``repro.errors.EXIT_CODES``
 table.  Run-producing subcommands are thin adapters over the
 control-plane executor (``repro.ctrl``): they build a JobSpec and run
-it through exactly the code path ``repro serve`` uses.
+it through exactly the code path ``repro serve`` uses.  The four
+scenario verbs are one loop over the ``repro.scenario`` registry: run
+(twice under ``--verify``), fail on each run's broken contracts — the
+resource census among them — and on differing fingerprints.
 
 Commands
 --------
@@ -25,14 +28,18 @@ bench
 chaos
     Run the seeded fault-injection workload (``repro.faults``);
     ``--verify`` replays the plan and fails unless bit-identical and
-    leak-free (the chaos-smoke CI check).
+    census-clean.
 migrate
     Run the seeded live-migration workload; ``--verify`` fails unless
-    bit-identical, leak-free, and zero-reset (migration-smoke CI).
+    bit-identical, census-clean, and zero-reset.
+capacity
+    Binary-search the NDR/PDR capacity envelope; ``--verify`` fails
+    unless the search replays bit-identically, census-clean, and
+    degrades gracefully at 2x NDR.
 autoscale
     Run the NSM autoscaling workload on a sharded CoreEngine; fails on
     any leaked forward, pool imbalance, or VM-on-inactive-NSM
-    assignment (autoscale-smoke CI).
+    assignment.
 job submit|status|list|result
     The control plane as a CLI: submit runs a JobSpec through the
     serialized worker against the JSON RunStore (``--store``, default
@@ -46,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 import time
@@ -60,6 +68,7 @@ from repro.errors import (ControlPlaneError, JobValidationError,
                           UnknownJobError)
 from repro.experiments import ExperimentResult
 from repro.experiments.registry import REGISTRY, canonical_id
+from repro.scenario import SCENARIOS, Scenario
 
 QUICK_KWARGS = {
     "fig9": {"duration": 0.6},
@@ -258,193 +267,33 @@ def _cmd_bench(names: List[str], quick: bool, out_dir: str,
     return _finish(env, as_json)
 
 
-def _cmd_chaos(seed: int, plan: str, duration: float,
-               detection_timeout: float, heartbeat_interval: float,
-               as_json: bool, verify: bool) -> int:
-    env = Envelope("chaos")
-    spec = JobSpec("chaos", params={
-        "seed": seed, "plan_name": plan, "duration": duration,
-        "detection_timeout": detection_timeout,
-        "heartbeat_interval": heartbeat_interval}, seed=seed)
-    runs = 2 if verify else 1
-    results = [execute_job(spec)["result"] for _ in range(runs)]
-    result = results[0]
-    env.data = {"result": result, "verify": verify}
-    if not as_json:
-        counters = result["counters"]
-        recovery = result["recovery_sec"]
-        print(f"plan={plan} seed={seed} duration={duration}s "
-              f"detect={detection_timeout * 1e3:g}ms")
-        print(f"  requests_ok={counters['requests_ok']} "
-              f"connects={counters['connects']} "
-              f"resets={counters['resets']} "
-              f"timeouts={counters['timeouts']}")
-        print(f"  faults={result['faults']}")
-        print(f"  quarantined={result['quarantined']} "
-              f"recovery="
-              f"{'n/a' if recovery is None else f'{recovery * 1e3:.2f}ms'}")
-        print(f"  fingerprint={result['switch_fingerprint'][:16]}…")
-    for index, run in enumerate(results):
-        for leak in run["leaks"]:
-            env.fail("leak", f"RESOURCE LEAK (run {index + 1}): {leak}")
-    if verify:
-        fingerprints = {run["switch_fingerprint"] for run in results}
-        if len(fingerprints) != 1:
-            env.fail("divergence",
-                     "TIMELINE DIVERGENCE: same seed+plan produced "
-                     f"{len(fingerprints)} distinct fingerprints")
-        elif env.ok and not as_json:
-            print("verify OK: 2 runs bit-identical, no leaks")
-    return _finish(env, as_json)
-
-
-def _cmd_capacity(scenario: str, seed: int, window: Optional[float],
-                  n_vms: int, iterations: int, as_json: bool,
-                  verify: bool) -> int:
-    env = Envelope("capacity")
-    params = {"scenario": scenario, "seed": seed, "n_vms": n_vms,
-              "iterations": iterations}
-    if window is not None:
-        params["window"] = window
-    spec = JobSpec("capacity", params=params, seed=seed)
-    runs = 2 if verify else 1
-    results = [execute_job(spec)["result"] for _ in range(runs)]
-    result = results[0]
-    env.data = {"result": result, "verify": verify}
-    if not as_json:
-        print(f"scenario={scenario} seed={seed} "
-              f"window={result['window']}s n_vms={n_vms} "
-              f"steps={len(result['steps'])}")
-        for label in ("ndr", "pdr"):
-            point = result[label]
-            if point is None:
-                print(f"  {label.upper()}: none within bounds "
-                      f"[{result['rate_lo']:g}, {result['rate_hi']:g}]")
-            else:
-                print(f"  {label.upper()}: {point['rate']:g} ops/s "
-                      f"(goodput {point['goodput']:g}, "
-                      f"loss {point['loss']:.4f}, "
-                      f"p50 {point['p50_us']:g}us, "
-                      f"p99 {point['p99_us']:g}us)")
-        graceful = result["graceful"]
-        if graceful is not None:
-            verdict = "pass" if graceful["pass"] else "FAIL"
-            print(f"  2xNDR: goodput ratio "
-                  f"{graceful['goodput_ratio']:g}, jain "
-                  f"{graceful['jain_fairness']:g}, hung "
-                  f"{graceful['hung_ops']} -> {verdict}")
-        print(f"  fingerprint={result['fingerprint'][:16]}…")
-    for index, run in enumerate(results):
-        for leak in run["leaks"]:
-            env.fail("leak", f"RESOURCE LEAK (run {index + 1}): {leak}")
-    graceful = result["graceful"]
-    if graceful is not None and not graceful["pass"]:
-        env.fail("degradation",
-                 "GRACELESS DEGRADATION at 2xNDR: "
-                 f"goodput ratio {graceful['goodput_ratio']} "
-                 f"(need >= 0.8), jain {graceful['jain_fairness']} "
-                 f"(need >= 0.9), hung ops {graceful['hung_ops']} "
-                 "(need 0)")
-    if verify:
-        fingerprints = {run["fingerprint"] for run in results}
-        if len(fingerprints) != 1:
-            env.fail("divergence",
-                     "SEARCH DIVERGENCE: same seed+scenario produced "
-                     f"{len(fingerprints)} distinct fingerprints")
-        elif env.ok and not as_json:
-            print("verify OK: 2 searches bit-identical, no leaks")
-    return _finish(env, as_json)
-
-
-def _cmd_migrate(seed: int, streams: int, duration: float,
-                 as_json: bool, verify: bool) -> int:
-    env = Envelope("migrate")
-    spec = JobSpec("migrate", params={
-        "seed": seed, "streams": streams, "duration": duration},
-        seed=seed)
-    runs = 2 if verify else 1
-    results = [execute_job(spec)["result"] for _ in range(runs)]
-    result = results[0]
-    env.data = {"result": result, "verify": verify}
-    if not as_json:
-        counters = result["counters"]
-        record = result["migration"]
-        print(f"seed={seed} streams={streams} duration={duration}s")
-        print(f"  echoes_ok={counters['echoes_ok']} "
-              f"connects={counters['connects']} "
-              f"mismatches={counters['mismatches']} "
-              f"resets={counters['resets']} "
-              f"timeouts={counters['timeouts']}")
-        if record is not None:
-            print(f"  migrated {record['sockets_moved']} socket(s) "
-                  f"nsm{record['source_nsm']}→nsm{record['target_nsm']} "
-                  f"blackout={record['blackout_sec'] * 1e6:.1f}us "
-                  f"parked_ops={record['parked_ops']}")
-        else:
-            print(f"  migration FAILED: {result['migration_error']}")
-        print(f"  fingerprint={result['switch_fingerprint'][:16]}…")
-    for index, run in enumerate(results):
-        for leak in run["leaks"]:
-            env.fail("leak", f"RESOURCE LEAK (run {index + 1}): {leak}")
-        counters = run["counters"]
-        if run["migration"] is None:
-            env.fail("failure", f"MIGRATION FAILED (run {index + 1}): "
-                                f"{run['migration_error']}")
-        if counters["resets"] or counters["timeouts"] \
-                or counters["mismatches"]:
-            env.fail("disruption",
-                     f"GUEST-VISIBLE DISRUPTION (run {index + 1}): "
-                     f"resets={counters['resets']} "
-                     f"timeouts={counters['timeouts']} "
-                     f"mismatches={counters['mismatches']}")
-    if verify:
-        fingerprints = {run["switch_fingerprint"] for run in results}
-        if len(fingerprints) != 1:
-            env.fail("divergence",
-                     "TIMELINE DIVERGENCE: same seed+streams produced "
-                     f"{len(fingerprints)} distinct fingerprints")
-        elif env.ok and not as_json:
-            print("verify OK: 2 runs bit-identical, zero-reset, no leaks")
-    return _finish(env, as_json)
-
-
-def _cmd_autoscale(seed: int, ticks: int, shards: int, chaos: bool,
-                   as_json: bool) -> int:
-    env = Envelope("autoscale")
-    spec = JobSpec("autoscale", params={
-        "seed": seed, "ticks": ticks, "ce_shards": shards,
-        "chaos": chaos}, seed=seed)
-    result = execute_job(spec)["result"]
-    env.data = {"result": result}
-    if not as_json:
-        counters = result["autoscaler"]["counters"]
-        workload = result["workload"]
-        print(f"seed={seed} ticks={ticks} shards={shards} chaos={chaos}")
-        print(f"  rtts={workload['rtts']} "
-              f"client_errors={workload['client_errors']} "
-              f"handoffs={result['handoffs']}")
-        print(f"  spawned={counters['spawned']} "
-              f"retired={counters['retired']} "
-              f"migrations={counters['migrations']} "
-              f"migration_failures={counters['migration_failures']}")
-        print(f"  leaked_forwards={result['forward_leaks']} "
-              f"live_forward_entries={result['forward_entries']} "
-              f"pool_delta={result['pool_delta']}")
-    for violation in result["violations"]:
-        env.fail("invariant", f"ASSIGNMENT VIOLATION: {violation}")
-    if result["forward_leaks"]:
-        env.fail("leak", f"FORWARD LEAK: {result['forward_leaks']} "
-                         "dangling forwarding entries")
-    if result["pool_delta"]:
-        env.fail("leak", f"POOL IMBALANCE: NQE pool outstanding delta "
-                         f"{result['pool_delta']}")
-    if not chaos and result["forward_entries"]:
-        env.fail("leak", f"FORWARD ENTRIES after clean shutdown: "
-                         f"{result['forward_entries']}")
-    if env.ok and not as_json:
-        print("autoscale OK: no leaks, pool balanced, "
-              "no inactive assignments")
-    return _finish(env, as_json)
+def _cmd_scenario(scenario: Scenario, args) -> int:
+    """Every scenario verb: run (twice under ``--verify``), check each
+    run's contract, compare fingerprints, print the summary."""
+    env = Envelope(scenario.kind)
+    params = {flag.dest: getattr(args, flag.dest)
+              for flag in scenario.flags
+              if getattr(args, flag.dest) is not None}
+    verify = bool(getattr(args, "verify", False))
+    spec = JobSpec(scenario.kind, params=params, seed=args.seed)
+    payloads = [execute_job(spec) for _ in range(2 if verify else 1)]
+    env.data = {"result": payloads[0]["result"]}
+    if scenario.verify_help:
+        env.data["verify"] = verify
+    if not args.json:
+        for line in scenario.summary(payloads[0]):
+            print(line)
+    for index, payload in enumerate(payloads, 1):
+        for failure in scenario.contract_failures(payload):
+            env.fail(failure.code, failure.message(
+                index if scenario.verify_help else None))
+    fingerprints = {scenario.fingerprint(payload) for payload in payloads}
+    if len(fingerprints) != 1:
+        env.fail("divergence", f"{scenario.divergence} produced "
+                               f"{len(fingerprints)} distinct fingerprints")
+    if env.ok and not args.json and (verify or not scenario.verify_help):
+        print(scenario.verified)
+    return _finish(env, args.json)
 
 
 def _cmd_calibration(as_json: bool) -> int:
@@ -595,72 +444,27 @@ def main(argv: Optional[List[str]] = None) -> int:
                               help="directory for BENCH_<name>.json files")
     bench_parser.add_argument("--floors", default="",
                               help="JSON of wall-time floors; fail at >2x")
-    from repro.faults.plan import PLAN_NAMES
-
-    chaos_parser = add_json(sub.add_parser(
-        "chaos", help="run a seeded fault-injection workload"))
-    chaos_parser.add_argument("--seed", type=int, default=0,
-                              help="fault-plan RNG seed (default 0)")
-    chaos_parser.add_argument("--plan", choices=PLAN_NAMES,
-                              default="nsm-crash",
-                              help="named fault plan (default nsm-crash)")
-    chaos_parser.add_argument("--duration", type=float, default=0.6,
-                              help="simulated seconds (default 0.6)")
-    chaos_parser.add_argument("--detection-timeout", type=float,
-                              default=10e-3,
-                              help="NSM failure-detection timeout in "
-                                   "seconds (default 0.01)")
-    chaos_parser.add_argument("--heartbeat-interval", type=float,
-                              default=2e-3,
-                              help="heartbeat probe period in seconds "
-                                   "(default 0.002)")
-    chaos_parser.add_argument("--verify", action="store_true",
-                              help="run twice; fail unless bit-identical "
-                                   "and leak-free")
-    migrate_parser = add_json(sub.add_parser(
-        "migrate", help="run a seeded live-migration workload"))
-    migrate_parser.add_argument("--seed", type=int, default=0,
-                                help="payload-pattern seed (default 0)")
-    migrate_parser.add_argument("--streams", type=int, default=8,
-                                help="concurrent echo streams (default 8)")
-    migrate_parser.add_argument("--duration", type=float, default=0.12,
-                                help="simulated seconds (default 0.12)")
-    migrate_parser.add_argument("--verify", action="store_true",
-                                help="run twice; fail unless bit-identical, "
-                                     "zero-reset, and leak-free")
-    autoscale_parser = add_json(sub.add_parser(
-        "autoscale", help="run the NSM autoscaling workload"))
-    autoscale_parser.add_argument("--seed", type=int, default=0,
-                                  help="AG-trace seed (default 0)")
-    autoscale_parser.add_argument("--ticks", type=int, default=14,
-                                  help="autoscaler ticks / trace minutes "
-                                       "(default 14)")
-    autoscale_parser.add_argument("--shards", type=int, default=2,
-                                  help="CoreEngine shards (default 2)")
-    autoscale_parser.add_argument("--chaos", action="store_true",
-                                  help="crash the busiest managed NSM "
-                                       "mid-rebalance")
-
-    from repro.perf.capacity import SCENARIOS
-
-    capacity_parser = add_json(sub.add_parser(
-        "capacity", help="binary-search the NDR/PDR capacity envelope"))
-    capacity_parser.add_argument("--seed", type=int, default=0,
-                                 help="workload RNG seed (default 0)")
-    capacity_parser.add_argument("--scenario", choices=sorted(SCENARIOS),
-                                 default="mux",
-                                 help="offered-load scenario (default mux)")
-    capacity_parser.add_argument("--window", type=float, default=None,
-                                 help="measurement window in simulated "
-                                      "seconds (default per scenario)")
-    capacity_parser.add_argument("--vms", type=int, default=4,
-                                 help="competing VMs (default 4)")
-    capacity_parser.add_argument("--iterations", type=int, default=6,
-                                 help="bisection steps per threshold "
-                                      "(default 6)")
-    capacity_parser.add_argument("--verify", action="store_true",
-                                 help="run the search twice; fail unless "
-                                      "bit-identical and leak-free")
+    for scenario in SCENARIOS.values():
+        scenario_parser = add_json(sub.add_parser(scenario.kind,
+                                                  help=scenario.help))
+        defaults = inspect.signature(scenario.runner()).parameters
+        for flag in scenario.flags:
+            default = defaults[flag.dest].default
+            if isinstance(default, bool):
+                scenario_parser.add_argument(
+                    flag.name, dest=flag.dest, action="store_true",
+                    help=flag.help)
+                continue
+            choices = flag.choices() if flag.choices else None
+            scenario_parser.add_argument(
+                flag.name, dest=flag.dest, type=flag.type, default=default,
+                choices=choices, metavar=None if choices else
+                flag.name[2:].upper().replace("-", "_"),
+                help=flag.help if "(default" in flag.help
+                else f"{flag.help} (default %(default)s)")
+        if scenario.verify_help:
+            scenario_parser.add_argument("--verify", action="store_true",
+                                         help=scenario.verify_help)
 
     job_parser = sub.add_parser(
         "job", help="control-plane jobs against the RunStore")
@@ -718,21 +522,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "bench":
             return _cmd_bench(args.names, args.quick, args.out,
                               args.floors, args.json, args.profile_top)
-        if args.command == "chaos":
-            return _cmd_chaos(args.seed, args.plan, args.duration,
-                              args.detection_timeout,
-                              args.heartbeat_interval,
-                              args.json, args.verify)
-        if args.command == "migrate":
-            return _cmd_migrate(args.seed, args.streams, args.duration,
-                                args.json, args.verify)
-        if args.command == "autoscale":
-            return _cmd_autoscale(args.seed, args.ticks, args.shards,
-                                  args.chaos, args.json)
-        if args.command == "capacity":
-            return _cmd_capacity(args.scenario, args.seed, args.window,
-                                 args.vms, args.iterations,
-                                 args.json, args.verify)
+        if args.command in SCENARIOS:
+            return _cmd_scenario(SCENARIOS[args.command], args)
         if args.command == "job":
             handler = {"submit": _cmd_job_submit,
                        "status": _cmd_job_status,

@@ -431,41 +431,3 @@ def reap_crashed_stack(stack) -> dict:
     for conn in listeners:
         engine.close(conn)
     return {"conns": len(conns), "listeners": len(listeners)}
-
-
-def _tcp_engines(host, extra_stacks=()):
-    stacks = [nsm.stack for nsm in host.nsms.values()]
-    stacks.extend(extra_stacks)
-    for stack in stacks:
-        engine = getattr(stack, "engine", None)
-        if engine is not None:
-            yield engine
-
-
-def forward_entry_count(host, extra_stacks=()) -> int:
-    """Total live-migration forwarding entries across every TCP engine
-    the host has ever run — current NSMs plus retired ones (their
-    engines remain fabric endpoints).  Zero once all forwarded
-    connections and listeners have died (the PR 6 reclamation fix);
-    transiently nonzero while a forwarded connection is still alive
-    (that is routing state, not a leak — see forward_leak_count)."""
-    return sum(len(engine._forwards) + len(engine._port_forwards)
-               for engine in _tcp_engines(host, extra_stacks))
-
-
-def forward_leak_count(host, extra_stacks=()) -> int:
-    """Dangling forwarding entries: ones whose target engine no longer
-    owns the connection (or listener), so no teardown will ever reclaim
-    them.  This is exactly the class of entry the PR 6 reclamation fix
-    eliminates — it must be zero at all times.  A chained forward
-    (target itself forwarding) also counts: collapse keeps chains at
-    one hop, so seeing one is a regression."""
-    leaked = 0
-    for engine in _tcp_engines(host, extra_stacks):
-        for key, target in engine._forwards.items():
-            if key not in target._conns:
-                leaked += 1
-        for port, target in engine._port_forwards.items():
-            if port not in target._listeners:
-                leaked += 1
-    return leaked

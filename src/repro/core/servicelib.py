@@ -123,6 +123,9 @@ class ServiceLib:
         #: SEND/SENDTO NQEs dropped because their guest-supplied
         #: ``data_ptr`` named no live buffer in the VM's region, by VM id.
         self.vm_bad_data_ptrs: Dict[int, int] = {}
+        #: SETSOCKOPT/GETSOCKOPT NQEs answered EINVAL for a malformed
+        #: ``aux``, by VM id.
+        self.vm_bad_aux: Dict[int, int] = {}
         #: Pump passes run with an overload-clamped receive window.
         self.rx_window_clamps = 0
         #: Handlers currently executing (migration waits for zero before
@@ -387,12 +390,30 @@ class ServiceLib:
         return
         yield  # pragma: no cover
 
+    def _sockopt_name(self, nqe: Nqe, qset: int):
+        """The option a SETSOCKOPT/GETSOCKOPT names, or False once a
+        malformed ``aux`` has been answered.
+
+        ``aux`` is guest-supplied: anything but a dict whose ``option``
+        is a string (or absent) completes with EINVAL, counted against
+        the sending VM, instead of raising out of the poller."""
+        aux = nqe.aux or {}
+        option = aux.get("option") if type(aux) is dict else False
+        if option is None or type(option) is str:
+            return option
+        bad = self.vm_bad_aux
+        bad[nqe.vm_id] = bad.get(nqe.vm_id, 0) + 1
+        self._respond_errno(nqe, qset, "EINVAL")
+        return False
+
     def _op_setsockopt(self, nqe: Nqe, qset: int, core):
         # Options are accepted and recorded; the simulated stacks have no
         # tunables that alter behaviour (SO_REUSEPORT is modelled at the
         # capacity level in repro.model).
+        option = self._sockopt_name(nqe, qset)
+        if option is False:
+            return
         ctx = self._by_vm_tuple.get(nqe.vm_tuple)
-        option = (nqe.aux or {}).get("option")
         if ctx is not None and option is not None:
             ctx.options[option] = nqe.op_data
         self._respond(nqe, qset, op_data=0)
@@ -401,11 +422,13 @@ class ServiceLib:
 
     def _op_getsockopt(self, nqe: Nqe, qset: int, core):
         """Read back a recorded option value (0 for never-set options)."""
+        option = self._sockopt_name(nqe, qset)
+        if option is False:
+            return
         ctx = self._by_vm_tuple.get(nqe.vm_tuple)
         if ctx is None:
             self._respond_errno(nqe, qset, "EBADF")
             return
-        option = (nqe.aux or {}).get("option")
         self._respond(nqe, qset, op_data=ctx.options.get(option, 0))
         return
         yield  # pragma: no cover

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from repro.ctrl.jobs import JobSpec
+from repro.scenario import SCENARIOS
 
 #: Signature of a fleet publisher: called with the live host mid-run.
 FleetProbe = Callable[[object], None]
@@ -48,24 +49,6 @@ def execute_job(spec: JobSpec,
                                  quick=bool(params.get("quick", False)),
                                  profile_top=int(params.get("profile_top", 0)))
         return {"kind": "bench", "params": params, "results": results}
-    if spec.kind == "chaos":
-        from repro.faults.chaos import run_chaos
-
-        result = run_chaos(fleet_probe=fleet_probe, **params)
-        return {"kind": "chaos", "params": params, "result": result}
-    if spec.kind == "migrate":
-        from repro.faults.migration import run_migration
-
-        result = run_migration(**params)
-        return {"kind": "migrate", "params": params, "result": result}
-    if spec.kind == "autoscale":
-        from repro.experiments.fig_autoscale import run_autoscale_scenario
-
-        result = run_autoscale_scenario(**params)
-        return {"kind": "autoscale", "params": params, "result": result}
-    if spec.kind == "capacity":
-        from repro.perf.capacity import run_capacity
-
-        result = run_capacity(**params)
-        return {"kind": "capacity", "params": params, "result": result}
+    if spec.kind in SCENARIOS:
+        return SCENARIOS[spec.kind].run(params, fleet_probe)
     raise AssertionError(f"unvalidated job kind {spec.kind!r}")

@@ -15,8 +15,8 @@ experiment ids, and unknown parameters are rejected with a
 so a bad submission never reaches a runner as a ``TypeError``.
 Experiment parameters validate against the declared interface in
 ``repro.experiments.registry``; the scenario kinds validate against the
-tables below (cross-checked against the runners' real signatures by
-``tests/test_ctrl_jobs.py``).
+parameters each :class:`~repro.scenario.Scenario` declares (checked
+against the runners' real signatures by ``tests/test_scenarios.py``).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.errors import JobValidationError
+from repro.scenario import SCENARIOS
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -32,26 +33,13 @@ DONE = "done"
 FAILED = "failed"
 STATES = (QUEUED, RUNNING, DONE, FAILED)
 
-#: Parameters each scenario kind accepts (beyond the implicit seed).
-#: ``experiment`` is special-cased: its parameter interface is declared
-#: per-entry in repro.experiments.registry.
+#: Parameters each job kind accepts; experiments and scenarios declare
+#: theirs in repro.experiments.registry and repro.scenario.
 KIND_PARAMS: Dict[str, tuple] = {
     "experiment": (),  # resolved via the registry entry
     "bench": ("names", "quick", "profile_top"),
-    "chaos": ("seed", "plan_name", "duration", "detection_timeout",
-              "heartbeat_interval", "op_timeout"),
-    "migrate": ("seed", "streams", "duration", "migrate_at",
-                "payload_bytes", "pacing", "target_nsm",
-                "blackout_base_sec"),
-    "autoscale": ("seed", "ticks", "n_clients", "n_ags", "ce_shards",
-                  "chaos", "max_nsms"),
-    "capacity": ("seed", "scenario", "window", "n_vms", "rate_lo",
-                 "rate_hi", "iterations", "ndr_loss", "pdr_loss"),
+    **{kind: scenario.params for kind, scenario in SCENARIOS.items()},
 }
-
-#: Kinds whose runner takes a ``seed`` parameter the spec's seed should
-#: flow into when the caller did not pass one explicitly.
-_SEEDED_KINDS = ("chaos", "migrate", "autoscale", "capacity")
 
 
 class JobSpec:
@@ -106,7 +94,8 @@ class JobSpec:
         """Params as the executor will pass them: the spec's seed flows
         into seeded kinds unless the caller pinned one explicitly."""
         params = dict(self.params)
-        if self.kind in _SEEDED_KINDS:
+        if self.kind in SCENARIOS:
+            # Every scenario runner is seeded.
             params.setdefault("seed", self.seed)
         elif self.kind == "experiment":
             from repro.experiments.registry import experiment_entry

@@ -180,7 +180,7 @@ EXIT_CODES = {
     "divergence": 3,    # --verify fingerprint mismatch between runs
     "leak": 4,          # resource leak (hugepages, NQE pool, forwards)
     "disruption": 5,    # guest-visible resets/timeouts/mismatches
-    "invariant": 6,     # assignment violation / pool imbalance
+    "invariant": 6,     # assignment violation / graceless degradation
     "floor": 7,         # perf floor regression
     "job-failed": 8,    # control-plane job ended in state "failed"
 }

@@ -22,12 +22,12 @@ so the drain path is exercised with state to move, not empty tables.
 
 from __future__ import annotations
 
-from repro.core.autoscaler import (AutoscalePolicy, assignment_violations,
-                                   forward_entry_count, forward_leak_count)
+from repro.core.autoscaler import AutoscalePolicy, assignment_violations
 from repro.core.host import NetKernelHost
 from repro.core.nqe import NQE_POOL
 from repro.experiments.report import ExperimentResult
 from repro.net.fabric import Network
+from repro.scenario import SCENARIOS, census
 from repro.sim.engine import Simulator
 from repro.trace import ag_trace
 
@@ -138,73 +138,51 @@ def run_autoscale_scenario(seed: int = 0, ticks: int = 14,
     sim.run(until=duration + 0.08)
 
     report = auto.report()
+    found = census(host, pool_before, auto.retired_stacks)
     return {
         "workload": stats,
         "autoscaler": report,
         "violations": report["violations"] + [
             f"end-state: VM {vm} on inactive NSM {nsm}"
-            for vm, nsm in assignment_violations(host)],
-        "forward_leaks": forward_leak_count(host, auto.retired_stacks),
-        "forward_entries": forward_entry_count(host, auto.retired_stacks),
+            for vm, nsm in assignment_violations(host)] + [
+            f"end-state: {problem}"
+            for problem in found.hugepages + found.imbalances],
+        "forward_leaks": found.forward_leaks,
+        "forward_entries": found.forward_entries,
         "table_entries": len(host.coreengine.table),
-        "pool_delta": NQE_POOL.outstanding - pool_before,
+        "pool_delta": found.pool_delta,
         "handoffs": getattr(host.coreengine, "handoffs_in", 0),
-        "peak_nsms": max_nsms_seen(report),
+        # Fleet size at the end of the run (static floor + net spawns).
+        "peak_nsms": (1 + report["counters"]["spawned"]
+                      - report["counters"]["retired"]),
         # End-state shard occupancy (shard-aware spawn should leave the
         # surviving fleet spread one-NSM-per-shard before doubling up).
         "shard_loads": report["shard_loads"],
     }
 
 
-def max_nsms_seen(report: dict) -> int:
-    """Fleet size at the end of the run (static floor + net spawns)."""
-    return 1 + report["counters"]["spawned"] - report["counters"]["retired"] \
-        if report["counters"]["spawned"] else 1
-
-
 def run(seed: int = 0, ticks: int = 14, ce_shards: int = 2,
         n_clients: int = 6, n_ags: int = 24,
         max_nsms: int = 4) -> ExperimentResult:
     """Clean + chaos autoscaling runs; fails on any invariant breach."""
-    rows = []
-    problems = []
+    rows, problems = [], []
     for label, chaos in (("clean", False), ("nsm-crash", True)):
-        result = run_autoscale_scenario(seed=seed, ticks=ticks,
-                                        ce_shards=ce_shards, chaos=chaos,
-                                        n_clients=n_clients, n_ags=n_ags,
-                                        max_nsms=max_nsms)
+        result, broken = SCENARIOS["autoscale"].run_checked(
+            label, seed=seed, ticks=ticks, ce_shards=ce_shards, chaos=chaos,
+            n_clients=n_clients, n_ags=n_ags, max_nsms=max_nsms)
+        problems.extend(broken)
         counters = result["autoscaler"]["counters"]
-        if result["violations"]:
-            problems.append(f"{label}: {result['violations']}")
-        if result["forward_leaks"]:
-            problems.append(
-                f"{label}: {result['forward_leaks']} leaked forwards")
-        if not chaos and result["forward_entries"]:
-            # A clean run closes everything, so even live routing state
-            # must be gone; chaos may leave FIN_WAIT conns retransmitting
-            # toward the dead NSM until TCP gives up (not a leak).
-            problems.append(
-                f"{label}: {result['forward_entries']} forward entries "
-                "survived a clean shutdown")
-        if result["pool_delta"]:
-            problems.append(f"{label}: pool delta {result['pool_delta']}")
         if counters["migrations"] == 0:
             problems.append(f"{label}: autoscaler never migrated a VM")
         shard_loads = result["shard_loads"] or {}
         rows.append([
-            label,
-            result["workload"]["rtts"],
-            result["workload"]["client_errors"],
-            counters["spawned"],
-            counters["retired"],
-            counters["migrations"],
-            counters["migration_failures"],
-            result["forward_leaks"],
-            result["forward_entries"],
-            len(result["violations"]),
+            label, result["workload"]["rtts"],
+            result["workload"]["client_errors"], counters["spawned"],
+            counters["retired"], counters["migrations"],
+            counters["migration_failures"], result["forward_leaks"],
+            result["forward_entries"], len(result["violations"]),
             result["pool_delta"],
-            sum(1 for row in shard_loads.values() if row["nsms"]),
-        ])
+            sum(1 for row in shard_loads.values() if row["nsms"])])
     notes = ("NSM fleet tracked the AG aggregate up and back down; every "
              "retirement drained through live migration; chaos crash "
              "recovered via quarantine + reap with all invariants intact"

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.report import ExperimentResult
-from repro.perf.capacity import run_capacity
+from repro.scenario import SCENARIOS
 
 #: Scenarios swept, in presentation order.
 CAPACITY_SCENARIOS = ("mux", "rps", "failover")
@@ -29,36 +29,26 @@ CAPACITY_SCENARIOS = ("mux", "rps", "failover")
 def run(seed: int = 0, scenarios: Sequence[str] = CAPACITY_SCENARIOS,
         n_vms: int = 4, iterations: int = 5) -> ExperimentResult:
     """Search each scenario's capacity envelope and tabulate the knees."""
-    rows = []
-    problems = []
+    rows, problems = [], []
     for scenario in scenarios:
-        result = run_capacity(scenario=scenario, seed=seed, n_vms=n_vms,
-                              iterations=iterations)
+        result, broken = SCENARIOS["capacity"].run_checked(
+            scenario, scenario=scenario, seed=seed, n_vms=n_vms,
+            iterations=iterations)
         ndr, pdr, graceful = (result["ndr"], result["pdr"],
                               result["graceful"])
         if pdr is None:
             problems.append(f"{scenario}: no PDR within "
                             f"[{result['rate_lo']:g}, "
                             f"{result['rate_hi']:g}] ops/s")
-        if graceful is not None and not graceful["pass"]:
-            problems.append(
-                f"{scenario}: graceless at 2xNDR (goodput ratio "
-                f"{graceful['goodput_ratio']}, jain "
-                f"{graceful['jain_fairness']}, hung "
-                f"{graceful['hung_ops']})")
-        for leak in result["leaks"]:
-            problems.append(f"{scenario}: {leak}")
-        rows.append([
-            scenario,
-            None if ndr is None else round(ndr["rate"]),
-            None if ndr is None else ndr["p99_us"],
-            None if pdr is None else round(pdr["rate"]),
-            None if pdr is None else pdr["p99_us"],
-            None if graceful is None else graceful["goodput_ratio"],
-            None if graceful is None else graceful["jain_fairness"],
-            None if graceful is None else graceful["hung_ops"],
-            None if graceful is None else graceful["pass"],
-        ])
+        problems.extend(broken)
+        rows.append(
+            [scenario]
+            + ([None, None] if ndr is None
+               else [round(ndr["rate"]), ndr["p99_us"]])
+            + ([None, None] if pdr is None
+               else [round(pdr["rate"]), pdr["p99_us"]])
+            + [None if graceful is None else graceful[key] for key in (
+                "goodput_ratio", "jain_fairness", "hung_ops", "pass")])
     notes = ("NDR = highest loss<=1% rate, PDR = highest loss<=10% rate "
              "(seeded bisection); graceful columns re-offer 2x NDR with "
              "the overload governor shedding — failover has no NDR by "

@@ -21,6 +21,7 @@ from typing import Sequence
 from repro.experiments.report import ExperimentResult
 from repro.faults.chaos import run_chaos
 from repro.faults.plan import FaultPlan
+from repro.scenario import SCENARIOS
 
 #: Detection timeouts swept (seconds).  The heartbeat period stays at
 #: 2 ms, so the first entry is the tightest sensible setting.
@@ -34,34 +35,29 @@ def run(duration: float = 0.6, seed: int = 0,
     # Fault-free baseline (an empty plan) anchors the goodput-dip column.
     baseline = run_chaos(seed=seed, duration=duration,
                          plan=FaultPlan(seed=seed, name="none"))
-    rows = []
-    problems = []
+    rows, problems = [], []
     for detect in detection_timeouts:
-        result = run_chaos(seed=seed, plan_name="nsm-crash",
-                           duration=duration, detection_timeout=detect)
+        label = f"detect={detect * 1e3:g}ms"
+        result, broken = SCENARIOS["chaos"].run_checked(
+            label, seed=seed, plan_name="nsm-crash", duration=duration,
+            detection_timeout=detect)
         counters = result["counters"]
         recovery = result["recovery_sec"]
         if recovery is None:
-            problems.append(f"detect={detect * 1e3:g}ms never recovered")
+            problems.append(f"{label} never recovered")
         unresolved = (counters["connects"] - 1
                       - counters["resets"] - counters["timeouts"])
         if counters["resets"] + counters["timeouts"] == 0:
-            problems.append(
-                f"detect={detect * 1e3:g}ms: crash surfaced no "
-                "ECONNRESET/timeout to the client")
-        if result["leaks"]:
-            problems.append(
-                f"detect={detect * 1e3:g}ms leaks: {result['leaks']}")
+            problems.append(f"{label}: crash surfaced no "
+                            "ECONNRESET/timeout to the client")
+        problems.extend(broken)
         rows.append([
             round(detect * 1e3, 1),
             round(recovery * 1e3, 2) if recovery is not None else None,
             counters["requests_ok"],
             baseline["counters"]["requests_ok"] - counters["requests_ok"],
-            counters["resets"],
-            counters["timeouts"],
-            result["ce"]["heartbeats_sent"],
-            unresolved,
-        ])
+            counters["resets"], counters["timeouts"],
+            result["ce"]["heartbeats_sent"], unresolved])
     notes = ("recovery tracks the detection timeout (plus one reconnect "
              "round-trip); goodput lost during the outage grows with it; "
              "every failed connection surfaced as ECONNRESET or a bounded "

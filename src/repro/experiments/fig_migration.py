@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.experiments.report import ExperimentResult
-from repro.faults.migration import run_migration
+from repro.scenario import SCENARIOS
 
 #: Live-connection counts swept (each stream is one established TCP
 #: connection at migration time).
@@ -29,36 +29,20 @@ STREAM_COUNTS = (1, 25, 50, 100)
 def run(duration: float = 0.12, seed: int = 0,
         stream_counts: Sequence[int] = STREAM_COUNTS) -> ExperimentResult:
     """Sweep live-connection count through a mid-traffic migration."""
-    rows = []
-    problems = []
+    rows, problems = [], []
     for streams in stream_counts:
-        result = run_migration(seed=seed, streams=streams,
-                               duration=duration)
+        result, broken = SCENARIOS["migrate"].run_checked(
+            f"streams={streams}", seed=seed, streams=streams,
+            duration=duration)
+        problems.extend(broken)
         counters = result["counters"]
         record = result["migration"]
-        if record is None:
-            problems.append(
-                f"streams={streams}: migration failed "
-                f"({result['migration_error']})")
-        if counters["resets"] or counters["timeouts"]:
-            problems.append(
-                f"streams={streams}: guest saw {counters['resets']} "
-                f"reset(s), {counters['timeouts']} timeout(s)")
-        if counters["mismatches"]:
-            problems.append(
-                f"streams={streams}: {counters['mismatches']} payload "
-                "mismatch(es) across the migration")
-        if result["leaks"]:
-            problems.append(f"streams={streams} leaks: {result['leaks']}")
         rows.append([
             streams,
             round(record["blackout_sec"] * 1e3, 4) if record else None,
             record["sockets_moved"] if record else 0,
             record["parked_ops"] if record else 0,
-            counters["echoes_ok"],
-            counters["resets"],
-            counters["timeouts"],
-        ])
+            counters["echoes_ok"], counters["resets"], counters["timeouts"]])
     notes = ("blackout grows linearly with live connections (per-socket "
              "export/import cost on top of a fixed quiesce/drain floor); "
              "every stream rode through with zero resets and intact "

@@ -8,7 +8,7 @@ the sim clock and installing itself as ``coreengine.faults`` so the
 probabilistic hooks fire on the datapath.  All randomness comes from one
 ``random.Random(plan.seed)`` consumed in simulation order, so the same
 seed and plan produce a bit-identical timeline — the property the
-``repro chaos --verify`` CLI and the chaos-smoke CI job assert.
+``repro chaos --verify`` CLI and the scenario-smoke CI job assert.
 """
 
 from repro.faults.injector import FaultInjector

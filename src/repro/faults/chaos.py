@@ -14,13 +14,11 @@ stats, application counters).  Process-global allocator state (NQE pool
 hits, token values, socket-id counters) is deliberately excluded — it
 differs between two runs in one process without affecting the timeline —
 so the same (seed, plan) replays to the same fingerprint, which
-``repro chaos --verify`` and the CI chaos-smoke job assert.
+``repro chaos --verify`` and the CI scenario-smoke job assert.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Optional
 
 from repro.core.host import NetKernelHost
@@ -29,6 +27,7 @@ from repro.errors import SocketError, TimedOutError, TryAgainError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, named_plan
 from repro.net.fabric import Network
+from repro.scenario import census, switch_fingerprint
 from repro.sim.engine import Simulator
 
 #: Echo service port and request payload size.
@@ -38,13 +37,39 @@ REQUEST_BYTES = 256
 REQUEST_PACING = 0.5e-3
 
 
-def switch_fingerprint(payload: dict) -> str:
-    """SHA-256 over a JSON-canonicalized counter dict."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+def echo_host(overload: bool = False):
+    """(sim, host, server VM) of the echo scenarios' topology: nsm-a
+    serves the clients (and is the fault target), nsm-b stands by, and
+    the server VM sits on nsm-srv.  ``overload`` arms the governor."""
+    sim = Simulator()
+    host = NetKernelHost(sim, Network(sim))
+    for name in ("nsm-a", "nsm-b", "nsm-srv"):
+        host.add_nsm(name, vcpus=1, stack="kernel")
+    if overload:
+        host.coreengine.enable_overload_control()
+    return sim, host, host.add_vm("server", vcpus=1, nsm=host.nsms["nsm-srv"])
 
 
-def _echo_server(api, vm):
+def host_timeline(sim, host, guest_counters) -> dict:
+    """The counters an echo scenario fingerprints: the sim clock and
+    event counts, CoreEngine and ServiceLib stats, and the named GuestLib
+    counters of every VM."""
+    return {
+        "sim": {
+            "now": round(sim.now, 9),
+            "events_processed": sim.events_processed,
+            "events_cancelled": sim.events_cancelled,
+        },
+        "ce": host.coreengine.stats(),
+        "nsms": {name: nsm.servicelib.stats()
+                 for name, nsm in sorted(host.nsms.items())},
+        "guestlib": {name: {counter: getattr(vm.guestlib, counter)
+                            for counter in guest_counters}
+                     for name, vm in sorted(host.vms.items())},
+    }
+
+
+def _echo_server(api, vm, port: int = ECHO_PORT):
     """Accept loop + per-connection echo children."""
 
     def echo(conn):
@@ -58,11 +83,22 @@ def _echo_server(api, vm):
             pass
 
     listener = yield from api.socket()
-    yield from api.bind(listener, ECHO_PORT)
+    yield from api.bind(listener, port)
     yield from api.listen(listener, backlog=128)
     while True:
         conn = yield from api.accept(listener)
         vm.spawn(echo(conn))
+
+
+def read_exactly(api, sock, size: int):
+    """Receive exactly ``size`` bytes; a closed peer is a SocketError."""
+    got = b""
+    while len(got) < size:
+        data = yield from api.recv(sock, size - len(got))
+        if not data:
+            raise SocketError("peer closed mid-reply")
+        got += data
+    return got
 
 
 def _chaos_client(sim, api, counters, stop, fault_onset: float):
@@ -74,14 +110,8 @@ def _chaos_client(sim, api, counters, stop, fault_onset: float):
                 sock = yield from api.socket()
                 yield from api.connect(sock, ("nsm-srv", ECHO_PORT))
                 counters["connects"] += 1
-            payload = bytes(REQUEST_BYTES)
-            yield from api.send(sock, payload)
-            got = b""
-            while len(got) < REQUEST_BYTES:
-                data = yield from api.recv(sock, REQUEST_BYTES - len(got))
-                if not data:
-                    raise SocketError("peer closed mid-reply")
-                got += data
+            yield from api.send(sock, bytes(REQUEST_BYTES))
+            yield from read_exactly(api, sock, REQUEST_BYTES)
             counters["requests_ok"] += 1
             if (fault_onset is not None and sim.now > fault_onset
                     and counters["recovered_at"] is None):
@@ -103,11 +133,7 @@ def _chaos_client(sim, api, counters, stop, fault_onset: float):
                 counters["other_errors"] += 1
             sock = yield from _scrap(api, sock)
             yield sim.timeout(2e-3)
-    if sock is not None:
-        try:
-            yield from api.close(sock)
-        except SocketError:
-            pass
+    yield from _scrap(api, sock)
 
 
 def _scrap(api, sock):
@@ -143,14 +169,7 @@ def run_chaos(seed: int = 0, plan_name: str = "nsm-crash",
     ``--verify`` and the CI jobs always use matching settings.
     """
     pool_outstanding_before = NQE_POOL.outstanding
-
-    sim = Simulator()
-    network = Network(sim)
-    host = NetKernelHost(sim, network)
-    host.add_nsm("nsm-a", vcpus=1, stack="kernel")
-    host.add_nsm("nsm-b", vcpus=1, stack="kernel")
-    host.add_nsm("nsm-srv", vcpus=1, stack="kernel")
-    server_vm = host.add_vm("server", vcpus=1, nsm=host.nsms["nsm-srv"])
+    sim, host, server_vm = echo_host()
     client_vm = host.add_vm("client", vcpus=1, nsm=host.nsms["nsm-a"],
                             op_timeout=op_timeout, max_op_retries=3)
     host.enable_failover(heartbeat_interval=heartbeat_interval,
@@ -162,31 +181,19 @@ def run_chaos(seed: int = 0, plan_name: str = "nsm-crash",
     injector = FaultInjector(sim, host, plan).arm()
     fault_onset = min((e.at for e in plan.events), default=None)
 
-    counters = {
-        "connects": 0,
-        "requests_ok": 0,
-        "resets": 0,
-        "timeouts": 0,
-        "sheds": 0,
-        "other_errors": 0,
-        "recovered_at": None,
-    }
+    counters = dict.fromkeys(("connects", "requests_ok", "resets", "timeouts",
+                              "sheds", "other_errors"), 0)
+    counters["recovered_at"] = None
     stop = {"flag": False}
 
-    server_api = host.socket_api(server_vm)
-    client_api = host.socket_api(client_vm)
-    server_vm.spawn(_echo_server(server_api, server_vm))
-    client_vm.spawn(_chaos_client(sim, client_api, counters, stop,
-                                  fault_onset))
-
-    def stop_traffic():
-        stop["flag"] = True
-
+    server_vm.spawn(_echo_server(host.socket_api(server_vm), server_vm))
+    client_vm.spawn(_chaos_client(sim, host.socket_api(client_vm), counters,
+                                  stop, fault_onset))
     if fleet_probe is not None:
         fleet_probe(host)
         sim.every(fleet_probe_interval, lambda: fleet_probe(host))
 
-    sim.call_at(0.8 * duration, stop_traffic)
+    sim.call_at(0.8 * duration, lambda: stop.update(flag=True))
     # Quiesce heartbeats before the end so in-flight probes drain and the
     # pool-balance check below sees a stable state.
     sim.call_at(0.9 * duration,
@@ -194,50 +201,17 @@ def run_chaos(seed: int = 0, plan_name: str = "nsm-crash",
     sim.run(until=duration)
 
     ce = host.coreengine
-    ce_stats = ce.stats()
-    timeline = {
-        "sim": {
-            "now": round(sim.now, 9),
-            "events_processed": sim.events_processed,
-            "events_cancelled": sim.events_cancelled,
-        },
-        "ce": ce_stats,
-        "client": dict(counters, recovered_at=(
+    timeline = host_timeline(sim, host, (
+        "nqes_sent", "nqes_received", "op_timeouts", "op_retries",
+        "admission_waits", "ops_shed", "send_results_shed"))
+    timeline.update(
+        client=dict(counters, recovered_at=(
             round(counters["recovered_at"], 9)
             if counters["recovered_at"] is not None else None)),
-        "nsms": {
-            name: nsm.servicelib.stats()
-            for name, nsm in sorted(host.nsms.items())
-        },
-        "guestlib": {
-            name: {
-                "nqes_sent": vm.guestlib.nqes_sent,
-                "nqes_received": vm.guestlib.nqes_received,
-                "op_timeouts": vm.guestlib.op_timeouts,
-                "op_retries": vm.guestlib.op_retries,
-                "admission_waits": vm.guestlib.admission_waits,
-                "ops_shed": vm.guestlib.ops_shed,
-                "send_results_shed": vm.guestlib.send_results_shed,
-            }
-            for name, vm in sorted(host.vms.items())
-        },
-        "per_vm_drops": {str(vm_id): drops for vm_id, drops
-                         in ce.per_vm_drops().items()},
-        "overload": (ce.overload.stats()
-                     if ce.overload is not None else None),
-        "faults": injector.stats(),
-    }
-
-    leaks = []
-    for name, vm in sorted(host.vms.items()):
-        region = ce.vm_device(vm.vm_id).hugepages
-        if region.live_buffers or region.allocated:
-            leaks.append(
-                f"{name}: {region.live_buffers} live hugepage buffer(s), "
-                f"{region.allocated} B still allocated")
-    pool_delta = NQE_POOL.outstanding - pool_outstanding_before
-    if pool_delta != 0:
-        leaks.append(f"NQE pool outstanding delta {pool_delta:+d}")
+        per_vm_drops={str(vm_id): drops
+                      for vm_id, drops in ce.per_vm_drops().items()},
+        overload=ce.overload.stats() if ce.overload is not None else None,
+        faults=injector.stats())
 
     recovery = None
     if counters["recovered_at"] is not None and fault_onset is not None:
@@ -254,8 +228,8 @@ def run_chaos(seed: int = 0, plan_name: str = "nsm-crash",
         "fault_onset": fault_onset,
         "recovery_sec": recovery,
         "quarantined": dict(ce.quarantined),
-        "ce": ce_stats,
+        "ce": timeline["ce"],
         "faults": injector.stats(),
-        "leaks": leaks,
+        "leaks": census(host, pool_outstanding_before).leaks(),
         "switch_fingerprint": switch_fingerprint(timeline),
     }

@@ -17,21 +17,20 @@ resource balance still holds even when the migration itself aborts.
 
 The result carries the same deterministic ``switch_fingerprint`` scheme
 as ``run_chaos`` — same (seed, streams, plan) replays bit-identically —
-which ``repro migrate --verify`` and the CI migration-smoke job assert.
+which ``repro migrate --verify`` and the CI scenario-smoke job assert.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.host import NetKernelHost
 from repro.core.nqe import NQE_POOL
 from repro.errors import ConfigurationError, SocketError, TimedOutError
-from repro.faults.chaos import ECHO_PORT, _echo_server, switch_fingerprint
+from repro.faults.chaos import ECHO_PORT, _echo_server, echo_host, \
+    host_timeline, read_exactly
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, named_plan
-from repro.net.fabric import Network
-from repro.sim.engine import Simulator
+from repro.scenario import census, switch_fingerprint
 
 #: Gap between successive echo rounds on one stream.
 STREAM_PACING = 0.5e-3
@@ -54,12 +53,7 @@ def _stream(sim, api, index: int, seed: int, payload_bytes: int,
         while not stop["flag"]:
             yield from api.send(sock, pattern)
             counters["bytes_sent"] += payload_bytes
-            got = b""
-            while len(got) < payload_bytes:
-                data = yield from api.recv(sock, payload_bytes - len(got))
-                if not data:
-                    raise SocketError("peer closed mid-echo")
-                got += data
+            got = yield from read_exactly(api, sock, payload_bytes)
             counters["bytes_echoed"] += len(got)
             if got == pattern:
                 counters["echoes_ok"] += 1
@@ -110,13 +104,7 @@ def run_migration(seed: int = 0, streams: int = 8, duration: float = 0.12,
     if plan is not None and op_timeout is None:
         op_timeout = 20e-3
 
-    sim = Simulator()
-    network = Network(sim)
-    host = NetKernelHost(sim, network)
-    host.add_nsm("nsm-a", vcpus=1, stack="kernel")
-    host.add_nsm("nsm-b", vcpus=1, stack="kernel")
-    host.add_nsm("nsm-srv", vcpus=1, stack="kernel")
-    server_vm = host.add_vm("server", vcpus=1, nsm=host.nsms["nsm-srv"])
+    sim, host, server_vm = echo_host()
     client_vm = host.add_vm("client", vcpus=1, nsm=host.nsms["nsm-a"],
                             op_timeout=op_timeout,
                             max_op_retries=3 if op_timeout else 0)
@@ -127,23 +115,14 @@ def run_migration(seed: int = 0, streams: int = 8, duration: float = 0.12,
                              detection_timeout=10e-3)
         injector = FaultInjector(sim, host, plan).arm()
 
-    counters = {
-        "connects": 0,
-        "echoes_ok": 0,
-        "bytes_sent": 0,
-        "bytes_echoed": 0,
-        "mismatches": 0,
-        "resets": 0,
-        "timeouts": 0,
-        "other_errors": 0,
-        "closed_clean": 0,
-    }
+    counters = dict.fromkeys((
+        "connects", "echoes_ok", "bytes_sent", "bytes_echoed", "mismatches",
+        "resets", "timeouts", "other_errors", "closed_clean"), 0)
     stop = {"flag": False}
     migration = {"record": None, "error": None}
 
-    server_api = host.socket_api(server_vm)
     client_api = host.socket_api(client_vm)
-    server_vm.spawn(_echo_server(server_api, server_vm))
+    server_vm.spawn(_echo_server(host.socket_api(server_vm), server_vm))
     for index in range(streams):
         client_vm.spawn(_stream(sim, client_api, index, seed, payload_bytes,
                                 pacing, counters, stop))
@@ -160,60 +139,24 @@ def run_migration(seed: int = 0, streams: int = 8, duration: float = 0.12,
 
     sim.call_at(migrate_at, lambda: sim.process(_migrate()))
 
-    def stop_traffic():
-        stop["flag"] = True
-
-    sim.call_at(0.8 * duration, stop_traffic)
+    sim.call_at(0.8 * duration, lambda: stop.update(flag=True))
     if plan is not None:
         sim.call_at(0.9 * duration, host.coreengine.disable_health_monitor)
     sim.run(until=duration)
 
     ce = host.coreengine
-    ce_stats = ce.stats()
     record = migration["record"]
     record_public = None
     if record is not None:
         record_public = {k: v for k, v in record.items() if k != "tcbs"}
         record_public["tcb_states"] = sorted(
             tcb["state"] for tcb in record["tcbs"])
-    timeline = {
-        "sim": {
-            "now": round(sim.now, 9),
-            "events_processed": sim.events_processed,
-            "events_cancelled": sim.events_cancelled,
-        },
-        "ce": ce_stats,
-        "client": dict(counters),
-        "nsms": {
-            name: nsm.servicelib.stats()
-            for name, nsm in sorted(host.nsms.items())
-        },
-        "guestlib": {
-            name: {
-                "nqes_sent": vm.guestlib.nqes_sent,
-                "nqes_received": vm.guestlib.nqes_received,
-                "op_timeouts": vm.guestlib.op_timeouts,
-                "op_retries": vm.guestlib.op_retries,
-            }
-            for name, vm in sorted(host.vms.items())
-        },
-        "migration": {
-            "record": record_public,
-            "error": migration["error"],
-        },
-        "faults": injector.stats() if injector is not None else None,
-    }
-
-    leaks = []
-    for name, vm in sorted(host.vms.items()):
-        region = ce.vm_device(vm.vm_id).hugepages
-        if region.live_buffers or region.allocated:
-            leaks.append(
-                f"{name}: {region.live_buffers} live hugepage buffer(s), "
-                f"{region.allocated} B still allocated")
-    pool_delta = NQE_POOL.outstanding - pool_outstanding_before
-    if pool_delta != 0:
-        leaks.append(f"NQE pool outstanding delta {pool_delta:+d}")
+    timeline = host_timeline(sim, host, ("nqes_sent", "nqes_received",
+                                         "op_timeouts", "op_retries"))
+    timeline.update(
+        client=dict(counters),
+        migration={"record": record_public, "error": migration["error"]},
+        faults=injector.stats() if injector is not None else None)
 
     return {
         "seed": seed,
@@ -226,11 +169,11 @@ def run_migration(seed: int = 0, streams: int = 8, duration: float = 0.12,
         "counters": counters,
         "migration": record_public,
         "migration_error": migration["error"],
-        "ce": ce_stats,
+        "ce": timeline["ce"],
         "faults": injector.stats() if injector is not None else None,
         "table_size": len(ce.table),
         "client_table_entries": len(ce.table.entries_for_vm(
             client_vm.vm_id)),
-        "leaks": leaks,
+        "leaks": census(host, pool_outstanding_before).leaks(),
         "switch_fingerprint": switch_fingerprint(timeline),
     }

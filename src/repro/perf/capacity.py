@@ -35,12 +35,12 @@ bounded timeout.
 
 Everything is seeded and simulated-time-driven; the same
 ``(scenario, seed, knobs)`` tuple replays to the same fingerprint,
-which ``repro capacity --verify`` and the capacity-smoke CI job assert.
+which ``repro capacity --verify`` and the scenario-smoke CI job assert.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.coreengine import CoreEngine
 from repro.core.nqe import NQE_POOL, NqeOp
@@ -48,7 +48,7 @@ from repro.cpu.core import Core
 from repro.cpu.cost_model import DEFAULT_COST_MODEL
 from repro.errors import ConfigurationError, SocketError, TimedOutError, \
     TryAgainError
-from repro.faults.chaos import switch_fingerprint
+from repro.scenario import census, switch_fingerprint
 from repro.sim.engine import Simulator
 
 #: scenario -> (default rate_lo, default rate_hi, default window sec).
@@ -96,9 +96,10 @@ def _percentile(sorted_values: List[float], q: float) -> float:
 
 
 def _measure_mux(rate: float, seed: int, window: float,
-                 n_vms: int) -> dict:
+                 n_vms: int) -> Tuple[dict, List[str]]:
     """Offer ``rate`` control ops/sec across ``n_vms`` producers for
-    ``window`` seconds of simulated time; return the step record."""
+    ``window`` seconds of simulated time; return the step record and
+    the census's leaks."""
     pool_before = NQE_POOL.outstanding
     sim = Simulator()
     core = Core(sim, name="cap.ce", hz=DEFAULT_COST_MODEL.core_hz)
@@ -216,6 +217,7 @@ def _measure_mux(rate: float, seed: int, window: float,
                 + counters["eagain"] + dropped)
     goodput = ok / window
     latencies.sort()
+    found = census(engine, pool_before)
     return {
         "rate": rate,
         "offered": counters["offered"],
@@ -232,15 +234,15 @@ def _measure_mux(rate: float, seed: int, window: float,
         "per_vm_ok": {str(vm_id): n for vm_id, n in ok_per_vm.items()},
         "overload": governor.stats(),
         "events_processed": sim.events_processed,
-        "pool_delta": NQE_POOL.outstanding - pool_before,
-    }
+        "pool_delta": found.pool_delta,
+    }, found.leaks()
 
 
 # -- scenarios: rps / failover (full-host echo capacity) ---------------------
 
 
 def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
-                  crash: bool) -> dict:
+                  crash: bool) -> Tuple[dict, List[str]]:
     """Closed-loop paced echo round trips through the full datapath.
 
     Each of ``n_vms`` client VMs runs one worker that tries to hold the
@@ -249,20 +251,13 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
     With ``crash`` the serving NSM dies mid-window and the clients ride
     the failover onto the standby.
     """
-    from repro.core.host import NetKernelHost
+    from repro.faults.chaos import _echo_server, _scrap, echo_host, \
+        read_exactly
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
-    from repro.net.fabric import Network
 
     pool_before = NQE_POOL.outstanding
-    sim = Simulator()
-    network = Network(sim)
-    host = NetKernelHost(sim, network)
-    host.add_nsm("nsm-a", vcpus=1, stack="kernel")
-    host.add_nsm("nsm-b", vcpus=1, stack="kernel")
-    host.add_nsm("nsm-srv", vcpus=1, stack="kernel")
-    host.coreengine.enable_overload_control()
-    server_vm = host.add_vm("server", vcpus=1, nsm=host.nsms["nsm-srv"])
+    sim, host, server_vm = echo_host(overload=True)
     clients = []
     for i in range(n_vms):
         clients.append(host.add_vm(
@@ -279,26 +274,6 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
     ok_per_vm: Dict[int, int] = {vm.vm_id: 0 for vm in clients}
     latencies: List[float] = []
     finished = [0]
-
-    server_api = host.socket_api(server_vm)
-
-    def echo_server():
-        def echo(conn):
-            try:
-                while True:
-                    data = yield from server_api.recv(conn, 64 * 1024)
-                    if not data:
-                        break
-                    yield from server_api.send(conn, data)
-            except SocketError:
-                pass
-
-        listener = yield from server_api.socket()
-        yield from server_api.bind(listener, _ECHO_PORT)
-        yield from server_api.listen(listener, backlog=128)
-        while True:
-            conn = yield from server_api.accept(listener)
-            server_vm.spawn(echo(conn))
 
     interval = n_vms / rate
 
@@ -319,12 +294,7 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
                     sock = yield from api.socket()
                     yield from api.connect(sock, ("nsm-srv", _ECHO_PORT))
                 yield from api.send(sock, bytes(_ECHO_BYTES))
-                got = 0
-                while got < _ECHO_BYTES:
-                    data = yield from api.recv(sock, _ECHO_BYTES - got)
-                    if not data:
-                        raise SocketError("peer closed mid-reply")
-                    got += len(data)
+                yield from read_exactly(api, sock, _ECHO_BYTES)
                 ok_per_vm[vm.vm_id] += 1
                 latencies.append(sim.now - issued_at)
             except TryAgainError:
@@ -335,22 +305,11 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
             except SocketError:
                 counters["errors"] += 1
                 sock = yield from _scrap(api, sock)
-        if sock is not None:
-            try:
-                yield from api.close(sock)
-            except SocketError:
-                pass
+        yield from _scrap(api, sock)
         finished[0] += 1
 
-    def _scrap(api, sock):
-        if sock is not None:
-            try:
-                yield from api.close(sock)
-            except SocketError:
-                pass
-        return None
-
-    server_vm.spawn(echo_server())
+    server_vm.spawn(_echo_server(host.socket_api(server_vm), server_vm,
+                                 _ECHO_PORT))
     for index, vm in enumerate(clients):
         vm.spawn(client_worker(vm, host.socket_api(vm), index))
     # Generous drain: a worker blocked at t_end resolves through its
@@ -365,6 +324,7 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
     goodput = ok / window
     latencies.sort()
     engine = host.coreengine
+    found = census(host, pool_before)
     return {
         "rate": rate,
         "offered": counters["offered"],
@@ -385,8 +345,8 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
                       for vm_id, n in sorted(ok_per_vm.items())},
         "overload": engine.overload.stats(),
         "events_processed": sim.events_processed,
-        "pool_delta": NQE_POOL.outstanding - pool_before,
-    }
+        "pool_delta": found.pool_delta,
+    }, found.leaks()
 
 
 # -- the search --------------------------------------------------------------
@@ -431,14 +391,16 @@ def run_capacity(scenario: str = "mux", seed: int = 0,
 
     memo: Dict[float, dict] = {}
     steps: List[dict] = []
+    leaks: List[str] = []
 
     def measure(rate: float) -> dict:
         key = round(rate, 6)
         step = memo.get(key)
         if step is None:
-            step = run_step(key)
+            step, step_leaks = run_step(key)
             memo[key] = step
             steps.append(step)
+            leaks.extend(f"step rate={key:g}: {leak}" for leak in step_leaks)
         return step
 
     def search(threshold: float) -> Optional[float]:
@@ -505,9 +467,7 @@ def run_capacity(scenario: str = "mux", seed: int = 0,
         "graceful": graceful,
         "steps": fp_steps,
         "events_processed": sum(s["events_processed"] for s in steps),
-        "leaks": [f"step rate={s['rate']:g}: pool delta "
-                  f"{s['pool_delta']:+d}"
-                  for s in steps if s["pool_delta"] != 0],
+        "leaks": leaks,
         "fingerprint": switch_fingerprint(fp_steps),
     }
     return result

@@ -1,35 +1,43 @@
 """One cached run per fixed scenario input, shared across test modules.
 
 The chaos, migrate, capacity and autoscale runs are seeded and
-deterministic, so a run that several tests read (a replay pair, a
-golden, an invariant check) is made once per session.  Each cached run
-starts from rewound process-wide id counters, so its payload does not
-depend on what ran before it.  Callers must treat payloads as
-read-only.
+deterministic (their payloads do not depend on what ran before them in
+the process), so a run that several tests read — a replay pair, a
+golden, an invariant check — is made once per session.  Callers must
+treat payloads as read-only.
 """
 
 import functools
 
 
-def _fresh_process_state():
-    from tests.test_sched_determinism import _reset_global_counters
-
-    _reset_global_counters()
-
-
 @functools.lru_cache(maxsize=None)
-def chaos(seed, plan_name, duration):
-    from repro.faults.chaos import run_chaos
+def chaos_run(seed, plan_name, duration):
+    """(payload, the census the run took once its traffic drained)."""
+    from repro.faults import chaos as module
 
-    _fresh_process_state()
-    return run_chaos(seed=seed, plan_name=plan_name, duration=duration)
+    real, taken = module.census, []
+
+    def recording(*args):
+        taken.append(real(*args))
+        return taken[-1]
+
+    module.census = recording
+    try:
+        payload = module.run_chaos(seed=seed, plan_name=plan_name,
+                                   duration=duration)
+    finally:
+        module.census = real
+    return payload, taken[-1]
+
+
+def chaos(seed, plan_name, duration):
+    return chaos_run(seed, plan_name, duration)[0]
 
 
 @functools.lru_cache(maxsize=None)
 def migration(seed, streams, duration):
     from repro.faults.migration import run_migration
 
-    _fresh_process_state()
     return run_migration(seed=seed, streams=streams, duration=duration)
 
 
@@ -37,7 +45,6 @@ def migration(seed, streams, duration):
 def capacity(scenario, seed, window, iterations):
     from repro.perf.capacity import run_capacity
 
-    _fresh_process_state()
     return run_capacity(scenario=scenario, seed=seed, window=window,
                         iterations=iterations)
 
@@ -46,5 +53,4 @@ def capacity(scenario, seed, window, iterations):
 def autoscale(seed, chaos):
     from repro.experiments.fig_autoscale import run_autoscale_scenario
 
-    _fresh_process_state()
     return run_autoscale_scenario(seed=seed, chaos=chaos)

@@ -10,10 +10,11 @@ migration.
 import pytest
 
 from repro.core.autoscaler import (AutoscalePolicy, assignment_violations,
-                                   forward_leak_count, reap_crashed_stack)
+                                   reap_crashed_stack)
 from repro.core.host import NetKernelHost
 from repro.errors import ConfigurationError
 from repro.net.fabric import Network
+from repro.scenario import forward_counts
 from repro.sim import Simulator
 from tests import scenario_runs
 
@@ -116,7 +117,8 @@ class TestControlLoop:
         assert len(auto.retired_stacks) >= 1
         assert auto.violations == []
         assert assignment_violations(host) == []
-        assert forward_leak_count(host, auto.retired_stacks) == 0
+        _, dangling = forward_counts(host, auto.retired_stacks)
+        assert dangling == 0
         # The fleet is back at strength with only live NSMs serving.
         assert len(host.coreengine._active_nsm_ids()) == 2
 

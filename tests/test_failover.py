@@ -9,6 +9,7 @@ from repro.errors import ConfigurationError, SocketError, TimedOutError
 from repro.net.fabric import Network
 from repro.sim import Simulator
 from repro.units import gbps, usec
+from tests.census import assert_census_clean
 
 
 def _host(sim, **kwargs):
@@ -228,7 +229,7 @@ class TestDeliveryBackpressure:
         ce.quarantine_nsm(nsm.nsm_id, reason="test-cleanup")
         sim.run(until=0.11)
         assert len(ce.table) == 0
-        assert NQE_POOL.outstanding == outstanding_before
+        assert_census_clean(host, outstanding_before)
 
     def test_drop_nqe_returns_element_to_pool(self):
         sim = Simulator()

@@ -2,16 +2,19 @@
 
 A VM controls every field of the NQEs it produces.  A SEND or SENDTO
 whose ``data_ptr`` names no live buffer in the VM's hugepage region is
-dropped by ServiceLib and counted against that VM, and an op ServiceLib
-does not serve completes with EINVAL; neither may raise out of the NSM's
-poller (and with it out of ``sim.run()``), which would stop every tenant
-that NSM serves."""
+dropped by ServiceLib and counted against that VM; an op ServiceLib
+does not serve, and a SETSOCKOPT/GETSOCKOPT with a malformed ``aux``,
+complete with EINVAL.  None may raise out of the NSM's poller (and with
+it out of ``sim.run()``), which would stop every tenant that NSM
+serves."""
 
 from repro.core.host import NetKernelHost
 from repro.core.nqe import NQE_POOL, RESULT_ERRNO, NqeOp
 from repro.net.fabric import Network
 from repro.sim import Simulator
+from repro.scenario import census
 from repro.units import gbps, usec
+from tests.census import assert_census_clean
 
 PAYLOAD = bytes(range(256)) * 16
 
@@ -19,8 +22,8 @@ PAYLOAD = bytes(range(256)) * 16
 def _echo_next_to(hostile_nqes):
     """Run a 4 KiB echo between two well-behaved VMs while a third pushes
     ``hostile_nqes(device, vm)`` — (ring index, NQE) pairs — straight
-    into its own produce rings mid-echo.  Returns the NSM, the hostile VM
-    and the NQE pool's outstanding count before the run."""
+    into its own produce rings mid-echo.  Returns the host, the NSM, the
+    hostile VM and the NQE pool's outstanding count before the run."""
     outstanding_before = NQE_POOL.outstanding
     sim = Simulator()
     host = NetKernelHost(sim, Network(sim, default_rate_bps=gbps(10),
@@ -70,7 +73,7 @@ def _echo_next_to(hostile_nqes):
     sim.run(until=0.5)  # must not raise
 
     assert done["echoed"] == PAYLOAD
-    return nsm, hostile_vm, outstanding_before
+    return host, nsm, hostile_vm, outstanding_before
 
 
 def test_dangling_send_pointers_are_dropped_and_neighbours_unharmed():
@@ -85,10 +88,11 @@ def test_dangling_send_pointers_are_dropped_and_neighbours_unharmed():
                                      (NqeOp.SENDTO, 987_655),
                                      (NqeOp.SEND, freed.buffer_id))]
 
-    nsm, hostile_vm, outstanding_before = _echo_next_to(nqes)
+    host, nsm, hostile_vm, outstanding_before = _echo_next_to(nqes)
     stats = nsm.servicelib.stats()
     assert stats["vm_bad_data_ptrs"] == {hostile_vm.vm_id: 3}
-    assert NQE_POOL.outstanding == outstanding_before
+    _assert_census_clean_but_for_made_up_socket(host, outstanding_before,
+                                                hostile_vm)
 
 
 def test_unserved_ops_complete_with_einval_and_neighbours_unharmed():
@@ -107,7 +111,7 @@ def test_unserved_ops_complete_with_einval_and_neighbours_unharmed():
             out.append((0, nqe))
         return out
 
-    _, _, outstanding_before = _echo_next_to(nqes)
+    host, _, hostile_vm, outstanding_before = _echo_next_to(nqes)
     einval = -RESULT_ERRNO["EINVAL"]
     assert len(waiters) == len(unserved)
     for op, waiter in zip(unserved, waiters):
@@ -116,4 +120,43 @@ def test_unserved_ops_complete_with_einval_and_neighbours_unharmed():
         assert response.aux["req_op"] is op
         assert response.op_data == einval
         NQE_POOL.release(response)  # the waiter is its final consumer
-    assert NQE_POOL.outstanding == outstanding_before
+    _assert_census_clean_but_for_made_up_socket(host, outstanding_before,
+                                                hostile_vm)
+
+
+def _assert_census_clean_but_for_made_up_socket(host, outstanding_before,
+                                                hostile_vm):
+    """Raw NQEs on socket id 1, which the hostile VM never opened, leave
+    exactly one finding: CoreEngine inserts a connection-table entry for
+    the first op on any unknown id, and nothing ever completes it."""
+    found = census(host, outstanding_before)
+    assert found.leaks() == [
+        f"nsm0: table entry ({hostile_vm.vm_id}, 0, 1) has no context"]
+
+
+def test_malformed_sockopt_aux_completes_with_einval():
+    # A guest crafting SETSOCKOPT/GETSOCKOPT NQEs on its own socket with
+    # an aux that is not {"option": <str>} used to raise AttributeError
+    # or TypeError out of ServiceLib's poller, and so out of sim.run().
+    bad_aux = ("SO_RCVBUF", 7, ["option"], {"option": ["SO_RCVBUF"]})
+    results = []
+
+    def crafted_sockopts(vm):
+        lib = vm.guestlib
+        yield lib.sim.timeout(1.5e-3)  # mid-echo
+        sock = yield from lib.socket()
+        for aux in bad_aux:
+            for op in (NqeOp.SETSOCKOPT, NqeOp.GETSOCKOPT):
+                response = yield from lib._call(0, sock, op, op_data=1,
+                                                aux=aux)
+                results.append(response.op_data)
+        yield from lib.close(sock)
+
+    def nqes(device, vm):
+        vm.spawn(crafted_sockopts(vm))
+        return []
+
+    host, nsm, hostile_vm, outstanding_before = _echo_next_to(nqes)
+    assert results == [-RESULT_ERRNO["EINVAL"]] * (2 * len(bad_aux))
+    assert nsm.servicelib.vm_bad_aux == {hostile_vm.vm_id: 2 * len(bad_aux)}
+    assert_census_clean(host, outstanding_before)

@@ -5,11 +5,12 @@ import pytest
 
 from repro.core.guestlib import DEFAULT_SNDBUF, RECV_CREDIT_QUANTUM
 from repro.core.host import NetKernelHost
-from repro.core.nqe import NqeOp
+from repro.core.nqe import NQE_POOL, NqeOp
 from repro.errors import NotConnectedError, SocketError
 from repro.net.fabric import Network
 from repro.sim import Simulator
 from repro.units import gbps, mbps, usec
+from tests.census import assert_census_clean
 
 
 @pytest.fixture
@@ -211,6 +212,7 @@ class TestStaleEvents:
     def test_data_for_closed_socket_freed(self, env):
         """DATA_ARRIVED racing a close must free its hugepage buffer."""
         sim, host, nsm = env
+        outstanding_before = NQE_POOL.outstanding
         server_vm, _, state = start_sink_server(sim, host, nsm)
         vm = host.add_vm("cli", vcpus=1, nsm=nsm)
         api = host.socket_api(vm)
@@ -224,7 +226,4 @@ class TestStaleEvents:
 
         vm.spawn(client())
         sim.run(until=10.0)
-        for name in ("cli", "sinkvm"):
-            region = host.coreengine.vm_device(
-                host.vms[name].vm_id).hugepages
-            assert region.live_buffers == 0
+        assert_census_clean(host, outstanding_before)

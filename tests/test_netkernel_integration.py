@@ -6,10 +6,12 @@ GuestLib → NQE → CoreEngine → ServiceLib → stack → fabric → back.
 import pytest
 
 from repro.core.host import NetKernelHost
+from repro.core.nqe import NQE_POOL
 from repro.errors import SocketError
 from repro.net.fabric import Network
 from repro.sim import Simulator
 from repro.units import gbps, usec
+from tests.census import assert_census_clean
 
 
 @pytest.fixture
@@ -82,12 +84,10 @@ class TestDataPath:
 
     def test_hugepages_fully_released(self, env):
         sim, _, host = env
+        outstanding_before = NQE_POOL.outstanding
         nsm = host.add_nsm("nsm0", vcpus=1, stack="kernel")
-        _, vm_server, vm_client = transfer(sim, host, nsm, b"d" * 300_000)
-        for vm in (vm_server, vm_client):
-            region = host.coreengine.vm_device(vm.vm_id).hugepages
-            assert region.live_buffers == 0
-            assert region.allocated == 0
+        transfer(sim, host, nsm, b"d" * 300_000)
+        assert_census_clean(host, outstanding_before)
 
     def test_connection_table_drains_after_close(self, env):
         sim, _, host = env

@@ -15,12 +15,13 @@
 
 import pytest
 
-from repro.core.autoscaler import forward_entry_count, forward_leak_count
 from repro.core.host import NetKernelHost
 from repro.core.nqe import NQE_POOL
 from repro.errors import ConfigurationError
 from repro.net.fabric import Network
+from repro.scenario import forward_counts
 from repro.sim import Simulator
+from tests.census import assert_census_clean
 
 PORT = 7300
 
@@ -143,6 +144,7 @@ class _EchoFixture:
 
 class TestForwardChainCollapse:
     def test_a_b_a_round_trip_stays_one_hop(self):
+        pool_before = NQE_POOL.outstanding
         fx = _EchoFixture()
         sim, host = fx.sim, fx.host
         done = {}
@@ -178,7 +180,8 @@ class TestForwardChainCollapse:
         assert PORT in engine_a._listeners
         assert engine_a._listeners[PORT]._port_forwarders == [engine_b]
         # No dangling entries anywhere, even with the forwards live.
-        assert forward_leak_count(host) == 0
+        _, dangling = forward_counts(host)
+        assert dangling == 0
 
         sim.call_at(60e-3, lambda: fx.stop.update(flag=True))
         sim.run(until=0.1)
@@ -186,8 +189,7 @@ class TestForwardChainCollapse:
         assert fx.stats["listener_closed"] == 1
         # Closing the listener reclaimed B's port forward; the conn's
         # forwards died with its close.
-        assert forward_leak_count(host) == 0
-        assert forward_entry_count(host) == 0
+        assert_census_clean(host, pool_before, clean_shutdown=True)
 
     def test_migrate_close_soak_reclaims_every_forward(self):
         """Short-lived connections against a server that keeps bouncing
@@ -226,7 +228,5 @@ class TestForwardChainCollapse:
         assert counters["rtts"] >= 10
         assert counters["errors"] == 0
         assert fx.stats["listener_closed"] == 1
-        assert forward_leak_count(host) == 0
-        assert forward_entry_count(host) == 0
+        assert_census_clean(host, pool_before, clean_shutdown=True)
         assert len(host.coreengine.table) == 0
-        assert NQE_POOL.outstanding - pool_before == 0

@@ -1,16 +1,26 @@
-"""Scenario goldens: one short, fixed input per scenario kind, pinned.
+"""Scenario goldens, the scenario registry, and the census's rules.
 
 The chaos, migrate, capacity and autoscale tests elsewhere compare two
-runs with each other; these pin the full result payload of one run per
-kind as a :func:`tests.goldens.digest`, so a refactor of the scenario
-plumbing must reproduce every field, not just agree with itself.  The
-runs come from :mod:`tests.scenario_runs`, shared with the tests that
-already make them.
+runs with each other; the goldens here pin the full result payload of
+one run per kind as a :func:`tests.goldens.digest`, so a refactor of the
+scenario plumbing must reproduce every field, not just agree with
+itself.  The runs come from :mod:`tests.scenario_runs`, shared with the
+tests that already make them.
 """
+
+import inspect
 
 import pytest
 
+from repro.core.host import NetKernelHost
+from repro.core.nqe import NQE_POOL
+from repro.ctrl.envelope import Envelope
+from repro.errors import EXIT_CODES
+from repro.net.fabric import Network
+from repro.scenario import SCENARIOS, census
+from repro.sim import Simulator
 from tests import scenario_runs
+from tests.census import assert_census_clean
 from tests.goldens import digest
 
 #: name -> (cached run, digest of its full payload).
@@ -43,3 +53,58 @@ SCENARIO_GOLDENS = {
 def test_scenario_payload_golden(name):
     run, expected = SCENARIO_GOLDENS[name]
     assert digest(run()) == expected
+
+
+@pytest.mark.parametrize("kind", sorted(SCENARIOS))
+def test_declared_params_are_runner_params(kind):
+    scenario = SCENARIOS[kind]
+    accepted = inspect.signature(scenario.runner()).parameters
+    assert set(scenario.params) <= set(accepted)
+    assert {flag.dest for flag in scenario.flags} <= set(scenario.params)
+
+
+def test_graceless_capacity_search_fails_with_an_exit_code():
+    # The capacity verb used to fail a graceless 2x-NDR probe with a code
+    # missing from EXIT_CODES, so Envelope.fail raised ValueError.
+    graceful = {"pass": False, "goodput_ratio": 0.5, "jain_fairness": 0.95,
+                "hung_ops": 0}
+    (failure,) = SCENARIOS["capacity"].contract_failures(
+        {"params": {}, "result": {"leaks": [], "graceful": graceful}})
+    envelope = Envelope("capacity").fail(failure.code, failure.message(1))
+    assert envelope.exit_code == EXIT_CODES["invariant"]
+    assert envelope.failures[0]["message"].startswith(
+        "GRACELESS DEGRADATION at 2xNDR (run 1): goodput ratio 0.5")
+
+
+def test_quarantined_nsm_context_is_fenced_not_failed():
+    """nsm-stall quarantines nsm-a while it still holds the client's
+    first connection.  Failover retired its table entry and the client
+    closed its fd; quarantine never touches the NSM, so the context
+    stays, counted as fenced."""
+    payload, found = scenario_runs.chaos_run(23, "nsm-stall", 0.2)
+    assert payload["quarantined"]
+    assert found.leaks() == []
+    assert found.fenced == 1
+
+
+def test_census_fails_on_an_entry_removed_behind_servicelib():
+    pool_before = NQE_POOL.outstanding
+    sim = Simulator()
+    host = NetKernelHost(sim, Network(sim))
+    nsm = host.add_nsm("nsm0", vcpus=1, stack="kernel")
+    vm = host.add_vm("vm", vcpus=1, nsm=nsm)
+    api = host.socket_api(vm)
+
+    def app():
+        listener = yield from api.socket()
+        yield from api.bind(listener, 80)
+        yield from api.listen(listener)
+
+    vm.spawn(app())
+    sim.run(until=0.01)
+    assert_census_clean(host, pool_before)
+    (entry,) = host.coreengine.table.entries_for_vm(vm.vm_id)
+    host.coreengine.table.remove_vm(entry.vm_tuple)
+    assert census(host, pool_before).imbalances == [
+        f"nsm0: context {entry.nsm_socket_id} has no table entry for "
+        f"{entry.vm_tuple}"]

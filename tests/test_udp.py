@@ -9,6 +9,7 @@ import pytest
 
 from repro.baseline.host import BaselineHost
 from repro.core.host import NetKernelHost
+from repro.core.nqe import NQE_POOL
 from repro.errors import (
     AddressInUseError,
     MessageTooLargeError,
@@ -20,6 +21,7 @@ from repro.stack.kernel_stack import KernelStack
 from repro.stack.udp import MAX_DATAGRAM
 from repro.cpu.core import Core
 from repro.units import gbps, usec
+from tests.census import assert_census_clean
 
 
 def make_stacks(sim):
@@ -166,10 +168,9 @@ class TestNetKernelUdp:
 
     def test_no_hugepage_leaks(self, env):
         env_tuple, host = env
+        outstanding_before = NQE_POOL.outstanding
         udp_echo_pair(env_tuple)
-        for vm in host.vms.values():
-            region = host.coreengine.vm_device(vm.vm_id).hugepages
-            assert region.live_buffers == 0
+        assert_census_clean(host, outstanding_before)
 
     def test_dgram_socket_on_shm_nsm_rejected(self):
         sim = Simulator()
