@@ -69,7 +69,7 @@ def host_timeline(sim, host, guest_counters) -> dict:
     }
 
 
-def _echo_server(api, vm, port: int = ECHO_PORT):
+def echo_server(api, vm, port: int = ECHO_PORT):
     """Accept loop + per-connection echo children."""
 
     def echo(conn):
@@ -124,19 +124,19 @@ def _chaos_client(sim, api, counters, stop, fault_onset: float):
             yield sim.timeout(2e-3)
         except TimedOutError:
             counters["timeouts"] += 1
-            sock = yield from _scrap(api, sock)
+            sock = yield from scrap(api, sock)
             yield sim.timeout(2e-3)
         except SocketError as error:
             if error.errno_name == "ECONNRESET":
                 counters["resets"] += 1
             else:
                 counters["other_errors"] += 1
-            sock = yield from _scrap(api, sock)
+            sock = yield from scrap(api, sock)
             yield sim.timeout(2e-3)
-    yield from _scrap(api, sock)
+    yield from scrap(api, sock)
 
 
-def _scrap(api, sock):
+def scrap(api, sock):
     """Best-effort close of a failed socket; always returns None."""
     if sock is not None:
         try:
@@ -186,7 +186,7 @@ def run_chaos(seed: int = 0, plan_name: str = "nsm-crash",
     counters["recovered_at"] = None
     stop = {"flag": False}
 
-    server_vm.spawn(_echo_server(host.socket_api(server_vm), server_vm))
+    server_vm.spawn(echo_server(host.socket_api(server_vm), server_vm))
     client_vm.spawn(_chaos_client(sim, host.socket_api(client_vm), counters,
                                   stop, fault_onset))
     if fleet_probe is not None:

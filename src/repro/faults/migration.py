@@ -26,7 +26,7 @@ from typing import Optional
 
 from repro.core.nqe import NQE_POOL
 from repro.errors import ConfigurationError, SocketError, TimedOutError
-from repro.faults.chaos import ECHO_PORT, _echo_server, echo_host, \
+from repro.faults.chaos import ECHO_PORT, echo_host, echo_server, \
     host_timeline, read_exactly
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, named_plan
@@ -122,7 +122,7 @@ def run_migration(seed: int = 0, streams: int = 8, duration: float = 0.12,
     migration = {"record": None, "error": None}
 
     client_api = host.socket_api(client_vm)
-    server_vm.spawn(_echo_server(host.socket_api(server_vm), server_vm))
+    server_vm.spawn(echo_server(host.socket_api(server_vm), server_vm))
     for index in range(streams):
         client_vm.spawn(_stream(sim, client_api, index, seed, payload_bytes,
                                 pacing, counters, stop))

@@ -251,7 +251,7 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
     With ``crash`` the serving NSM dies mid-window and the clients ride
     the failover onto the standby.
     """
-    from repro.faults.chaos import _echo_server, _scrap, echo_host, \
+    from repro.faults.chaos import echo_host, echo_server, scrap, \
         read_exactly
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
@@ -301,14 +301,14 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
                 counters["sheds"] += 1
             except TimedOutError:
                 counters["timeouts"] += 1
-                sock = yield from _scrap(api, sock)
+                sock = yield from scrap(api, sock)
             except SocketError:
                 counters["errors"] += 1
-                sock = yield from _scrap(api, sock)
-        yield from _scrap(api, sock)
+                sock = yield from scrap(api, sock)
+        yield from scrap(api, sock)
         finished[0] += 1
 
-    server_vm.spawn(_echo_server(host.socket_api(server_vm), server_vm,
+    server_vm.spawn(echo_server(host.socket_api(server_vm), server_vm,
                                  _ECHO_PORT))
     for index, vm in enumerate(clients):
         vm.spawn(client_worker(vm, host.socket_api(vm), index))
