@@ -10,24 +10,33 @@ treat payloads as read-only.
 import functools
 
 
-@functools.lru_cache(maxsize=None)
-def chaos_run(seed, plan_name, duration):
-    """(payload, the census the run took once its traffic drained)."""
-    from repro.faults import chaos as module
-
-    real, taken = module.census, []
+def _recording(module, name, run):
+    """``run()`` with ``module.name`` wrapped to record each call as
+    (args, result); returns (run's result, the recorded calls)."""
+    real, taken = getattr(module, name), []
 
     def recording(*args):
-        taken.append(real(*args))
-        return taken[-1]
+        taken.append((args, real(*args)))
+        return taken[-1][1]
 
-    module.census = recording
+    setattr(module, name, recording)
     try:
-        payload = module.run_chaos(seed=seed, plan_name=plan_name,
-                                   duration=duration)
+        return run(), taken
     finally:
-        module.census = real
-    return payload, taken[-1]
+        setattr(module, name, real)
+
+
+@functools.lru_cache(maxsize=None)
+def chaos_run(seed, plan_name, duration):
+    """(payload, the census the run took once its traffic drained, the
+    timeline its ``switch_fingerprint`` hashes)."""
+    from repro.faults import chaos as module
+
+    (payload, timelines), censuses = _recording(
+        module, "census", lambda: _recording(
+            module, "switch_fingerprint", lambda: module.run_chaos(
+                seed=seed, plan_name=plan_name, duration=duration)))
+    return payload, censuses[-1][1], timelines[-1][0][0]
 
 
 def chaos(seed, plan_name, duration):
@@ -35,10 +44,18 @@ def chaos(seed, plan_name, duration):
 
 
 @functools.lru_cache(maxsize=None)
-def migration(seed, streams, duration):
-    from repro.faults.migration import run_migration
+def migration_run(seed, streams, duration):
+    """(payload, the timeline its ``switch_fingerprint`` hashes)."""
+    from repro.faults import migration as module
 
-    return run_migration(seed=seed, streams=streams, duration=duration)
+    payload, timelines = _recording(
+        module, "switch_fingerprint", lambda: module.run_migration(
+            seed=seed, streams=streams, duration=duration))
+    return payload, timelines[-1][0][0]
+
+
+def migration(seed, streams, duration):
+    return migration_run(seed, streams, duration)[0]
 
 
 @functools.lru_cache(maxsize=None)

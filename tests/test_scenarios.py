@@ -4,8 +4,11 @@ The chaos, migrate, capacity and autoscale tests elsewhere compare two
 runs with each other; the goldens here pin the full result payload of
 one run per kind as a :func:`tests.goldens.digest`, so a refactor of the
 scenario plumbing must reproduce every field, not just agree with
-itself.  The runs come from :mod:`tests.scenario_runs`, shared with the
-tests that already make them.
+itself.  The four echo-scenario runs are pinned a second time without
+the simulator's event counts, which a change to how timers sit in the
+event heap may move while every simulated timestamp stays put.  The runs
+come from :mod:`tests.scenario_runs`, shared with the tests that already
+make them.
 """
 
 import inspect
@@ -49,10 +52,42 @@ SCENARIO_GOLDENS = {
 }
 
 
+#: name -> (cached (payload, timeline), digest of both without the
+#: ``switch_fingerprint`` and the timeline's ``sim.events_*`` counts).
+TIMELINE_GOLDENS = {
+    "chaos-nsm-crash": (
+        lambda: scenario_runs.chaos_run(11, "nsm-crash", 0.2)[::2],
+        "f12a5512bf9db4254c028f6109cb2006dbf09aff3911899563a1bceb8557aa57"),
+    "chaos-nsm-stall": (
+        lambda: scenario_runs.chaos_run(23, "nsm-stall", 0.2)[::2],
+        "f220640a1f7aafb3318cfc0288ec91c16c17b164bac527327e088adb9cd07d07"),
+    "chaos-overload": (
+        lambda: scenario_runs.chaos_run(7, "overload", 0.25)[::2],
+        "3857d574190ea89aafeb05f82c8f82b82d410ddbe5ea8477c6da252fd8fb8022"),
+    "migrate": (
+        lambda: scenario_runs.migration_run(0, 100, 0.12),
+        "e92df4df281b6204d8d64b1f3433945aaafd9c9b823431132c599fc6c164f6ae"),
+}
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIO_GOLDENS))
 def test_scenario_payload_golden(name):
     run, expected = SCENARIO_GOLDENS[name]
     assert digest(run()) == expected
+
+
+def without_event_counts(payload, timeline):
+    """The payload and its fingerprinted timeline, minus the fingerprint
+    and the simulator's event counts."""
+    payload = {key: value for key, value in payload.items()
+               if key != "switch_fingerprint"}
+    return payload, dict(timeline, sim={"now": timeline["sim"]["now"]})
+
+
+@pytest.mark.parametrize("name", sorted(TIMELINE_GOLDENS))
+def test_scenario_timeline_golden_without_event_counts(name):
+    run, expected = TIMELINE_GOLDENS[name]
+    assert digest(without_event_counts(*run())) == expected
 
 
 @pytest.mark.parametrize("kind", sorted(SCENARIOS))
@@ -81,7 +116,7 @@ def test_quarantined_nsm_context_is_fenced_not_failed():
     first connection.  Failover retired its table entry and the client
     closed its fd; quarantine never touches the NSM, so the context
     stays, counted as fenced."""
-    payload, found = scenario_runs.chaos_run(23, "nsm-stall", 0.2)
+    payload, found, _ = scenario_runs.chaos_run(23, "nsm-stall", 0.2)
     assert payload["quarantined"]
     assert found.leaks() == []
     assert found.fenced == 1
