@@ -193,19 +193,20 @@ class ServiceLib:
         ring = receive_ring if event else completion_ring
         core = self.cores[ctx_qset % len(self.cores)]
         core.charge(self.cost.servicelib_nqe_prep, "servicelib.prep")
+        self._push(ring, nqe)
 
-        def attempt() -> None:
-            if self.crashed:
-                self._discard(nqe)
-            elif ring.try_push(nqe, owner=self):
-                self.nqes_emitted += 1
-                if self.obs is not None:
-                    self.obs.on_nsm_emit(nqe)
-                self.device.ring_doorbell()
-            else:
-                self.sim.call_later(2e-6, attempt)
-
-        attempt()
+    def _push(self, ring, nqe: Nqe) -> None:
+        """Push ``nqe`` onto ``ring``; while it is full, try again every
+        2 µs (a retry is allocated only then)."""
+        if self.crashed:
+            self._discard(nqe)
+        elif ring.try_push(nqe, owner=self):
+            self.nqes_emitted += 1
+            if self.obs is not None:
+                self.obs.on_nsm_emit(nqe)
+            self.device.ring_doorbell()
+        else:
+            self.sim.call_later(2e-6, lambda: self._push(ring, nqe))
 
     def _respond(self, request: Nqe, ctx_qset: int, op_data: int = 0,
                  req_op: Optional[NqeOp] = None) -> None:

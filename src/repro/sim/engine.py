@@ -61,11 +61,24 @@ class Simulator:
             )
         # Scheduled at now + (when - now), not at ``when``: the float sum
         # is the due time every timeline was recorded with.
-        return Call(self, when - now, fn)
+        return Call(self, now + (when - now), fn)
+
+    def call_due(self, when: float, fn: Callable[[], None]) -> Call:
+        """Run ``fn`` at exactly ``when``: the heap key is ``when`` itself,
+        not :meth:`call_at`'s float sum.  A timer that keeps its own
+        absolute deadline re-pushes with this, so it fires at the very
+        instant it was armed for."""
+        if when < self._now:
+            raise SimulationError(
+                f"call_due({when}) is in the past (now={self._now})"
+            )
+        return Call(self, when, fn)
 
     def call_later(self, delay: float, fn: Callable[[], None]) -> Call:
         """Run ``fn`` after ``delay`` seconds of simulated time."""
-        return Call(self, delay, fn)
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay}")
+        return Call(self, self._now + delay, fn)
 
     def every(self, interval: float, fn: Callable[[], None],
               start_delay: float = 0.0) -> "Process":

@@ -173,8 +173,8 @@ class Timeout(Event):
 
 class Call(Timeout):
     """A timeout that runs ``fn()`` when it fires, before any callback
-    appended to it (what :meth:`Simulator.call_at` and
-    :meth:`Simulator.call_later` return).
+    appended to it (what :meth:`Simulator.call_at`,
+    :meth:`Simulator.call_later` and :meth:`Simulator.call_due` return).
 
     One object and one heap entry per scheduled call, with no wrapping
     callback.  Cancelling drops ``fn``, so whatever it closes over is
@@ -183,19 +183,19 @@ class Call(Timeout):
 
     __slots__ = ("_fn",)
 
-    def __init__(self, sim: "Simulator", delay: float, fn: Callable[[], None]):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
-        # Timeout.__init__ inlined (one call per scheduled call).
+    def __init__(self, sim: "Simulator", when: float, fn: Callable[[], None]):
+        # Timeout.__init__ inlined (one call per scheduled call).  ``when``
+        # is the absolute due time and the heap key; the Simulator
+        # methods that build calls check it is not in the past.
         self.sim = sim
         self.callbacks = []
         self._state = TRIGGERED
         self._value = None
         self._exception = None
-        self.delay = delay
+        self.delay = when - sim._now
         self._cancelled = False
         self._fn = fn
-        heappush(sim._heap, (sim._now + delay, sim._seq, self))
+        heappush(sim._heap, (when, sim._seq, self))
         sim._seq += 1
 
     def cancel(self) -> None:

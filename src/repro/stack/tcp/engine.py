@@ -26,6 +26,7 @@ from repro.errors import (
     NotConnectedError,
 )
 from repro.net.packet import Packet
+from repro.sim.event import Call
 from repro.stack.cc.base import CongestionControl
 from repro.stack.cc.cubic import CubicCC
 from repro.stack.tcp.buffers import ReceiveBuffer, SendBuffer
@@ -41,6 +42,52 @@ _conn_ids = itertools.count(1)
 #: States in which :meth:`TcpEngine._pump` may transmit.
 _PUMP_STATES = (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT,
                 TcpState.FIN_WAIT, TcpState.LAST_ACK)
+
+
+class RetransmitTimer:
+    """A connection's one retransmission timer (RFC 6298 §5).
+
+    Re-arming only moves ``deadline``, so an ACK that advances SND.UNA
+    costs a float store, not a heap entry.  The heap holds at most one
+    live entry per timer: an entry that comes due before the deadline
+    re-pushes once for it, one that comes due disarmed does nothing, and
+    only a deadline earlier than the pending entry (the RTO shrank)
+    cancels it for a new one.  The due time is always the stored deadline
+    float, so the timer fires at the instant its last arm asked for.
+
+    The timer holds its connection weakly, so a closed connection is
+    freed at once, not when its pending entry comes due.  Expiry runs on
+    ``conn.engine``: after live migration, the target engine's.
+    """
+
+    __slots__ = ("_conn", "deadline", "_due", "_entry")
+
+    def __init__(self, conn: "TcpConnection"):
+        self._conn = weakref.ref(conn)
+        #: Absolute expiry time; None while disarmed.
+        self.deadline: Optional[float] = None
+        self._due = 0.0
+        self._entry: Optional[Call] = None
+
+    def push(self, sim, due: float) -> None:
+        """Queue the heap entry for ``due``, cancelling a pending one."""
+        if self._entry is not None:
+            self._entry.cancel()
+        self._due = due
+        self._entry = sim.call_due(due, self._expire)
+
+    def _expire(self) -> None:
+        self._entry = None
+        deadline = self.deadline
+        conn = self._conn()
+        if deadline is None or conn is None:
+            return
+        engine = conn.engine
+        if deadline > self._due:
+            self.push(engine.sim, deadline)
+            return
+        self.deadline = None
+        engine._on_rtx_timer(conn)
 
 
 class TcpConnection:
@@ -82,7 +129,7 @@ class TcpConnection:
         self.rttvar = 0.0
         self.rto = engine.rto_initial
         self.retries = 0
-        self._rtx_generation = 0
+        self._rtx_timer: Optional[RetransmitTimer] = None  # made on first arm
         self._persist_armed = False
 
         # FIN bookkeeping.
@@ -466,7 +513,7 @@ class TcpEngine:
                 self._cancel_rtx(conn)
                 self._check_fin_acked(conn)
             else:
-                self._arm_rtx(conn, reset_timer=True)
+                self._arm_rtx(conn)
 
             if conn.on_writable and conn.send_buf.free_space > 0:
                 conn.on_writable(conn)
@@ -633,28 +680,25 @@ class TcpEngine:
             seq=conn.snd_una, ack=conn.recv_buf.rcv_nxt, is_ack=True,
             window=conn.recv_buf.window, payload=payload))
 
-    def _arm_rtx(self, conn: TcpConnection, reset_timer: bool = False) -> None:
-        if conn.inflight == 0 and not reset_timer:
+    def _arm_rtx(self, conn: TcpConnection) -> None:
+        """(Re)start ``conn``'s retransmission timer, one RTO from now,
+        while anything is in flight."""
+        if conn.snd_nxt == conn.snd_una:
             return
-        conn._rtx_generation += 1
-        generation = conn._rtx_generation
-        # The timer holds its connection weakly.  A timer whose connection
-        # only it references is superseded anyway (a connection stays in
-        # its engine's table until _destroy bumps the generation), so a
-        # closed connection is freed at once, not when its stale timers
-        # fire up to an RTO later.
-        ref = weakref.ref(conn)
-        self.sim.call_later(conn.rto,
-                            lambda: self._on_rtx_timer(ref, generation))
+        timer = conn._rtx_timer
+        if timer is None:
+            timer = conn._rtx_timer = RetransmitTimer(conn)
+        sim = self.sim
+        timer.deadline = deadline = sim._now + conn.rto
+        if timer._entry is None or deadline < timer._due:
+            timer.push(sim, deadline)
 
     def _cancel_rtx(self, conn: TcpConnection) -> None:
-        conn._rtx_generation += 1
+        timer = conn._rtx_timer
+        if timer is not None:
+            timer.deadline = None
 
-    def _on_rtx_timer(self, ref: "weakref.ref[TcpConnection]",
-                      generation: int) -> None:
-        conn = ref()
-        if conn is None or generation != conn._rtx_generation:
-            return  # superseded
+    def _on_rtx_timer(self, conn: TcpConnection) -> None:
         if conn.inflight == 0:
             return
         conn.retries += 1
@@ -666,7 +710,7 @@ class TcpEngine:
         conn.recovery_point = None
         conn.rto = min(self.rto_max, conn.rto * 2)
         self._retransmit_one(conn)
-        self._arm_rtx(conn, reset_timer=True)
+        self._arm_rtx(conn)
 
     def _on_timeout_giveup(self, conn: TcpConnection) -> None:
         if conn.on_error:
@@ -751,6 +795,11 @@ class TcpEngine:
                 engine._forwards.pop(key, None)
             conn._forwarders.clear()
         self._notify_closed(conn)
+        # The callbacks close over the socket layer's context, which holds
+        # this connection: without this, only a cyclic GC pass would free
+        # a closed connection and its buffers.
+        conn.on_readable = conn.on_writable = conn.on_accept_ready = None
+        conn.on_connected = conn.on_error = conn.on_closed = None
 
     def _notify_closed(self, conn: TcpConnection) -> None:
         if conn.on_closed:
@@ -897,7 +946,7 @@ class TcpEngine:
             target._next_port = conn.local_port + 1
         if conn.inflight > 0 and conn.state not in (TcpState.CLOSED,
                                                     TcpState.TIME_WAIT):
-            target._arm_rtx(conn, reset_timer=True)
+            target._arm_rtx(conn)
         elif persist_was_armed:
             target._arm_persist(conn)
 

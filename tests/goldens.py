@@ -10,6 +10,9 @@ fingerprints are pinned literally; large outputs as :func:`digest`.
 A change that moves a timeline on purpose re-records the constants: run
 the failing test, check that the new value is the one the change
 intends, and paste the value pytest reports for the left-hand side.
+The bulk timeline and the echo-scenario runs are also pinned without
+their event counts, so a change to how timers sit in the event heap can
+re-record the counts while every simulated timestamp is held fixed.
 """
 
 import hashlib

@@ -10,20 +10,25 @@ treat payloads as read-only.
 import functools
 
 
-def _recording(module, name, run):
-    """``run()`` with ``module.name`` wrapped to record each call as
-    (args, result); returns (run's result, the recorded calls)."""
-    real, taken = getattr(module, name), []
+def _recording(module, names, run):
+    """``run()`` with each of ``module``'s ``names`` wrapped to record its
+    calls as (args, result); returns (run's result, {name: calls})."""
+    reals = {name: getattr(module, name) for name in names}
+    taken = {name: [] for name in names}
 
-    def recording(*args):
-        taken.append((args, real(*args)))
-        return taken[-1][1]
+    def recorder(name):
+        def recording(*args):
+            taken[name].append((args, reals[name](*args)))
+            return taken[name][-1][1]
+        return recording
 
-    setattr(module, name, recording)
+    for name in names:
+        setattr(module, name, recorder(name))
     try:
         return run(), taken
     finally:
-        setattr(module, name, real)
+        for name, real in reals.items():
+            setattr(module, name, real)
 
 
 @functools.lru_cache(maxsize=None)
@@ -32,11 +37,11 @@ def chaos_run(seed, plan_name, duration):
     timeline its ``switch_fingerprint`` hashes)."""
     from repro.faults import chaos as module
 
-    (payload, timelines), censuses = _recording(
-        module, "census", lambda: _recording(
-            module, "switch_fingerprint", lambda: module.run_chaos(
-                seed=seed, plan_name=plan_name, duration=duration)))
-    return payload, censuses[-1][1], timelines[-1][0][0]
+    payload, calls = _recording(
+        module, ("census", "switch_fingerprint"), lambda: module.run_chaos(
+            seed=seed, plan_name=plan_name, duration=duration))
+    return (payload, calls["census"][-1][1],
+            calls["switch_fingerprint"][-1][0][0])
 
 
 def chaos(seed, plan_name, duration):
@@ -48,10 +53,10 @@ def migration_run(seed, streams, duration):
     """(payload, the timeline its ``switch_fingerprint`` hashes)."""
     from repro.faults import migration as module
 
-    payload, timelines = _recording(
-        module, "switch_fingerprint", lambda: module.run_migration(
+    payload, calls = _recording(
+        module, ("switch_fingerprint",), lambda: module.run_migration(
             seed=seed, streams=streams, duration=duration))
-    return payload, timelines[-1][0][0]
+    return payload, calls["switch_fingerprint"][-1][0][0]
 
 
 def migration(seed, streams, duration):

@@ -4,10 +4,11 @@ A shared NSM multiplexes many tenants' short connections (§2, Fig. 17),
 so a connection must cost what it holds, and nothing once it is closed.
 A send buffer that zero-fills its whole capacity (4 MiB by default) at
 creation, kept alive after close by the retransmission timers still
-queued for it, costs MiBs per closed connection.  A lazily grown slab
-and timers that hold their connection weakly bring that to a few KiB.
-tracemalloc counts Python allocations, so the figure is deterministic
-and machine-independent.
+queued for it, costs MiBs per closed connection.  A lazily grown slab,
+one re-armable retransmission timer per connection (not one superseded
+timer per ACK left in the heap) and a timer that holds its connection
+weakly bring that under 1 KiB.  tracemalloc counts Python allocations,
+so the figure is deterministic and machine-independent.
 """
 
 import gc
@@ -16,13 +17,15 @@ import weakref
 
 from repro.core.host import NetKernelHost
 from repro.sim import Simulator
+from repro.stack.tcp.engine import RetransmitTimer
 
 PORT = 7
 MSG = b"m" * 64
 WARMUP = 8
 CONNS = 64
-#: The tripwire: one 4 MiB slab per closed connection would be 256x this.
-MAX_BYTES_PER_CONN = 16 * 1024
+#: The tripwire: one 4 MiB slab per closed connection would be 3,277x
+#: this, and one superseded timer per ACK about 2x.
+MAX_BYTES_PER_CONN = 1280
 
 
 def _world():
@@ -74,7 +77,7 @@ def _world():
     return sim, engine, run
 
 
-def test_closed_connection_costs_at_most_16_kib():
+def test_closed_connection_costs_at_most_1_25_kib():
     sim, engine, run = _world()
     assert engine.send_buf_bytes == 4 * 1024 * 1024
     run(WARMUP)
@@ -90,28 +93,59 @@ def test_closed_connection_costs_at_most_16_kib():
     assert per_conn <= MAX_BYTES_PER_CONN, f"{per_conn / 1024:.1f} KiB"
 
 
-def test_stale_rtx_timer_does_not_pin_a_closed_connection():
-    sim, engine, run = _world()
-    run(WARMUP)
+def _record_opened(engine):
+    """Weak references to every connection ``engine.socket()`` makes
+    from now on."""
     opened = []
-    rtx_timers = []
-    socket, call_later = engine.socket, sim.call_later
+    socket = engine.socket
 
     def recording_socket():
         conn = socket()
         opened.append(weakref.ref(conn))
         return conn
 
-    def recording_call_later(delay, fn):
-        event = call_later(delay, fn)
-        if fn.__qualname__.startswith("TcpEngine._arm_rtx."):
-            rtx_timers.append(event)
-        return event
+    engine.socket = recording_socket
+    return opened
 
-    engine.socket, sim.call_later = recording_socket, recording_call_later
+
+def test_stale_rtx_timer_does_not_pin_a_closed_connection():
+    sim, engine, run = _world()
+    # An RTO floor well above TIME_WAIT: each connection's timer entry is
+    # still queued, live, when the connection is destroyed.
+    engine.rto_min = 10 * engine.time_wait_sec
+    run(WARMUP)
+    opened = _record_opened(engine)
+    rtx_entries = []
+    call_due = sim.call_due
+
+    def recording_call_due(when, fn):
+        entry = call_due(when, fn)
+        if isinstance(getattr(fn, "__self__", None), RetransmitTimer):
+            rtx_entries.append(entry)
+        return entry
+
+    sim.call_due = recording_call_due
     run(1)
     gc.collect()
-    pending = [event for _, _, event in sim._heap if event in rtx_timers]
-    assert pending, "the SYN's retransmission timer is still queued"
+    pending = [event for _, _, event in sim._heap
+               if event in rtx_entries and not event.cancelled]
+    assert pending, "a retransmission timer entry is still queued"
     assert len(opened) == 2  # the client's socket and the accepted child
     assert [ref() for ref in opened] == [None, None]
+
+
+def test_closed_connection_is_freed_without_a_gc_pass():
+    """Teardown drops the connection's callbacks, which close over the
+    ServiceLib context that holds the connection, so reference counting
+    frees it and its buffers at once, not the next cyclic GC pass."""
+    _, engine, run = _world()
+    run(WARMUP)
+    opened = _record_opened(engine)
+    gc.collect()
+    gc.disable()
+    try:
+        run(1)
+        assert len(opened) == 2
+        assert [ref() for ref in opened] == [None, None]
+    finally:
+        gc.enable()

@@ -30,16 +30,16 @@ from tests.goldens import digest
 SCENARIO_GOLDENS = {
     "chaos-nsm-crash": (
         lambda: scenario_runs.chaos(11, "nsm-crash", 0.2),
-        "99be42c9cfb8f8f8ad44ba78809d5138d7449e2776e9ee4b29a8834db99a3402"),
+        "7fbb9d7c33138cd3c1b5085c8990b788b81a346aab0919039b63fa30ecb771a5"),
     "chaos-nsm-stall": (
         lambda: scenario_runs.chaos(23, "nsm-stall", 0.2),
-        "e9eae4f14e4a481c3e85c5f2ac9a0c731128a95beacda90f0b996d2638cb72cf"),
+        "b950429206917ae946e551760d55567aa8fac3e5aeb2bbcc578a6658e743c8b8"),
     "chaos-overload": (
         lambda: scenario_runs.chaos(7, "overload", 0.25),
-        "a737aa775cc0fce2b46245bedbae8ba08600c869a1a3b45bacb31663472490c8"),
+        "e086edeae97609e76b3382166004dc31e82d69244cb102c8e8aab74689f96d34"),
     "migrate": (
         lambda: scenario_runs.migration(0, 100, 0.12),
-        "0512a21e55d67d267e5571befb009633839f8e1c755cc557bc7df8050326cc40"),
+        "aada36cef65e45ff745a6524d6fa753291fd45c13b9f9b5c70063318f3ca3842"),
     "capacity-mux": (
         lambda: scenario_runs.capacity("mux", 0, 0.004, 3),
         "4affebc641018512869d9f5ed71c1e66d934a36dcbe79fbb11716c62d510eab1"),

@@ -97,7 +97,7 @@ TRANSFER_GOLDEN = (
 #: link's counters, every TCP engine's segment counts and every core's
 #: per-component cycles.
 BULK_TIMELINE_GOLDEN = (
-    "a1854ae88bea2d6680a770862deb99499407ab66ae3d1a1824b8b7dfc88f4bb6")
+    "9b5254dcc9c1edd90883bda81c3f88c6c9fdb0bae46edc8ed2c6035001d2d0ca")
 
 #: The same run without ``events_processed``/``events_cancelled``: the
 #: clock, bytes, link, segment and cycle counters only.

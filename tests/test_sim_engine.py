@@ -334,7 +334,7 @@ class TestConditionTimeoutRegression:
 
 
 class TestCallbackTimeouts:
-    """call_at/call_later return a Timeout that runs its callable."""
+    """call_at/call_later/call_due return a Timeout that runs its callable."""
 
     @staticmethod
     def _schedule(sim, how, when, fn):
@@ -401,3 +401,19 @@ class TestCallbackTimeouts:
         event.succeed()
         sim.run()
         assert order == ["call_at", "timeout", "call_later", "event"]
+
+    def test_call_due_fires_at_exactly_when(self, sim):
+        # 0.177 + (0.761 - 0.177) is 0.7610000000000001: call_at keeps
+        # that float sum, call_due keys the heap on ``when`` itself.
+        fired = []
+        sim.run(until=0.177)
+        sim.call_at(0.761, lambda: fired.append(("call_at", sim.now)))
+        sim.call_due(0.761, lambda: fired.append(("call_due", sim.now)))
+        sim.run()
+        assert fired == [("call_due", 0.761),
+                         ("call_at", 0.7610000000000001)]
+
+    def test_call_due_in_the_past_rejected(self, sim):
+        sim.run(until=1.0)
+        with pytest.raises(SimulationError):
+            sim.call_due(0.5, lambda: None)
