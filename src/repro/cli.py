@@ -24,7 +24,9 @@ stats
     and print per-stage NQE latency, ring occupancy, token buckets.
 bench
     Run the wall-clock perf harness (``repro.perf``).  ``--out`` writes
-    BENCH_<name>.json files; ``--floors`` fails on >2x regressions.
+    BENCH_<name>.json files; fails if a sharded bench's per-shard
+    fingerprint differs from its 1-shard reference.  Wall time is a
+    trend; ``tests/test_cost_ratchet.py`` gates cost.
 chaos
     Run the seeded fault-injection workload (``repro.faults``);
     ``--verify`` replays the plan and fails unless bit-identical and
@@ -221,19 +223,18 @@ def _cmd_stats(as_json: bool, transfer_bytes: int) -> int:
 
 
 def _cmd_bench(names: List[str], quick: bool, out_dir: str,
-               floors_path: str, as_json: bool, profile_top: int = 0) -> int:
-    from repro.perf import check_floors, write_results
+               as_json: bool) -> int:
+    from repro.perf import write_results
 
     env = Envelope("bench")
     try:
         payload = execute_job(JobSpec("bench", params={
-            "names": names or None, "quick": quick,
-            "profile_top": profile_top}))
+            "names": names or None, "quick": quick}))
     except KeyError as error:
         env.fail("usage", error.args[0])
         return _finish(env, as_json)
     results = payload["results"]
-    env.data = {"results": results, "written": [], "floor_failures": []}
+    env.data = {"results": results, "written": []}
     if not as_json:
         for name, result in results.items():
             line = (f"  {name:<16} wall={result['wall_s']:.3f}s "
@@ -244,8 +245,6 @@ def _cmd_bench(names: List[str], quick: bool, out_dir: str,
             if "fingerprint_match" in result:
                 line += f" identical={result['fingerprint_match']}"
             print(line)
-            if result.get("profile"):
-                print(result["profile"])
     if out_dir:
         for path in write_results(results, out_dir):
             env.data["written"].append(path)
@@ -257,13 +256,6 @@ def _cmd_bench(names: List[str], quick: bool, out_dir: str,
         env.fail("divergence",
                  "TIMELINE DIVERGENCE: a shard's fingerprint differs from "
                  f"its 1-shard reference run: {mismatched}")
-    if floors_path:
-        with open(floors_path) as handle:
-            floors = json.load(handle)
-        failures = check_floors(results, floors)
-        env.data["floor_failures"] = failures
-        for failure in failures:
-            env.fail("floor", f"FLOOR REGRESSION: {failure}")
     return _finish(env, as_json)
 
 
@@ -434,16 +426,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "bench", help="run wall-clock performance benchmarks"))
     bench_parser.add_argument("names", nargs="*",
                               help="benchmark names (default: all)")
-    bench_parser.add_argument("--profile", type=int, default=0,
-                              metavar="N", dest="profile_top",
-                              help="cProfile each benchmark and print the "
-                                   "top N functions by cumulative time")
     bench_parser.add_argument("--quick", action="store_true",
                               help="shrink workloads for CI smoke runs")
     bench_parser.add_argument("--out", default="",
                               help="directory for BENCH_<name>.json files")
-    bench_parser.add_argument("--floors", default="",
-                              help="JSON of wall-time floors; fail at >2x")
     for scenario in SCENARIOS.values():
         scenario_parser = add_json(sub.add_parser(scenario.kind,
                                                   help=scenario.help))
@@ -520,8 +506,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "stats":
             return _cmd_stats(args.json, args.bytes)
         if args.command == "bench":
-            return _cmd_bench(args.names, args.quick, args.out,
-                              args.floors, args.json, args.profile_top)
+            return _cmd_bench(args.names, args.quick, args.out, args.json)
         if args.command in SCENARIOS:
             return _cmd_scenario(SCENARIOS[args.command], args)
         if args.command == "job":

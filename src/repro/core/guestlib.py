@@ -459,10 +459,16 @@ class GuestLib:
                                kind=sock_type)
         self.fd_table[fd] = sock
         self._by_sock_id[sock.sock_id] = sock
-        response = yield from self._call(
-            vcpu, sock, NqeOp.SOCKET,
-            op_data=1 if sock_type == "dgram" else 0)
-        self._check(response)
+        try:
+            response = yield from self._call(
+                vcpu, sock, NqeOp.SOCKET,
+                op_data=1 if sock_type == "dgram" else 0)
+            self._check(response)
+        except BaseException:
+            # The caller never sees the socket: give its fd back.
+            self.fd_table.pop(fd, None)
+            self._by_sock_id.pop(sock.sock_id, None)
+            raise
         return sock
 
     def bind(self, sock: NetKernelSocket, port: int, vcpu: int = 0):

@@ -46,8 +46,7 @@ def execute_job(spec: JobSpec,
         from repro.perf import run_benchmarks
 
         results = run_benchmarks(params.get("names") or None,
-                                 quick=bool(params.get("quick", False)),
-                                 profile_top=int(params.get("profile_top", 0)))
+                                 quick=bool(params.get("quick", False)))
         return {"kind": "bench", "params": params, "results": results}
     if spec.kind in SCENARIOS:
         return SCENARIOS[spec.kind].run(params, fleet_probe)

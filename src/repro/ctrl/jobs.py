@@ -37,7 +37,7 @@ STATES = (QUEUED, RUNNING, DONE, FAILED)
 #: theirs in repro.experiments.registry and repro.scenario.
 KIND_PARAMS: Dict[str, tuple] = {
     "experiment": (),  # resolved via the registry entry
-    "bench": ("names", "quick", "profile_top"),
+    "bench": ("names", "quick"),
     **{kind: scenario.params for kind, scenario in SCENARIOS.items()},
 }
 

@@ -181,7 +181,6 @@ EXIT_CODES = {
     "leak": 4,          # resource leak (hugepages, NQE pool, forwards)
     "disruption": 5,    # guest-visible resets/timeouts/mismatches
     "invariant": 6,     # assignment violation / graceless degradation
-    "floor": 7,         # perf floor regression
     "job-failed": 8,    # control-plane job ended in state "failed"
 }
 

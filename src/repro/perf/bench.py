@@ -86,6 +86,84 @@ def bench_events(quick: bool) -> dict:
 # -- CoreEngine NQE switching ------------------------------------------------
 
 
+def _responder(sim, nsm_dev, received: list, index: int):
+    """Raw ring consumer on an NSM device: echoes every request as an
+    OP_RESULT, counting it in ``received[index]``."""
+    owner = object()
+    qs = nsm_dev.queue_sets[0]
+    job_ring, send_ring = nsm_dev.consume_rings(qs)
+    completion_ring, _ = nsm_dev.produce_rings(qs)
+    backlog = deque()
+    scratch: list = []
+    while True:
+        # Always consume requests (so CE's VM→NSM deliveries never
+        # stall on a full job ring) and queue responses locally,
+        # draining them whenever the completion ring has room —
+        # needed once the active-VM count approaches the ring size.
+        progressed = False
+        if backlog:
+            pushed = False
+            cap = completion_ring.capacity
+            while backlog and completion_ring._count < cap:
+                completion_ring.try_push(backlog.popleft(), owner=owner)
+                pushed = True
+            if pushed:
+                nsm_dev.ring_doorbell()
+                progressed = True
+        n = (job_ring.drain_into(scratch, 64, owner=owner)
+             if job_ring._count else 0)
+        if send_ring._count:
+            n += send_ring.drain_into(scratch, 64, owner=owner, start=n)
+        if n:
+            progressed = True
+            for i in range(n):
+                nqe = scratch[i]
+                scratch[i] = None
+                received[index] += 1
+                backlog.append(nqe.response(NqeOp.OP_RESULT))
+                NQE_POOL.release(nqe)
+        if not progressed:
+            if backlog:
+                yield sim.timeout(1e-6)
+            else:
+                yield nsm_dev.wait_for_inbound()
+
+
+def _drainer(vm_dev):
+    """Recycle every response that reaches a VM device."""
+    owner = object()
+    qs = vm_dev.queue_sets[0]
+    completion_ring, _ = vm_dev.consume_rings(qs)
+    scratch: list = []
+    while True:
+        n = completion_ring.drain_into(scratch, 64, owner=owner)
+        if not n:
+            yield vm_dev.wait_for_inbound()
+            continue
+        for i in range(n):
+            NQE_POOL.release(scratch[i])
+            scratch[i] = None
+
+
+def _producer(sim, vm_id: int, vm_dev, index: int, nqes: int, burst: int,
+              period: float):
+    """``nqes`` doorbells of ``burst`` control NQEs, ``period`` apart,
+    after a stagger set by the producer's ``index``."""
+    owner = object()
+    qs = vm_dev.queue_sets[0]
+    control_ring, _ = vm_dev.produce_rings(qs)
+    acquire = NQE_POOL.acquire
+    yield sim.timeout(1e-6 * (index + 1))  # stagger the phases
+    for _ in range(nqes):
+        for _ in range(burst):
+            control_ring.push(
+                acquire(NqeOp.SETSOCKOPT, vm_id, 0, 1,
+                        created_at=sim._now),
+                owner=owner)
+        vm_dev.ring_doorbell()
+        yield sim.timeout(period)
+
+
 def _mux_workload(n_vms: int, active_vms: int,
                   nqes_per_active: int, burst: int = 1,
                   period: float = 20e-6, ring_slots: int = 256,
@@ -103,8 +181,8 @@ def _mux_workload(n_vms: int, active_vms: int,
     every VM is placed with ``assign_vm_auto`` (which consults
     ``nsm_loads`` per call) and gets one established connection-table
     entry.  With the indexed table that is O(VMs) total; a table that
-    regresses to full scans makes it O(VMs x connections) and blows the
-    bench's wall-time floor.
+    regresses to full scans makes it O(VMs x connections), which
+    ``tests/test_conn_table.py``'s no-scan proof catches.
     """
     sim = Simulator()
     core = Core(sim, name="bench.ce", hz=DEFAULT_COST_MODEL.core_hz)
@@ -126,82 +204,12 @@ def _mux_workload(n_vms: int, active_vms: int,
             engine.assign_vm(vm_id, nsm_id)
         vms.append((vm_id, vm_dev))
     received = [0]
-
-    def responder():
-        owner = object()
-        qs = nsm_dev.queue_sets[0]
-        job_ring, send_ring = nsm_dev.consume_rings(qs)
-        completion_ring, _ = nsm_dev.produce_rings(qs)
-        backlog = deque()
-        scratch: list = []
-        while True:
-            # Always consume requests (so CE's VM→NSM deliveries never
-            # stall on a full job ring) and queue responses locally,
-            # draining them whenever the completion ring has room —
-            # needed once the active-VM count approaches the ring size.
-            progressed = False
-            if backlog:
-                pushed = False
-                cap = completion_ring.capacity
-                while backlog and completion_ring._count < cap:
-                    completion_ring.try_push(backlog.popleft(), owner=owner)
-                    pushed = True
-                if pushed:
-                    nsm_dev.ring_doorbell()
-                    progressed = True
-            n = (job_ring.drain_into(scratch, 64, owner=owner)
-                 if job_ring._count else 0)
-            if send_ring._count:
-                n += send_ring.drain_into(scratch, 64, owner=owner, start=n)
-            if n:
-                progressed = True
-                for i in range(n):
-                    nqe = scratch[i]
-                    scratch[i] = None
-                    received[0] += 1
-                    backlog.append(nqe.response(NqeOp.OP_RESULT))
-                    NQE_POOL.release(nqe)
-            if not progressed:
-                if backlog:
-                    yield sim.timeout(1e-6)
-                else:
-                    yield nsm_dev.wait_for_inbound()
-
-
-    def drainer(vm_dev):
-        owner = object()
-        qs = vm_dev.queue_sets[0]
-        completion_ring, _ = vm_dev.consume_rings(qs)
-        scratch: list = []
-        while True:
-            n = completion_ring.drain_into(scratch, 64, owner=owner)
-            if not n:
-                yield vm_dev.wait_for_inbound()
-                continue
-            for i in range(n):
-                NQE_POOL.release(scratch[i])
-                scratch[i] = None
-
-    def producer(vm_id, vm_dev, index):
-        owner = object()
-        qs = vm_dev.queue_sets[0]
-        control_ring, _ = vm_dev.produce_rings(qs)
-        acquire = NQE_POOL.acquire
-        yield sim.timeout(1e-6 * (index + 1))  # stagger the phases
-        for _ in range(nqes_per_active):
-            for _ in range(burst):
-                control_ring.push(
-                    acquire(NqeOp.SETSOCKOPT, vm_id, 0, 1,
-                            created_at=sim._now),
-                    owner=owner)
-            vm_dev.ring_doorbell()
-            yield sim.timeout(period)
-
-    sim.process(responder())
+    sim.process(_responder(sim, nsm_dev, received, 0))
     for _vm_id, vm_dev in vms:
-        sim.process(drainer(vm_dev))
+        sim.process(_drainer(vm_dev))
     for index, (vm_id, vm_dev) in enumerate(vms[:active_vms]):
-        sim.process(producer(vm_id, vm_dev, index))
+        sim.process(_producer(sim, vm_id, vm_dev, index, nqes_per_active,
+                              burst, period))
     sim.run()
     return {
         "sim_now": sim.now,
@@ -277,79 +285,11 @@ def _sharded_mux_workload(n_shards: int, vms_per_shard: int,
                                ring_slots=ring_slots)
     received = [0] * n_shards
 
-    def responder(shard_index, nsm_dev):
-        owner = object()
-        qs = nsm_dev.queue_sets[0]
-        job_ring, send_ring = nsm_dev.consume_rings(qs)
-        completion_ring, _ = nsm_dev.produce_rings(qs)
-        backlog = deque()
-        scratch: list = []
-        while True:
-            # Same consume-always/drain-opportunistically discipline as
-            # _mux_workload's responder — the two must stay identical
-            # for the per-shard fingerprint-identity proof to hold.
-            progressed = False
-            if backlog:
-                pushed = False
-                cap = completion_ring.capacity
-                while backlog and completion_ring._count < cap:
-                    completion_ring.try_push(backlog.popleft(), owner=owner)
-                    pushed = True
-                if pushed:
-                    nsm_dev.ring_doorbell()
-                    progressed = True
-            n = (job_ring.drain_into(scratch, 64, owner=owner)
-                 if job_ring._count else 0)
-            if send_ring._count:
-                n += send_ring.drain_into(scratch, 64, owner=owner, start=n)
-            if n:
-                progressed = True
-                for i in range(n):
-                    nqe = scratch[i]
-                    scratch[i] = None
-                    received[shard_index] += 1
-                    backlog.append(nqe.response(NqeOp.OP_RESULT))
-                    NQE_POOL.release(nqe)
-            if not progressed:
-                if backlog:
-                    yield sim.timeout(1e-6)
-                else:
-                    yield nsm_dev.wait_for_inbound()
-
-
-    def drainer(vm_dev):
-        owner = object()
-        qs = vm_dev.queue_sets[0]
-        completion_ring, _ = vm_dev.consume_rings(qs)
-        scratch: list = []
-        while True:
-            n = completion_ring.drain_into(scratch, 64, owner=owner)
-            if not n:
-                yield vm_dev.wait_for_inbound()
-                continue
-            for i in range(n):
-                NQE_POOL.release(scratch[i])
-                scratch[i] = None
-
-    def producer(vm_id, vm_dev, index):
-        owner = object()
-        qs = vm_dev.queue_sets[0]
-        control_ring, _ = vm_dev.produce_rings(qs)
-        yield sim.timeout(1e-6 * (index + 1))  # within-shard stagger
-        for _ in range(nqes_per_active):
-            for _ in range(burst):
-                control_ring.push(
-                    NQE_POOL.acquire(NqeOp.SETSOCKOPT, vm_id, 0, 1,
-                                     created_at=sim.now),
-                    owner=owner)
-            vm_dev.ring_doorbell()
-            yield sim.timeout(period)
-
     cohomed = 0
     for shard_index in range(n_shards):
         nsm_id, nsm_dev = engine.register_nsm(
             f"nsm{shard_index}", queue_sets=1, shard=shard_index)
-        sim.process(responder(shard_index, nsm_dev))
+        sim.process(_responder(sim, nsm_dev, received, shard_index))
         shard_vms = []
         for i in range(vms_per_shard):
             vm_id, vm_dev = engine.register_vm(
@@ -364,10 +304,12 @@ def _sharded_mux_workload(n_shards: int, vms_per_shard: int,
                 engine.assign_vm(vm_id, nsm_id)
             shard_vms.append((vm_id, vm_dev))
         for _vm_id, vm_dev in shard_vms:
-            sim.process(drainer(vm_dev))
+            sim.process(_drainer(vm_dev))
+        # Producers stagger by their within-shard index.
         for index, (vm_id, vm_dev) in enumerate(
                 shard_vms[:active_per_shard]):
-            sim.process(producer(vm_id, vm_dev, index))
+            sim.process(_producer(sim, vm_id, vm_dev, index,
+                                  nqes_per_active, burst, period))
     sim.run()
 
     per_shard = []
@@ -434,11 +376,11 @@ def _bench_fig08_sharded_100k(n_shards: int, vms_per_shard_quick: int,
     connection, so boot alone performs O(VMs) table control operations.
     A connection table that regresses to full-table scans turns that
     into O(VMs x connections) — ~2x10^8 entry visits even in the quick
-    20k-VM CI variant — and trips the wall-time floor.  The switching
-    fingerprint of every shard must stay bit-identical to a standalone
-    1-shard run of one partition, exactly like ``fig08_sharded``, and
-    shard-aware placement must have co-homed every VM (``cohomed`` ==
-    VMs, ``handoffs`` == 0).
+    20k-VM CI variant; ``tests/test_conn_table.py`` proves there is no
+    scan.  The switching fingerprint of every shard must stay
+    bit-identical to a standalone 1-shard run of one partition, exactly
+    like ``fig08_sharded``, and shard-aware placement must have co-homed
+    every VM (``cohomed`` == VMs, ``handoffs`` == 0).
     """
     def bench(quick: bool) -> dict:
         vms_per_shard = vms_per_shard_quick if quick else vms_per_shard_full
@@ -479,66 +421,6 @@ def _bench_fig08_sharded_100k(n_shards: int, vms_per_shard_quick: int,
     return bench
 
 
-# -- end-to-end short-request RPS (fig. 20's workload shape) -----------------
-
-
-def _rps_workload(requests: int) -> dict:
-    from repro import NetKernelHost, Network
-    from repro.units import gbps, usec
-
-    sim = Simulator()
-    network = Network(sim, default_rate_bps=gbps(100),
-                      default_delay_sec=usec(25))
-    host = NetKernelHost(sim, network)
-    nsm = host.add_nsm("nsm0", vcpus=1, stack="kernel")
-    vm_server = host.add_vm("vm-server", vcpus=1, nsm=nsm)
-    vm_client = host.add_vm("vm-client", vcpus=1, nsm=nsm)
-    api_server = host.socket_api(vm_server)
-    api_client = host.socket_api(vm_client)
-    done = {}
-
-    def server():
-        listener = yield from api_server.socket()
-        yield from api_server.bind(listener, 80)
-        yield from api_server.listen(listener, backlog=64)
-        conn = yield from api_server.accept(listener)
-        while True:
-            data = yield from api_server.recv(conn, 4096)
-            if not data:
-                break
-            yield from api_server.send(conn, b"R" * 64)
-        yield from api_server.close(conn)
-
-    def client():
-        yield sim.timeout(0.001)  # let the server bind first
-        sock = yield from api_client.socket()
-        yield from api_client.connect(sock, ("nsm0", 80))
-        for _ in range(requests):
-            yield from api_client.send(sock, b"Q" * 64)
-            yield from api_client.recv(sock, 4096)
-        yield from api_client.close(sock)
-        done["sim_now"] = sim.now
-
-    vm_server.spawn(server())
-    vm_client.spawn(client())
-    sim.run(until=60.0)
-    return {
-        "events_processed": sim.events_processed,
-        "completed": "sim_now" in done,
-        "sim_rps": requests / done["sim_now"] if done.get("sim_now") else 0.0,
-    }
-
-
-def bench_fig20_rps(quick: bool) -> dict:
-    """Full GuestLib→CE→ServiceLib→stack round trips, 64 B echoes."""
-    requests = 300 if quick else 3_000
-    wall, peak, out = _measure(lambda: _rps_workload(requests))
-    return {"wall_s": wall, "events": out["events_processed"],
-            "peak_rss": peak, "completed": out["completed"],
-            "sim_rps": out["sim_rps"],
-            "requests_per_wall_sec": requests / wall if wall else 0.0}
-
-
 def bench_capacity_mux(quick: bool) -> dict:
     """NDR/PDR bisection over the mux scenario, overload governor on."""
     from repro.perf.capacity import run_capacity
@@ -569,21 +451,13 @@ BENCHMARKS = {
     "fig08_sharded_100k": _bench_fig08_sharded_100k(
         8, vms_per_shard_quick=2_500, vms_per_shard_full=12_500,
         nqes_quick=8, nqes_full=40),
-    "fig20_rps": bench_fig20_rps,
     "capacity_mux": bench_capacity_mux,
 }
 
 
 def run_benchmarks(names: Optional[List[str]] = None,
-                   quick: bool = False,
-                   profile_top: int = 0) -> Dict[str, dict]:
-    """Run the named benchmarks (all by default), in registry order.
-
-    ``profile_top > 0`` wraps each benchmark in cProfile and attaches the
-    top-N functions by cumulative time as ``result["profile"]`` (a text
-    dump; the CLI prints it).  Profiled wall times carry tracer overhead,
-    so never use them for floors or committed BENCH files.
-    """
+                   quick: bool = False) -> Dict[str, dict]:
+    """Run the named benchmarks (all by default), in registry order."""
     if not names:
         names = list(BENCHMARKS)
     unknown = [n for n in names if n not in BENCHMARKS]
@@ -593,22 +467,7 @@ def run_benchmarks(names: Optional[List[str]] = None,
     results = {}
     for name in names:
         exact = _reset_peak_rss()
-        if profile_top > 0:
-            import cProfile
-            import io
-            import pstats
-            prof = cProfile.Profile()
-            prof.enable()
-            try:
-                result = BENCHMARKS[name](quick)
-            finally:
-                prof.disable()
-            stream = io.StringIO()
-            stats = pstats.Stats(prof, stream=stream)
-            stats.sort_stats("cumulative").print_stats(profile_top)
-            result["profile"] = stream.getvalue()
-        else:
-            result = BENCHMARKS[name](quick)
+        result = BENCHMARKS[name](quick)
         result["name"] = name
         result["peak_rss_exact"] = exact
         result["quick"] = quick
@@ -628,20 +487,3 @@ def write_results(results: Dict[str, dict], out_dir: str) -> List[str]:
         paths.append(path)
     return paths
 
-
-def check_floors(results: Dict[str, dict], floors: Dict[str, float],
-                 tolerance: float = 2.0) -> List[str]:
-    """Regression check: a benchmark fails when its wall time exceeds
-    ``tolerance ×`` the checked-in floor (a generous baseline, so CI
-    machine jitter does not trip it).  Returns failure messages."""
-    failures = []
-    for name, floor in floors.items():
-        result = results.get(name)
-        if result is None:
-            continue
-        limit = floor * tolerance
-        if result["wall_s"] > limit:
-            failures.append(
-                f"{name}: wall {result['wall_s']:.2f}s exceeds "
-                f"{tolerance:g}x floor ({floor:g}s -> limit {limit:g}s)")
-    return failures

@@ -230,6 +230,8 @@ class TestDeliveryBackpressure:
         sim.run(until=0.11)
         assert len(ce.table) == 0
         assert_census_clean(host, outstanding_before)
+        # Every SOCKET failed, so no fd may outlive it.
+        assert vm.guestlib.fd_table == {}
 
     def test_drop_nqe_returns_element_to_pool(self):
         sim = Simulator()

@@ -1,9 +1,16 @@
 """Tests for unit helpers, the error hierarchy, and the CLI."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import errors, units
 from repro.cli import main as cli_main
+from tests.test_sched_determinism import BENCH_QUICK_GOLDENS
 
 
 class TestUnits:
@@ -73,8 +80,6 @@ class TestCli:
         assert "fig8" in capsys.readouterr().out
 
     def test_json_envelope_shape(self, capsys):
-        import json
-
         assert cli_main(["calibration", "--json"]) == 0
         envelope = json.loads(capsys.readouterr().out)
         assert set(envelope) == {"ok", "kind", "data", "error"}
@@ -84,8 +89,6 @@ class TestCli:
         assert "core_hz" in envelope["data"]
 
     def test_json_envelope_failure(self, capsys):
-        import json
-
         code = cli_main(["run", "fig99", "--json"])
         assert code == errors.EXIT_CODES["usage"]
         envelope = json.loads(capsys.readouterr().out)
@@ -105,3 +108,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ce_switch_fixed" in out
         assert "core_hz" in out
+
+    def test_bench_json_envelope(self):
+        # In a child process: a bench restarts its process's peak-RSS
+        # mark, which would erase the suite's own.
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", "bench", "nqe_switch", "--quick",
+             "--json"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True)
+        assert child.returncode == 0, child.stderr
+        envelope = json.loads(child.stdout)
+        assert envelope["ok"] is True
+        assert envelope["kind"] == "bench"
+        assert set(envelope["data"]) == {"results", "written"}
+        result = envelope["data"]["results"]["nqe_switch"]
+        assert result["fingerprint"] == BENCH_QUICK_GOLDENS["nqe_switch"]
+
+    @pytest.mark.parametrize("flag", [["--floors", "floors.json"],
+                                      ["--profile", "5"]])
+    def test_bench_has_no_floor_or_profile_flag(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["bench", "nqe_switch", "--quick", *flag])
+        assert exit_.value.code == errors.EXIT_CODES["usage"]
