@@ -28,12 +28,19 @@ quarantined: its rings are reclaimed, in-flight NQEs fail fast as
 ECONNRESET results/events toward their VMs, its connection-table entries
 are removed, and affected VMs are rebound to the least-loaded standby
 NSM (``failover_listeners`` lets the host re-attach hugepage regions).
+
+Sharding (repro.core.sharding): a host's switch is a cluster of one or
+more CoreEngine shards sharing one control plane (``_CLUSTER_STATE``).
+Each device has one home shard, ``_Registration.engine``; a shard that
+switches an NQE toward a device homed elsewhere hands it to that
+shard's inbox.  A bare CoreEngine is a cluster of one.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.conn_table import ConnectionTable
@@ -44,6 +51,7 @@ from repro.cpu.core import Core
 from repro.cpu.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.errors import ConfigurationError
 from repro.mem.hugepages import HugepageRegion
+from repro.mem.ring import SpscRing
 from repro.sim.event import Event
 
 
@@ -120,7 +128,8 @@ class _Registration:
                  "active", "parked", "engine")
 
     def __init__(self, numeric_id: int, device: NKDevice,
-                 key: Tuple[int, int], birth_pass: int, engine=None):
+                 key: Tuple[int, int], birth_pass: int,
+                 engine: "CoreEngine"):
         self.numeric_id = numeric_id
         self.device = device
         #: (role rank, numeric id): the pass visiting order (VMs before
@@ -134,9 +143,52 @@ class _Registration:
         #: Live migration: a parked device's produced NQEs wait in its
         #: rings (ops park, they do not fail) until the move completes.
         self.parked = False
-        #: The switch servicing this device — its home shard when the
-        #: switch is sharded (repro.core.sharding), else the sole engine.
+        #: The switch servicing this device: its home shard, the one
+        #: record of where the device lives.
         self.engine = engine
+
+
+#: Control-plane state every shard of a cluster shares by reference: one
+#: id space, one id -> registration lookup per role, one connection
+#: table and VM->NSM map, one set of isolation limits and hugepage
+#: regions, one health verdict per NSM.
+_CLUSTER_STATE = ("_ids", "_vms", "_nsms", "table", "vm_to_nsm",
+                  "_orphaned_vms", "_bw_limits", "_op_limits",
+                  "_vm_regions", "_last_ack", "quarantined", "migrations",
+                  "failover_listeners")
+
+#: Handoff triples drained per scratch refill (a multiple of 3: the
+#: inbox ring stores flattened ring/nqe/device slots).
+_HANDOFF_DRAIN = 96
+
+
+class _HandoffInbox:
+    """Cross-shard handoff inbox: a slab-backed ring of flattened
+    (ring, nqe, device) triples, with an unbounded spill deque behind it.
+
+    The simulator is single-threaded, so the producing end is logically
+    "any peer shard mid-pass" and the consuming end is the home shard's
+    pass top: the SPSC claim discipline is deliberately bypassed
+    (owner=None) and documented here instead.  FIFO across the ring/spill
+    boundary holds because once a push spills, *every* later push spills
+    too until the consumer has fully drained the spill; only then does
+    the (by now empty) ring start filling again.
+    """
+
+    __slots__ = ("ring", "spill")
+
+    def __init__(self, name: str, slots: int):
+        self.ring = SpscRing(max(slots, 64) * 3, name=name)
+        self.spill = deque()
+
+    def push(self, ring, nqe, device) -> None:
+        r = self.ring
+        if self.spill or r.capacity - r._count < 3:
+            self.spill.append((ring, nqe, device))
+            return
+        r.try_push(ring)
+        r.try_push(nqe)
+        r.try_push(device)
 
 
 class CoreEngine:
@@ -216,6 +268,14 @@ class CoreEngine:
         # Live-migration state (§8's transparent-upgrade counterpart):
         # completed migration records, in order.
         self.migrations: List[dict] = []
+
+        # Cluster membership (repro.core.sharding): this engine's shard
+        # index, and the inbox peer shards hand NQEs for devices homed
+        # here to.  None until the engine joins a cluster with peers.
+        self.shard_index = 0
+        self._inbound: Optional[_HandoffInbox] = None
+        self.handoffs_in = 0
+        self.handoffs_out = 0
 
         # Statistics.
         self.nqes_switched = 0
@@ -297,7 +357,7 @@ class CoreEngine:
         registry = self._vms if role == ROLE_VM else self._nsms
         key = (0 if role == ROLE_VM else 1, numeric_id)
         reg = _Registration(numeric_id, device, key, self._pass_counter,
-                            engine=self)
+                            self)
         registry[numeric_id] = reg
         device.ce_registration = reg
         if role == ROLE_VM:
@@ -311,8 +371,14 @@ class CoreEngine:
         reclaimed here: payloads freed, elements returned to the pool.
         For an NSM they fail fast toward the VMs they belong to (the VMs
         outlive the NSM and must learn their connections died); for a VM
-        they are silently dropped (nobody is left to notify).
+        they are silently dropped (nobody is left to notify).  A device
+        homed on another shard is deregistered by that shard; an unknown
+        id is a no-op (guests reach this through the control ring).
         """
+        reg = self._vms.get(numeric_id) or self._nsms.get(numeric_id)
+        if reg is not None and reg.engine is not self:
+            reg.engine.deregister(numeric_id)
+            return
         self.core.charge(self.cost.ce_device_setup, "ce.device_teardown")
         if numeric_id in self._vms:
             reg = self._vms.pop(numeric_id)
@@ -364,10 +430,23 @@ class CoreEngine:
         Quarantined and deregistered NSMs are never candidates — a
         just-quarantined NSM has zero table entries and would otherwise
         always look least-loaded.
+
+        On a sharded switch an NSM homed on the VM's own shard is
+        preferred, so the VM's requests never cross a shard boundary
+        (the traffic-closed layout the fig08 sharded benches prove
+        bit-identical to a standalone switch); the cluster-wide
+        least-loaded NSM is the fallback.
         """
-        if self._vm_registration(vm_id) is None:
+        vm_reg = self._vm_registration(vm_id)
+        if vm_reg is None:
             raise ConfigurationError(f"unknown VM id {vm_id}")
-        nsm_id = self._least_loaded_nsm()
+        candidates = self._active_nsm_ids()
+        home = vm_reg.engine
+        nsm_id = self._least_loaded_nsm(
+            among=[nid for nid in candidates
+                   if self._nsms[nid].engine is home])
+        if nsm_id is None:
+            nsm_id = self._least_loaded_nsm(among=candidates)
         if nsm_id is None:
             raise ConfigurationError("no active NSM registered")
         self.vm_to_nsm[vm_id] = nsm_id
@@ -375,15 +454,19 @@ class CoreEngine:
         return nsm_id
 
     def _active_nsm_ids(self, exclude: Optional[int] = None) -> List[int]:
-        """Ids of in-service NSMs (cluster-wide when sharded) — the one
-        candidate list both assign_vm_auto and _pick_standby draw from."""
+        """Ids of in-service NSMs cluster-wide — the one candidate list
+        both assign_vm_auto and _pick_standby draw from.  A recorded
+        quarantine disqualifies an NSM even if its registration flag is
+        out of step."""
+        quarantined = self.quarantined
         return [nid for nid, reg in self._nsms.items()
-                if reg.active and nid != exclude]
+                if reg.active and nid != exclude
+                and nid not in quarantined]
 
     def _least_loaded_nsm(self, exclude: Optional[int] = None,
                           among: Optional[List[int]] = None) -> Optional[int]:
         """The active NSM with the fewest live connections, or None.
-        ``among`` restricts the candidate pool (the sharded facade uses
+        ``among`` restricts the candidate pool (the sharded switch uses
         it for same-shard placement preference).  O(active NSMs): the
         table keeps per-NSM counts incrementally, so this never walks
         the connection population."""
@@ -426,7 +509,7 @@ class CoreEngine:
             now = self.sim.now
             for nsm_id in sorted(self._nsms):
                 reg = self._nsms[nsm_id]
-                if not reg.active:
+                if not reg.active or reg.engine is not self:
                     continue
                 last = self._last_ack.setdefault(nsm_id, now)
                 if now - last >= self.detection_timeout:
@@ -461,6 +544,8 @@ class CoreEngine:
         reg = self._nsms.get(nsm_id)
         if reg is None or not reg.active:
             return []
+        if reg.engine is not self:
+            return reg.engine.quarantine_nsm(nsm_id, reason=reason)
         reg.active = False
         self.quarantined[nsm_id] = reason
         self._last_ack.pop(nsm_id, None)
@@ -526,6 +611,12 @@ class CoreEngine:
         vm_reg = self._vm_registration(vm_id)
         if vm_reg is None or not vm_reg.active:
             raise ConfigurationError(f"unknown or inactive VM id {vm_id}")
+        if vm_reg.engine is not self:
+            # The home shard owns the VM's ring consumer end, so the
+            # drain and resume steps must run there.
+            return (yield from vm_reg.engine.migrate_vm(
+                vm_id, target_nsm_id, source_lib, target_lib,
+                blackout_base_sec, blackout_per_conn_sec))
         if vm_reg.parked:
             raise ConfigurationError(f"VM {vm_id} is already migrating")
         source_nsm_id = self.vm_to_nsm.get(vm_id)
@@ -755,6 +846,10 @@ class CoreEngine:
         if vm_reg is None or not vm_reg.active:
             self._drop_nqe(nqe)
             return
+        if vm_reg.engine is not self:
+            # The VM's home shard is its rings' producer.
+            vm_reg.engine._push_to_vm(nqe, event)
+            return
         device = vm_reg.device
         qs = device.queue_sets[nqe.queue_set_id % len(device.queue_sets)]
         control_ring, data_ring = device.consume_rings(qs)
@@ -824,29 +919,54 @@ class CoreEngine:
         """The NK device registered for a VM id."""
         return self._vms[vm_id].device
 
-    # -- registration lookup (sharding override points) ----------------------
+    # -- registration lookup --------------------------------------------------
 
     def _vm_registration(self, vm_id: int) -> Optional[_Registration]:
-        """The registration for ``vm_id``, wherever it is homed.  A shard
-        engine overrides this to consult the cluster directory."""
+        """The registration for ``vm_id``, on whichever shard it lives."""
         return self._vms.get(vm_id)
 
     def _nsm_registration(self, nsm_id: int) -> Optional[_Registration]:
-        """The registration for ``nsm_id``, wherever it is homed."""
+        """The registration for ``nsm_id``, on whichever shard it lives."""
         return self._nsms.get(nsm_id)
 
-    #: True on engines whose _pre_pass does real work (the shard engine's
-    #: handoff drain); the switching loop skips the generator round-trip
-    #: entirely when False.  A class attribute so the skip costs one
-    #: attribute load per pass.
-    _HAS_PRE_PASS = False
+    # -- cluster membership (repro.core.sharding) ------------------------------
 
-    def _pre_pass(self):
-        """Hook run at the top of every switching pass.  The base switch
-        has nothing to do; a shard engine drains its inbound cross-shard
-        handoff queue here."""
-        return
-        yield  # pragma: no cover — makes this a generator
+    def _join_cluster(self, index: int, first: "CoreEngine") -> None:
+        """Become shard ``index`` of a multi-shard cluster whose shard 0
+        is ``first``: share its control plane by reference and open the
+        inbox peers hand NQEs for devices homed here to."""
+        self.shard_index = index
+        for name in _CLUSTER_STATE:
+            setattr(self, name, getattr(first, name))
+        self._inbound = _HandoffInbox(f"shard{index}.handoff",
+                                      self.ring_slots)
+        #: Reusable drain scratch for the inbox (never reallocated).
+        self._handoff_scratch: list = []
+
+    def _drain_handoffs(self):
+        """Deliver every NQE peer shards handed to this one, in FIFO
+        order, through the stock delivery path (fault hooks, backpressure
+        budget and liveness checks apply here, once)."""
+        inbox = self._inbound
+        ring = inbox.ring
+        spill = inbox.spill
+        scratch = self._handoff_scratch
+        while ring._count or spill:
+            n = ring.drain_into(scratch, _HANDOFF_DRAIN)
+            if n:
+                for i in range(0, n, 3):
+                    dring = scratch[i]
+                    nqe = scratch[i + 1]
+                    device = scratch[i + 2]
+                    scratch[i] = scratch[i + 1] = scratch[i + 2] = None
+                    self.handoffs_in += 1
+                    if not self._deliver_fast(dring, nqe, device):
+                        yield from self._deliver(dring, nqe, device)
+                continue
+            dring, nqe, device = spill.popleft()
+            self.handoffs_in += 1
+            if not self._deliver_fast(dring, nqe, device):
+                yield from self._deliver(dring, nqe, device)
 
     # ----------------------------------------------------------------- loop --
 
@@ -869,7 +989,8 @@ class CoreEngine:
         else:
             for registry in (self._vms, self._nsms):
                 for reg in registry.values():
-                    self._mark_ready(reg)
+                    if reg.engine is self:
+                        self._mark_ready(reg)
         # _wake_switch() inlined (kick is the datapath's hottest notifier).
         self._kicked = True
         waiter = self._doorbell_waiter
@@ -929,12 +1050,15 @@ class CoreEngine:
           earliest stalled device's deadline (min stall this pass).
         * A pass that made progress, or was kicked mid-pass, is followed
           by another pass instead of a sleep (the lost-doorbell guard).
+        * On a shard with peers, NQEs handed over since the last pass are
+          delivered first, at the top of the pass.
         """
         while self._running:
             self._kicked = False
             self._pass_counter += 1
-            if self._HAS_PRE_PASS:
-                yield from self._pre_pass()
+            inbox = self._inbound
+            if inbox is not None and (inbox.ring._count or inbox.spill):
+                yield from self._drain_handoffs()
             self._in_pass = True
             progressed = False
             stall: Optional[float] = None
@@ -1224,10 +1348,20 @@ class CoreEngine:
         or dropped because the target died.  Returns False when the
         generator slow path must take over (active fault injection, or a
         full ring that needs a bounded stall); it has consumed nothing in
-        that case, so :meth:`_deliver` re-runs the same checks."""
+        that case, so :meth:`_deliver` re-runs the same checks.
+
+        A target homed on another shard is handed to that shard's inbox
+        (push and doorbell, no yields), so it is always fast; the home
+        shard delivers it through these same checks."""
+        target_reg = target_device.ce_registration
+        if target_reg is not None and target_reg.engine is not self:
+            self.handoffs_out += 1
+            home = target_reg.engine
+            home._inbound.push(ring, nqe, target_device)
+            home._wake_switch()
+            return True
         if self.faults is not None:
             return False
-        target_reg = target_device.ce_registration
         if target_reg is not None and not target_reg.active:
             self._drop_nqe(nqe)
             return True
@@ -1270,7 +1404,8 @@ class CoreEngine:
         ``deliver_stall_budget`` means the consumer is gone or wedged —
         the NQE is dropped (payload freed, element pooled) and counted
         in ``nqes_dropped_backpressure`` instead of wedging the switch
-        forever.
+        forever.  Reached only after :meth:`_deliver_fast` declined,
+        which it never does for a target homed on another shard.
         """
         faults = self.faults
         if faults is not None:

@@ -288,10 +288,7 @@ class GuestLib:
         """This VM's home-shard overload governor, or None when overload
         control is disabled (the common case: two attribute loads)."""
         reg = self.device.ce_registration
-        if reg is None:
-            return None
-        engine = reg.engine
-        return None if engine is None else engine.overload
+        return None if reg is None else reg.engine.overload
 
     @property
     def _backoff_rng(self) -> random.Random:

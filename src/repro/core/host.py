@@ -1,6 +1,11 @@
 """NetKernelHost: assembles CoreEngine, NSMs, and tenant VMs on one
 physical machine (Fig. 2).
 
+The host's CoreEngine is a :class:`~repro.core.sharding.ShardedCoreEngine`
+of ``ce_shards`` switching shards, one core each: ``{name}.ce`` for the
+paper's single CoreEngine, ``{name}.ce0``, ``{name}.ce1``, ... when
+sharded.
+
 Typical wiring::
 
     host = NetKernelHost(sim, network)
@@ -18,10 +23,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.core.coreengine import CoreEngine
 from repro.core.guestlib import GuestLib
 from repro.core.nsm import NetworkStackModule
 from repro.core.servicelib import ServiceLib
+from repro.core.sharding import ShardedCoreEngine
 from repro.core.vm import GuestVM
 from repro.cpu.core import Core
 from repro.cpu.cost_model import CostModel, DEFAULT_COST_MODEL
@@ -49,23 +54,12 @@ class NetKernelHost:
         self.name = name
         self.cost = cost_model
         self.network = network if network is not None else Network(sim)
-        if ce_shards == 1:
-            self.ce_cores = [Core(sim, name=f"{name}.ce",
-                                  hz=cost_model.core_hz)]
-            self.coreengine = CoreEngine(sim, self.ce_cores[0], cost_model,
-                                         batch_size=ce_batch_size)
-        else:
-            from repro.core.sharding import ShardedCoreEngine
-
-            self.ce_cores = [Core(sim, name=f"{name}.ce{i}",
-                                  hz=cost_model.core_hz)
-                             for i in range(ce_shards)]
-            self.coreengine = ShardedCoreEngine(
-                sim, self.ce_cores, cost_model,
-                batch_size=ce_batch_size)
-        #: Kept as an alias for the single-switch layout; accounting
-        #: sums over ce_cores so sharded hosts attribute every shard.
-        self.ce_core = self.ce_cores[0]
+        core_names = ([f"{name}.ce"] if ce_shards == 1
+                      else [f"{name}.ce{i}" for i in range(ce_shards)])
+        self.ce_cores = [Core(sim, name=core_name, hz=cost_model.core_hz)
+                         for core_name in core_names]
+        self.coreengine = ShardedCoreEngine(sim, self.ce_cores, cost_model,
+                                            batch_size=ce_batch_size)
         self.vms: Dict[str, GuestVM] = {}
         self.nsms: Dict[str, NetworkStackModule] = {}
         #: Observability (repro.obs); None = tracing disabled (default).
@@ -98,14 +92,11 @@ class NetKernelHost:
 
         ``nic_rate_bps`` caps the NSM's fabric links (an SR-IOV VF rate,
         as in Fig. 21's 10G NSM).  ``shard`` pins the NSM's NK device to
-        one switching shard (sharded hosts only; the autoscaler uses it
-        to spawn onto the emptiest shard).
+        one switching shard (the autoscaler uses it to spawn onto the
+        emptiest shard).
         """
         if name in self.nsms:
             raise ConfigurationError(f"NSM {name} already exists")
-        if shard is not None and not hasattr(self.coreengine, "shards"):
-            raise ConfigurationError(
-                f"shard={shard} needs a sharded host (ce_shards > 1)")
         nsm = NetworkStackModule(self.sim, name, vcpus, self.cost)
         stack_kwargs = dict(stack_kwargs or {})
         if stack == "kernel":
@@ -122,9 +113,8 @@ class NetKernelHost:
         else:
             raise ConfigurationError(
                 f"unknown stack {stack!r}; choose from {self.STACK_FLAVOURS}")
-        register_kwargs = {} if shard is None else {"shard": shard}
         nsm_id, device = self.coreengine.register_nsm(
-            name, queue_sets=vcpus, **register_kwargs)
+            name, queue_sets=vcpus, shard=shard)
         nsm.nsm_id = nsm_id
         nsm.servicelib = ServiceLib(self.sim, nsm_id, device, nsm.stack,
                                     nsm.cores, self.cost)
@@ -177,19 +167,15 @@ class NetKernelHost:
         traffic stays shard-local.  ``op_timeout`` / ``max_op_retries``
         arm GuestLib's per-op deadlines (§8); ``backoff_seed`` seeds its
         retry/backoff jitter stream.  ``shard`` pins the VM's NK device
-        to one switching shard (sharded hosts only).
+        to one switching shard.
         """
         if name in self.vms:
             raise ConfigurationError(f"VM {name} already exists")
-        if shard is not None and not hasattr(self.coreengine, "shards"):
-            raise ConfigurationError(
-                f"shard={shard} needs a sharded host (ce_shards > 1)")
         vm = GuestVM(self.sim, name, vcpus, user=user, cost_model=self.cost)
         region = HugepageRegion(name=f"{name}.hp")
-        register_kwargs = {} if shard is None else {"shard": shard}
         vm_id, device = self.coreengine.register_vm(
             name, queue_sets=vcpus, hugepages=region,
-            poll_window_sec=poll_window_sec, **register_kwargs)
+            poll_window_sec=poll_window_sec, shard=shard)
         vm.vm_id = vm_id
         vm.guestlib = GuestLib(self.sim, vm_id, device, vm.cores, self.cost,
                                op_timeout=op_timeout,

@@ -213,9 +213,13 @@ class OverloadGovernor:
         """Max windowed occupancy fraction across every ring of every
         device this engine services (resets each ring's window)."""
         occ = 0.0
-        for registry in (self.engine._vms, self.engine._nsms):
+        engine = self.engine
+        for registry in (engine._vms, engine._nsms):
             for numeric_id in sorted(registry):
-                device = registry[numeric_id].device
+                reg = registry[numeric_id]
+                if reg.engine is not engine:
+                    continue  # homed on a peer shard, governed there
+                device = reg.device
                 for qs in device.queue_sets:
                     for ring in (qs.job, qs.send, qs.completion,
                                  qs.receive):
@@ -264,7 +268,9 @@ class OverloadGovernor:
             return
         budget = delta if delta > self.min_admit_budget \
             else self.min_admit_budget
-        vm_ids = sorted(self.engine._vms)
+        engine = self.engine
+        vm_ids = sorted(vm_id for vm_id, reg in engine._vms.items()
+                        if reg.engine is engine)
         if not vm_ids:
             self._admit_quota = {}
             self._shed_quota = {}
@@ -311,7 +317,4 @@ def governor_for_device(device) -> Optional[OverloadGovernor]:
     reg = getattr(device, "ce_registration", None)
     if reg is None:
         return None
-    engine = reg.engine
-    if engine is None:
-        return None
-    return engine.overload
+    return reg.engine.overload

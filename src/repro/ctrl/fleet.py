@@ -44,20 +44,18 @@ def fleet_snapshot(host) -> Dict[str, Any]:
                                        "dropped_backpressure": 0,
                                        "shed": 0}),
         })
-    shards = None
-    if hasattr(engine, "shards"):
-        shards = {
-            "count": len(engine.shards),
-            "vm_home": {str(vm_id): engine.shard_of_vm(vm_id)
-                        for vm_id in sorted(engine._vm_home)},
-            "nsm_home": {str(nsm_id): engine.shard_of_nsm(nsm_id)
-                         for nsm_id in sorted(engine._nsm_home)},
-            # Per-shard load (active NSMs / homed VMs / live connections)
-            # — what shard-aware placement and the autoscaler's
-            # emptiest-shard spawn decide on.
-            "loads": {str(index): row
-                      for index, row in sorted(engine.shard_loads().items())},
-        }
+    shards = {
+        "count": engine.n_shards,
+        "vm_home": {str(vm_id): engine.shard_of_vm(vm_id)
+                    for vm_id in sorted(engine._vms)},
+        "nsm_home": {str(nsm_id): engine.shard_of_nsm(nsm_id)
+                     for nsm_id in sorted(engine._nsms)},
+        # Per-shard load (active NSMs / homed VMs / live connections)
+        # — what shard-aware placement and the autoscaler's
+        # emptiest-shard spawn decide on.
+        "loads": {str(index): row
+                  for index, row in sorted(engine.shard_loads().items())},
+    }
     return {
         "sim_now": round(host.sim.now, 9),
         "nsms": nsms,

@@ -151,7 +151,7 @@ def run_autoscale_scenario(seed: int = 0, ticks: int = 14,
         "forward_entries": found.forward_entries,
         "table_entries": len(host.coreengine.table),
         "pool_delta": found.pool_delta,
-        "handoffs": getattr(host.coreengine, "handoffs_in", 0),
+        "handoffs": host.coreengine.handoffs_in,
         # Fleet size at the end of the run (static floor + net spawns).
         "peak_nsms": (1 + report["counters"]["spawned"]
                       - report["counters"]["retired"]),
@@ -174,7 +174,7 @@ def run(seed: int = 0, ticks: int = 14, ce_shards: int = 2,
         counters = result["autoscaler"]["counters"]
         if counters["migrations"] == 0:
             problems.append(f"{label}: autoscaler never migrated a VM")
-        shard_loads = result["shard_loads"] or {}
+        shard_loads = result["shard_loads"]
         rows.append([
             label, result["workload"]["rtts"],
             result["workload"]["client_errors"], counters["spawned"],

@@ -142,12 +142,8 @@ class FaultInjector:
         if engine.overload is None:
             engine.enable_overload_control()
         until = self.sim.now + duration
-        if hasattr(engine, "overload_governors"):
-            governors = engine.overload_governors()
-        else:
-            governors = [engine.overload]
         self.overloads += 1
-        for governor in governors:
+        for governor in engine.overload_governors():
             governor.force_overload(until)
 
     # -- CoreEngine hooks (hot path; must stay cheap) ----------------------

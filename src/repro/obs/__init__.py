@@ -127,8 +127,7 @@ class Observability:
         self._host = host
         host.obs = self
         host.coreengine.obs = self
-        self.accountant.register("ce", getattr(host, "ce_cores", None)
-                                 or [host.ce_core])
+        self.accountant.register("ce", host.ce_cores)
         for vm in host.vms.values():
             self.attach_vm(vm)
         for nsm in host.nsms.values():
@@ -244,13 +243,11 @@ class Observability:
         if self._host is not None:
             engine = self._host.coreengine
             report["coreengine"] = engine.stats()
-            per_vm_drops = getattr(engine, "per_vm_drops", None)
-            if per_vm_drops is not None:
-                drops = per_vm_drops()
-                if drops:
-                    report["per_vm_drops"] = {str(vm): d
-                                              for vm, d in drops.items()}
-            governor = getattr(engine, "overload", None)
+            drops = engine.per_vm_drops()
+            if drops:
+                report["per_vm_drops"] = {str(vm): d
+                                          for vm, d in drops.items()}
+            governor = engine.overload
             if governor is not None:
                 report["overload"] = governor.stats()
         return report

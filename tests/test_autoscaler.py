@@ -146,10 +146,15 @@ class TestShardAwareSpawn:
         assert all(row["nsms"] == 1
                    for row in report["shard_loads"].values())
 
-    def test_report_has_no_shard_loads_on_single_core_switch(self):
+    def test_report_has_one_shard_loads_row_on_single_core_switch(self):
+        """A one-shard switch is a cluster of one: its report carries a
+        single shard_loads row holding the whole fleet."""
         sim, host, auto = _autoscaled_host([10.0])
         auto.stop()
-        assert auto.report()["shard_loads"] is None
+        loads = auto.report()["shard_loads"]
+        assert list(loads) == [0]
+        assert loads[0]["nsms"] == len(host.coreengine._active_nsm_ids())
+        assert loads[0]["vms"] == len(host.vms)
 
 
 class TestInvariantHelpers:

@@ -61,7 +61,7 @@ RATCHET = {
     "short_conn_64b": Cost(ops=36, events=4_533, resumes=3_552,
                            calls=67_724),
     "fleet_10k": Cost(ops=400, events=16_369, resumes=13_164,
-                      calls=273_748),
+                      calls=264_164),
     "nqe_switch": Cost(ops=4_000, events=1_756, resumes=1_755,
                        calls=62_603),
 }

@@ -46,7 +46,7 @@ def run_transfer_fingerprint():
     sim.run(until=5.0)
     stats = host.coreengine.stats()
     return (tuple(trace), stats["nqes_switched"], stats["batches"],
-            round(host.ce_core.busy_cycles, 3))
+            round(host.ce_cores[0].busy_cycles, 3))
 
 
 class TestDeterminism:

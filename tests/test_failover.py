@@ -236,7 +236,7 @@ class TestDeliveryBackpressure:
     def test_drop_nqe_returns_element_to_pool(self):
         sim = Simulator()
         host = _host(sim)
-        ce = host.coreengine
+        ce = host.coreengine.shards[0]
         outstanding_before = NQE_POOL.outstanding
         dropped_before = ce.nqes_dropped
         nqe = NQE_POOL.acquire(NqeOp.DATA_ARRIVED, 1, 0, 1,

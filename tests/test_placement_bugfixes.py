@@ -83,7 +83,7 @@ class TestRecycledNsmId:
         # Simulate an id allocator that recycles the dead id, with the
         # predecessor's ack timestamp still on the books.
         engine._last_ack[dead_id] = 0.0
-        engine._ids = iter([dead_id])
+        engine.shards[0]._ids = iter([dead_id])
         fresh = host.add_nsm("fresh", vcpus=1, stack="kernel")
         assert fresh.nsm_id == dead_id
 
@@ -92,7 +92,7 @@ class TestRecycledNsmId:
         # heartbeats and must stay in service.
         sim.run(until=sim.now + 0.02)
         assert dead_id not in engine.quarantined
-        reg = engine._nsm_registration(dead_id)
+        reg = engine._nsms.get(dead_id)
         assert reg is not None and reg.active
         assert engine._last_ack[dead_id] > 0.0
 

@@ -1,6 +1,7 @@
-"""Sharded CoreEngine (PR 6 tentpole).
+"""Sharded CoreEngine: every host's switch is a cluster of >= 1 shards.
 
-Covers the facade (placement, pinning, counter aggregation), cross-shard
+Covers the facade (placement, pinning, counter aggregation), the
+one-shard default host, the shared directory, cross-shard
 handoff correctness on a real echo workload, and the determinism proofs:
 a traffic-closed partition's per-shard fingerprint is bit-identical to a
 standalone one-shard run, and a two-shard run's per-shard timelines match
@@ -9,7 +10,9 @@ their pinned golden.
 
 import pytest
 
+from repro.core.control import CeOp, ControlPlane, decode, encode
 from repro.core.host import NetKernelHost
+from repro.core.nqe import NQE_POOL, NqeOp
 from repro.core.sharding import ShardedCoreEngine
 from repro.cpu.core import Core
 from repro.errors import ConfigurationError
@@ -125,7 +128,7 @@ class TestShardAwarePlacement:
         sim, engine = _bare_cluster(n_shards=2)
         nsm0, _ = engine.register_nsm("nsm0", 1, shard=0)
         nsm1, _ = engine.register_nsm("nsm1", 1, shard=1)
-        home = engine._nsm_home[nsm0]
+        home = engine.shards[0]
         home.quarantined[nsm0] = "half-applied"
         assert home._nsms[nsm0].active
         vm0, _ = engine.register_vm("vm0", 1, shard=0)
@@ -159,13 +162,67 @@ class TestDirectoryConsistency:
 
     def test_shard_side_deregister_keeps_directory_in_step(self):
         """A guest DEREGISTER lands on the home shard's engine, not the
-        facade; the facade directory must still be cleaned."""
+        facade; the shared directory must still be cleaned."""
         sim, engine = _bare_cluster()
         vm_id, _ = engine.register_vm("vm", 1, shard=1)
         engine.shards[1].deregister(vm_id)
         with pytest.raises(ConfigurationError):
             engine.shard_of_vm(vm_id)
-        assert vm_id not in engine._vm_home
+        assert all(vm_id not in shard._vms for shard in engine.shards)
+
+
+    def test_deregister_on_a_peer_shard_deregisters_at_home(self):
+        """A guest DEREGISTER for a device homed on shard 0 that reaches
+        shard 1's control plane deregisters it at its home: the device
+        leaves the shared directory and its rings are reclaimed."""
+        sim, engine = _bare_cluster(n_shards=2)
+        vm, vm_dev = engine.register_vm("vm", 1, shard=0)
+        nsm, _ = engine.register_nsm("nsm", 1, shard=0)
+        engine.assign_vm(vm, nsm)
+        pool_before = NQE_POOL.outstanding
+        control_ring, _ = vm_dev.produce_rings(vm_dev.queue_sets[0])
+        assert control_ring.try_push(
+            NQE_POOL.acquire(NqeOp.SETSOCKOPT, vm, 0, 1), owner=object())
+
+        plane = ControlPlane(engine.shards[1])
+        reply = plane.handle(encode(CeOp.DEREGISTER, 0, vm))
+        assert decode(reply)[0] is CeOp.OK
+        assert vm not in engine.shards[0]._vms
+        with pytest.raises(ConfigurationError):
+            engine.shard_of_vm(vm)
+        assert vm not in engine.vm_to_nsm
+        assert len(control_ring) == 0
+        assert NQE_POOL.outstanding == pool_before
+        # The id is unknown now: a second DEREGISTER is still a no-op.
+        reply = plane.handle(encode(CeOp.DEREGISTER, 0, vm))
+        assert decode(reply)[0] is CeOp.OK
+        assert engine.shard_of_nsm(nsm) == 0
+
+
+class TestSingleShardHost:
+    """Every host runs the sharded switch; the default is one shard."""
+
+    def test_default_host_is_a_cluster_of_one(self):
+        sim = Simulator()
+        host = NetKernelHost(sim, Network(sim))
+        engine = host.coreengine
+        assert isinstance(engine, ShardedCoreEngine)
+        assert engine.n_shards == 1
+        assert [core.name for core in host.ce_cores] == ["host.ce"]
+        assert engine.shards[0]._inbound is None  # no peers, no inbox
+        assert "shards" not in engine.stats()
+
+    def test_shard_zero_pins_and_shard_one_is_out_of_range(self):
+        sim = Simulator()
+        host = NetKernelHost(sim, Network(sim))
+        nsm = host.add_nsm("nsm0", vcpus=1, stack="kernel", shard=0)
+        vm = host.add_vm("vm0", nsm=nsm, shard=0)
+        assert host.coreengine.shard_of_nsm(nsm.nsm_id) == 0
+        assert host.coreengine.shard_of_vm(vm.vm_id) == 0
+        with pytest.raises(ConfigurationError):
+            host.add_nsm("nsm1", vcpus=1, stack="kernel", shard=1)
+        with pytest.raises(ConfigurationError):
+            host.add_vm("vm1", nsm=nsm, shard=1)
 
 
 class TestShardLoads:
