@@ -1289,8 +1289,17 @@ class CoreEngine:
                 return None
             nsm_device = nsm_reg.device
             qset = hash(vm_tuple) % len(nsm_device.queue_sets)
+            op = nqe.op
+            if op is not NqeOp.SOCKET and op is not NqeOp.ACCEPT_ATTACH:
+                # An op on a socket this VM never opened: nothing would
+                # ever complete or remove an entry for it, so a guest
+                # could grow the host-global table at will.  Route it
+                # to the assigned NSM unrecorded; ServiceLib answers it
+                # with an errno.
+                qs = nsm_device.queue_sets[qset]
+                return (qs.send if op is NqeOp.SEND else qs.job), nsm_device
             entry = self.table.insert(vm_tuple, nsm_id, qset)
-            if nqe.op == NqeOp.ACCEPT_ATTACH:
+            if op is NqeOp.ACCEPT_ATTACH:
                 # The NSM socket already exists; complete the entry now.
                 self.table.complete(vm_tuple, nqe.op_data)
         nsm_reg = self._nsm_registration(entry.nsm_id)

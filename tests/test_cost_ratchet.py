@@ -63,7 +63,7 @@ RATCHET = {
     "fleet_10k": Cost(ops=400, events=16_369, resumes=13_164,
                       calls=264_164),
     "nqe_switch": Cost(ops=4_000, events=1_756, resumes=1_755,
-                       calls=62_603),
+                       calls=60_599),
 }
 
 

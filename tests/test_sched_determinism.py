@@ -112,7 +112,7 @@ MUX_GOLDEN = {"batches": 400, "ce_busy_cycles": 607000.0,
 
 #: digest of the rate-limited raw run (see _rate_limited_run).
 RATE_LIMITED_GOLDEN = (
-    "9a3297b5bf3cee39552f5c01af705c29d1f9ae763f8de13a320ddad14321b4ac")
+    "4bbf5e9dff343fbeeb0144c77499798c67af686be4ce78bd300f3915629de73d")
 
 
 class TestExperimentsIdenticalAcrossModes:
