@@ -264,8 +264,7 @@ class NsmAutoscaler:
                                 stack=self.stack, shard=shard)
         self.managed[name] = nsm
         self.counters["spawned"] += 1
-        self._log("spawn",
-                  name if engine.n_shards == 1 else f"{name}@shard{shard}")
+        self._log("spawn", f"{name}@shard{shard}")
         self._notify("spawn")
 
     def _do_retire(self, name: str):

@@ -89,7 +89,6 @@ class ShardedCoreEngine:
                  batch_size: int = 4, ring_slots: int = DEFAULT_RING_SLOTS):
         if not cores:
             raise ConfigurationError("need at least one shard core")
-        self.sim = sim
         self.shards: List[CoreEngine] = [
             CoreEngine(sim, core, cost_model=cost_model,
                        batch_size=batch_size, ring_slots=ring_slots)
@@ -211,11 +210,6 @@ class ShardedCoreEngine:
     def overload_governors(self) -> list:
         return [shard.overload for shard in self.shards
                 if shard.overload is not None]
-
-    def set_vm_weight(self, vm_id: int, weight: float) -> None:
-        """Propagate a VM's admission weight to every shard governor."""
-        for governor in self.overload_governors():
-            governor.set_vm_weight(vm_id, weight)
 
     def per_vm_drops(self) -> Dict[int, dict]:
         """Per-VM loss attribution merged across shards."""

@@ -59,6 +59,11 @@ class TestFacade:
             assert shard.table is first.table
             assert shard.vm_to_nsm is first.vm_to_nsm
             assert shard._ids is first._ids
+            # One directory and one health verdict, not one per shard.
+            assert shard._vms is first._vms
+            assert shard._nsms is first._nsms
+            assert shard.quarantined is first.quarantined
+            assert shard._last_ack is first._last_ack
 
     def test_cross_shard_assignment_and_least_loaded(self):
         """assign_vm_auto must see NSMs on every shard, and exclude
