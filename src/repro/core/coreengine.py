@@ -466,8 +466,8 @@ class CoreEngine:
     def _least_loaded_nsm(self, exclude: Optional[int] = None,
                           among: Optional[List[int]] = None) -> Optional[int]:
         """The active NSM with the fewest live connections, or None.
-        ``among`` restricts the candidate pool (the sharded switch uses
-        it for same-shard placement preference).  O(active NSMs): the
+        ``among`` restricts the candidate pool (assign_vm_auto uses it
+        for same-shard placement preference).  O(active NSMs): the
         table keeps per-NSM counts incrementally, so this never walks
         the connection population."""
         candidates = among if among is not None \
