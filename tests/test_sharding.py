@@ -15,11 +15,12 @@ from repro.core.host import NetKernelHost
 from repro.core.nqe import NQE_POOL, NqeOp
 from repro.core.sharding import ShardedCoreEngine
 from repro.cpu.core import Core
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SocketError
 from repro.net.fabric import Network
 from repro.perf.bench import _SHARD_FP_KEYS, _mux_workload, \
     _sharded_mux_workload
 from repro.sim import Simulator
+from tests.census import assert_census_clean
 
 PORT = 7400
 
@@ -311,6 +312,125 @@ class TestCrossShardHandoff:
         out = _sharded_mux_workload(n_shards=2, vms_per_shard=20,
                                     active_per_shard=2, nqes_per_active=6)
         assert out["handoffs"] == 0
+
+
+class TestCrossShardControl:
+    """Control steps for a device homed on one shard that touch devices
+    homed on another: each home-side step must run at its own home."""
+
+    def test_live_migration_of_a_vm_homed_on_the_other_shard(self):
+        """A VM homed on shard 1 moves from an NSM on shard 0 to one on
+        shard 1 mid-stream: every byte echoes intact, nothing resets,
+        and the census is clean."""
+        pool_baseline = NQE_POOL.outstanding
+        sim = Simulator()
+        host = NetKernelHost(sim, Network(sim), ce_shards=2)
+        nsm_a = host.add_nsm("nsm-a", vcpus=1, stack="kernel", shard=0)
+        nsm_b = host.add_nsm("nsm-b", vcpus=1, stack="kernel", shard=1)
+        nsm_srv = host.add_nsm("nsm-srv", vcpus=1, stack="kernel",
+                               shard=0)
+        server_vm = host.add_vm("server", nsm=nsm_srv, shard=0)
+        client_vm = host.add_vm("client", nsm=nsm_a, shard=1)
+        engine = host.coreengine
+        assert engine.shard_of_vm(client_vm.vm_id) == 1
+        server_api = host.socket_api(server_vm)
+        client_api = host.socket_api(client_vm)
+        chunk = bytes(range(256)) * 4
+        done = {"echoed": b"", "errors": []}
+
+        def server():
+            lsock = yield from server_api.socket()
+            yield from server_api.bind(lsock, PORT)
+            yield from server_api.listen(lsock)
+            conn = yield from server_api.accept(lsock)
+            while True:
+                data = yield from server_api.recv(conn, 4096)
+                if not data:
+                    break
+                yield from server_api.send(conn, data)
+            yield from server_api.close(conn)
+            yield from server_api.close(lsock)
+
+        def client():
+            try:
+                sock = yield from client_api.socket()
+                yield from client_api.connect(sock, ("nsm-srv", PORT))
+                for _ in range(16):
+                    yield from client_api.send(sock, chunk)
+                    got = b""
+                    while len(got) < len(chunk):
+                        got += yield from client_api.recv(sock, 4096)
+                    done["echoed"] += got
+                    yield sim.timeout(1e-3)
+                yield from client_api.close(sock)
+            except SocketError as error:
+                done["errors"].append(error.errno_name)
+
+        def migrate():
+            done["record"] = yield from host.migrate_vm(client_vm, nsm_b)
+
+        server_vm.spawn(server())
+        client_vm.spawn(client())
+        sim.call_at(5e-3, lambda: sim.process(migrate()))
+        sim.run(until=0.1)
+
+        assert done["echoed"] == chunk * 16
+        assert done["errors"] == []
+        assert done["record"]["source_nsm"] == nsm_a.nsm_id
+        assert done["record"]["sockets_moved"] == 1
+        assert engine.vm_to_nsm[client_vm.vm_id] == nsm_b.nsm_id
+        stats = engine.stats()
+        assert stats["vms_migrated"] == 1
+        assert stats["conns_reset_on_failover"] == 0
+        assert stats["shard.1"]["vms_migrated"] == 1
+        # Only the NQEs switched before the move cross shards.
+        assert engine.handoffs_in == 19
+        assert_census_clean(host, pool_baseline)
+
+    def test_quarantine_resets_and_rebinds_vms_on_both_shards(self):
+        """Quarantining an NSM on shard 0 that serves VMs homed on both
+        shards resets each VM's socket and rebinds both VMs."""
+        sim = Simulator()
+        host = NetKernelHost(sim, Network(sim), ce_shards=2)
+        dead = host.add_nsm("nsm-a", vcpus=1, stack="kernel", shard=0)
+        standby = host.add_nsm("nsm-b", vcpus=1, stack="kernel", shard=1)
+        vms = [host.add_vm(f"vm{i}", nsm=dead, shard=i) for i in (0, 1)]
+        server_vm = host.add_vm("server", nsm=standby, shard=1)
+        engine = host.coreengine
+        server_api = host.socket_api(server_vm)
+        outcome = {}
+
+        def server():
+            lsock = yield from server_api.socket()
+            yield from server_api.bind(lsock, PORT)
+            yield from server_api.listen(lsock)
+            while True:
+                yield from server_api.accept(lsock)
+
+        def client(vm):
+            api = host.socket_api(vm)
+            sock = yield from api.socket()
+            yield from api.connect(sock, ("nsm-b", PORT))
+            try:
+                yield from api.recv(sock, 64)
+            except SocketError as error:
+                outcome[vm.name] = error.errno_name
+
+        server_vm.spawn(server())
+        for vm in vms:
+            vm.spawn(client(vm))
+        sim.run(until=0.01)
+        moved = engine.quarantine_nsm(dead.nsm_id, reason="test")
+        sim.run(until=0.02)
+
+        assert moved == [vm.vm_id for vm in vms] == [3, 4]
+        assert outcome == {"vm0": "ECONNRESET", "vm1": "ECONNRESET"}
+        assert all(engine.vm_to_nsm[vm.vm_id] == standby.nsm_id
+                   for vm in vms)
+        stats = engine.stats()
+        assert stats["shard.0"]["nsms_quarantined"] == 1
+        assert stats["shard.0"]["conns_reset_on_failover"] == 2
+        assert stats["vms_failed_over"] == 2
 
 
 #: (per-shard fingerprints, sim_now) of the 2 x 30-VM sharded mux run.
