@@ -274,8 +274,7 @@ class NsmAutoscaler:
             self.managed.pop(name, None)
             return
         engine = self.host.coreengine
-        reg = engine._nsm_registration(nsm.nsm_id)
-        if reg is None or not reg.active:
+        if not engine.nsm_active(nsm.nsm_id):
             # Quarantined (or already gone) while the job was queued:
             # failover moved its VMs; reap the husk's stack state so
             # forwarders pointing at it reclaim, then drop it.
@@ -340,8 +339,7 @@ class NsmAutoscaler:
                        if n.nsm_id == target_nsm_id), None)
         if vm is None or target is None:
             return
-        target_reg = engine._nsm_registration(target_nsm_id)
-        if target_reg is None or not target_reg.active:
+        if not engine.nsm_active(target_nsm_id):
             # Never migrate toward a dead NSM — the job is stale.
             self.counters["migration_failures"] += 1
             self._log("migrate-stale", f"vm{vm_id}->nsm{target_nsm_id}")
@@ -402,8 +400,7 @@ def assignment_violations(host) -> List[tuple]:
     engine = host.coreengine
     bad = []
     for vm_id, nsm_id in sorted(engine.vm_to_nsm.items()):
-        reg = engine._nsm_registration(nsm_id)
-        if reg is None or not reg.active:
+        if not engine.nsm_active(nsm_id):
             bad.append((vm_id, nsm_id))
     return bad
 

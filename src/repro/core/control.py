@@ -19,7 +19,7 @@ import enum
 import struct
 from typing import Tuple
 
-from repro.core.coreengine import CoreEngine
+from repro.core.sharding import ShardedCoreEngine
 from repro.errors import ConfigurationError
 
 #: The §5 message size.
@@ -72,7 +72,7 @@ class ControlPlane:
     ce_data; errors return ``ERROR`` with a :class:`CeError` code.
     """
 
-    def __init__(self, engine: CoreEngine):
+    def __init__(self, engine: ShardedCoreEngine):
         self.engine = engine
         self.requests_handled = 0
         self.errors_returned = 0

@@ -1,6 +1,6 @@
-"""CoreEngine: the software switch and control plane (§4.3, §4.4).
+"""CoreEngine: one shard of the host's software switch (§4.3, §4.4).
 
-CoreEngine consumes produced NQEs in batches, charges the calibrated
+A CoreEngine consumes produced NQEs in batches, charges the calibrated
 switching cost to its dedicated core, and copies each NQE into the proper
 ring of the destination device:
 
@@ -13,6 +13,9 @@ ring of the destination device:
 Isolation (§4.4, Fig. 21): round-robin polling gives basic fairness;
 per-VM token buckets rate-limit bandwidth (bytes through send NQEs)
 and/or operations (NQEs per second).  Egress only, as in the paper.
+The switch stamps every VM-egress NQE with the id of the device it was
+polled from, so a guest cannot act on another tenant's sockets or
+hugepages by writing a neighbour's ``vm_id``.
 
 Scheduling (§4.3's interrupt-driven polling, applied to the switch
 itself): doorbells carry the kicking device and the switch services only
@@ -24,31 +27,26 @@ switch doubles as the failure detector.  ``enable_health_monitor`` sends
 HEARTBEAT NQEs through each NSM's job ring and expects HEARTBEAT_ACKs
 back through the normal datapath — probing the exact path tenant NQEs
 take, not a side channel.  An NSM silent past the detection timeout is
-quarantined: its rings are reclaimed, in-flight NQEs fail fast as
-ECONNRESET results/events toward their VMs, its connection-table entries
-are removed, and affected VMs are rebound to the least-loaded standby
-NSM (``failover_listeners`` lets the host re-attach hugepage regions).
+quarantined by the control plane.
 
-Sharding (repro.core.sharding): a host's switch is a cluster of one or
-more CoreEngine shards sharing one control plane (``_CLUSTER_STATE``).
-Each device has one home shard, ``_Registration.engine``; a shard that
-switches an NQE toward a device homed elsewhere hands it to that
-shard's inbox.  A bare CoreEngine is a cluster of one.
+Control plane (repro.core.sharding): a host's switch is a
+``ShardedCoreEngine`` of one or more CoreEngine shards.  It owns the
+directory (device registrations, connection table, VM→NSM map,
+isolation limits, health verdicts) and the control methods; a shard
+reaches them through its ``switch`` back-reference.  Each device has
+one home shard, ``_Registration.engine``; a shard that switches an NQE
+toward a device homed elsewhere hands it to that shard's inbox.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.conn_table import ConnectionTable
 from repro.core.nk_device import NKDevice, ROLE_NSM, ROLE_VM
 from repro.core.nqe import NQE_POOL, Nqe, NqeOp, RESULT_ERRNO
-from repro.core.queues import DEFAULT_RING_SLOTS
 from repro.cpu.core import Core
-from repro.cpu.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.errors import ConfigurationError
 from repro.mem.hugepages import HugepageRegion
 from repro.mem.ring import SpscRing
@@ -148,15 +146,6 @@ class _Registration:
         self.engine = engine
 
 
-#: Control-plane state every shard of a cluster shares by reference: one
-#: id space, one id -> registration lookup per role, one connection
-#: table and VM->NSM map, one set of isolation limits and hugepage
-#: regions, one health verdict per NSM.
-_CLUSTER_STATE = ("_ids", "_vms", "_nsms", "table", "vm_to_nsm",
-                  "_orphaned_vms", "_bw_limits", "_op_limits",
-                  "_vm_regions", "_last_ack", "quarantined", "migrations",
-                  "failover_listeners")
-
 #: Handoff triples drained per scratch refill (a multiple of 3: the
 #: inbox ring stores flattened ring/nqe/device slots).
 _HANDOFF_DRAIN = 96
@@ -192,39 +181,26 @@ class _HandoffInbox:
 
 
 class CoreEngine:
-    """The NQE switch; runs as a simulation process on a dedicated core."""
+    """One shard of the NQE switch: a switching loop on a dedicated core
+    over the devices homed on it.  Built only by :class:`ShardedCoreEngine`
+    (``switch``), which owns the directory and the control methods."""
 
-    def __init__(self, sim, core: Core,
-                 cost_model: CostModel = DEFAULT_COST_MODEL,
-                 batch_size: int = 4, ring_slots: int = DEFAULT_RING_SLOTS):
+    def __init__(self, switch, core: Core, shard_index: int,
+                 batch_size: int):
         if batch_size < 1:
             raise ConfigurationError(f"batch size must be >=1: {batch_size}")
-        self.sim = sim
+        #: The control plane this shard belongs to: every shared object
+        #: (directory, connection table, limits, health verdicts) and
+        #: switch-wide setting (obs, faults, stall budget) is read there.
+        self.switch = switch
+        self.sim = switch.sim
         self.core = core
-        self.cost = cost_model
+        self.cost = switch.cost
         self.batch_size = batch_size
-        self.ring_slots = ring_slots
+        self.shard_index = shard_index
         #: Reusable drain scratch: grown once to batch_size, reread
         #: every pass, never reallocated.
         self._scratch: List[Nqe] = []
-
-        self.table = ConnectionTable()
-        self._vms: Dict[int, _Registration] = {}
-        self._nsms: Dict[int, _Registration] = {}
-        self._ids = itertools.count(1)
-        self.vm_to_nsm: Dict[int, int] = {}
-        # VMs whose serving NSM was deregistered with no standby to take
-        # over: their ops fail fast instead of raising (a VM that never
-        # had an assignment is a configuration error; this is not).
-        self._orphaned_vms: set = set()
-
-        # Isolation state.
-        self._bw_limits: Dict[int, TokenBucket] = {}
-        self._op_limits: Dict[int, TokenBucket] = {}
-
-        # Hugepage regions by VM id, retained after deregistration so
-        # in-flight NQEs for a vanished VM can still free their payloads.
-        self._vm_regions: Dict[int, HugepageRegion] = {}
 
         # Ready-set scheduler state.  Two heaps give each pass its
         # order: _current_pass holds devices to service this pass in key
@@ -236,48 +212,26 @@ class CoreEngine:
         self._pass_counter = 0
         self._in_pass = False
 
-        # Delivery backpressure: how long _deliver may stall on a full
-        # destination ring before dropping the NQE.  Generous by default
-        # (live consumers drain rings in microseconds); a budget-length
-        # stall means the consumer is gone or wedged.
-        self.deliver_stall_budget = 10e-3
-
-        # NSM health monitoring / failover state (off until
-        # enable_health_monitor()).
+        # NSM health monitoring (off until enable_health_monitor()).
         self.heartbeat_interval = 1e-3
         self.detection_timeout = 5e-3
         self._health_process = None
         self._health_enabled = False
-        #: nsm_id -> sim time of the last HEARTBEAT_ACK (or of first probe).
-        self._last_ack: Dict[int, float] = {}
-        #: reason strings by quarantined NSM id.
-        self.quarantined: Dict[int, str] = {}
-        #: Called as fn(vm_id, dead_nsm_id, standby_nsm_id) after a VM is
-        #: rebound, so the host can attach hugepage regions to the standby.
-        self.failover_listeners: List[Callable[[int, int, int], None]] = []
-
-        # Fault injection (repro.faults); None means no faults and the
-        # hot path pays only the attribute check.
-        self.faults = None
 
         # Overload control (repro.core.overload); None means overload
         # control is disabled and the datapath pays only the attribute
         # check.  Enabled via enable_overload_control().
         self.overload = None
 
-        # Live-migration state (§8's transparent-upgrade counterpart):
-        # completed migration records, in order.
-        self.migrations: List[dict] = []
-
-        # Cluster membership (repro.core.sharding): this engine's shard
-        # index, and the inbox peer shards hand NQEs for devices homed
-        # here to.  None until the engine joins a cluster with peers.
-        self.shard_index = 0
+        # Cross-shard handoff: the inbox peer shards hand NQEs for
+        # devices homed here to.  None on a shard without peers.
         self._inbound: Optional[_HandoffInbox] = None
+        #: Reusable drain scratch for the inbox (never reallocated).
+        self._handoff_scratch: list = []
         self.handoffs_in = 0
         self.handoffs_out = 0
 
-        # Statistics.
+        # Statistics.  A control step counts on its device's home shard.
         self.nqes_switched = 0
         self.batches = 0
         self.vms_migrated = 0
@@ -305,10 +259,6 @@ class CoreEngine:
         #: race (each one used to linger in the event heap as a no-op).
         self.stale_wakeups = 0
 
-        # Observability (repro.obs); None means tracing is disabled and
-        # the hot path pays nothing beyond the attribute check.
-        self.obs = None
-
         #: Doorbell state.  ``_kicked`` is the lost-doorbell guard: set by
         #: every kick, cleared at the top of each pass, checked before
         #: sleeping.  ``_doorbell_waiter`` exists only while the loop is
@@ -318,177 +268,64 @@ class CoreEngine:
         self._kicked = False
         self._doorbell_waiter: Optional[object] = None
         self._running = True
-        self._process = sim.process(self._run())
+        self._process = self.sim.process(self._run())
 
-    # ------------------------------------------------------------- control --
+    # ------------------------------------------------------- registration --
+    # register_vm/register_nsm/assign_vm/assign_vm_auto stay callable on
+    # a shard because perfbench's tracer wraps them by name.
 
-    def register_vm(self, owner_id: str, queue_sets: int,
-                    hugepages: Optional[HugepageRegion] = None,
-                    poll_window_sec: Optional[float] = None) -> Tuple[int, NKDevice]:
-        """Allocate an NK device for a starting VM (§4.4)."""
-        return self._register(owner_id, ROLE_VM, queue_sets, hugepages,
-                              poll_window_sec)
+    def register_vm(self, numeric_id: int, owner_id: str, queue_sets: int,
+                    hugepages: Optional[HugepageRegion],
+                    poll_window_sec: Optional[float]) -> _Registration:
+        """Home half of VM registration: the NK device, wired to this
+        shard's doorbell (ShardedCoreEngine.register_vm records it)."""
+        return self._attach(numeric_id, owner_id, ROLE_VM, queue_sets,
+                            hugepages, poll_window_sec)
 
-    def register_nsm(self, owner_id: str, queue_sets: int,
-                     hugepages: Optional[HugepageRegion] = None,
-                     poll_window_sec: Optional[float] = None) -> Tuple[int, NKDevice]:
-        """Allocate an NK device for a starting NSM (§4.4)."""
-        return self._register(owner_id, ROLE_NSM, queue_sets, hugepages,
-                              poll_window_sec)
+    def register_nsm(self, numeric_id: int, owner_id: str, queue_sets: int,
+                     hugepages: Optional[HugepageRegion],
+                     poll_window_sec: Optional[float]) -> _Registration:
+        """Home half of NSM registration (see register_vm)."""
+        return self._attach(numeric_id, owner_id, ROLE_NSM, queue_sets,
+                            hugepages, poll_window_sec)
 
-    def _register(self, owner_id: str, role: str, queue_sets: int,
-                  hugepages: Optional[HugepageRegion],
-                  poll_window_sec: Optional[float]) -> Tuple[int, NKDevice]:
-        numeric_id = next(self._ids)
-        # A recycled numeric id must not inherit the previous owner's
-        # health verdict: a stale _last_ack would let the monitor
-        # insta-quarantine a fresh NSM, and a stale quarantined entry
-        # would misreport it as dead.
-        self._last_ack.pop(numeric_id, None)
-        self.quarantined.pop(numeric_id, None)
+    def assign_vm(self, vm_id: int, nsm_id: int) -> None:
+        """Forwards to :meth:`ShardedCoreEngine.assign_vm`."""
+        self.switch.assign_vm(vm_id, nsm_id)
+
+    def assign_vm_auto(self, vm_id: int) -> int:
+        """Forwards to :meth:`ShardedCoreEngine.assign_vm_auto`."""
+        return self.switch.assign_vm_auto(vm_id)
+
+    def _attach(self, numeric_id: int, owner_id: str, role: str,
+                queue_sets: int, hugepages: Optional[HugepageRegion],
+                poll_window_sec: Optional[float]) -> _Registration:
         hugepages = hugepages or HugepageRegion(name=f"{owner_id}.hp")
         kwargs = {}
         if poll_window_sec is not None:
             kwargs["poll_window_sec"] = poll_window_sec
         device = NKDevice(self.sim, owner_id, role, queue_sets, hugepages,
-                          ring_slots=self.ring_slots, **kwargs)
+                          ring_slots=self.switch.ring_slots, **kwargs)
         device.doorbell = self.kick
         self.core.charge(self.cost.ce_device_setup, "ce.device_setup")
-        registry = self._vms if role == ROLE_VM else self._nsms
         key = (0 if role == ROLE_VM else 1, numeric_id)
         reg = _Registration(numeric_id, device, key, self._pass_counter,
                             self)
-        registry[numeric_id] = reg
         device.ce_registration = reg
-        if role == ROLE_VM:
-            self._vm_regions[numeric_id] = hugepages
-        return numeric_id, device
+        return reg
 
-    def deregister(self, numeric_id: int) -> None:
-        """Release a VM's or NSM's NK device (shutdown path).
-
-        In-flight NQEs still sitting in the departing device's rings are
-        reclaimed here: payloads freed, elements returned to the pool.
-        For an NSM they fail fast toward the VMs they belong to (the VMs
-        outlive the NSM and must learn their connections died); for a VM
-        they are silently dropped (nobody is left to notify).  A device
-        homed on another shard is deregistered by that shard; an unknown
-        id is a no-op (guests reach this through the control ring).
-        """
-        reg = self._vms.get(numeric_id) or self._nsms.get(numeric_id)
-        if reg is not None and reg.engine is not self:
-            reg.engine.deregister(numeric_id)
-            return
-        self.core.charge(self.cost.ce_device_setup, "ce.device_teardown")
-        if numeric_id in self._vms:
-            reg = self._vms.pop(numeric_id)
-            # Ready-heap entries for this device are skipped lazily.
-            reg.active = False
-            for entry in self.table.entries_for_vm(numeric_id):
-                self.table.remove_vm(entry.vm_tuple)
-            self.vm_to_nsm.pop(numeric_id, None)
-            self._orphaned_vms.discard(numeric_id)
-            self._reclaim_device(reg, fail_fast=False)
-            return
-        reg = self._nsms.pop(numeric_id, None)
-        if reg is None:
-            return
-        reg.active = False
-        # Per-NSM health state dies with the registration; leaving it
-        # would poison a later registration that recycles this id.
-        self._last_ack.pop(numeric_id, None)
-        self.quarantined.pop(numeric_id, None)
-        self._reclaim_device(reg, fail_fast=True)
-        for entry in self.table.entries_for_nsm(numeric_id):
-            vm_id, vm_qset, vm_sock = entry.vm_tuple
-            self.table.remove_vm(entry.vm_tuple)
-            error = NQE_POOL.acquire(
-                NqeOp.ERROR_EVENT, vm_id, vm_qset, vm_sock,
-                op_data=-RESULT_ERRNO["ECONNRESET"],
-                aux={"reason": "nsm-deregistered"}, created_at=self.sim.now)
-            self._push_to_vm(error, event=True)
-        for vm_id, assigned in list(self.vm_to_nsm.items()):
-            if assigned == numeric_id:
-                del self.vm_to_nsm[vm_id]
-                self._orphaned_vms.add(vm_id)
-
-    def assign_vm(self, vm_id: int, nsm_id: int) -> None:
-        """Bind a VM to the NSM that will serve it (user choice or LB)."""
-        if self._vm_registration(vm_id) is None:
-            raise ConfigurationError(f"unknown VM id {vm_id}")
-        if self._nsm_registration(nsm_id) is None:
-            raise ConfigurationError(f"unknown NSM id {nsm_id}")
-        self.vm_to_nsm[vm_id] = nsm_id
-        self._orphaned_vms.discard(vm_id)
-
-    def assign_vm_auto(self, vm_id: int) -> int:
-        """Assign a VM to the least-loaded *active* NSM and return its id.
-
-        The paper leaves the VM→NSM mapping to "the users offline or some
-        load balancing scheme dynamically by CoreEngine" (§4.3 fn. 1);
-        this is the dynamic option, balancing by live connection count.
-        Quarantined and deregistered NSMs are never candidates — a
-        just-quarantined NSM has zero table entries and would otherwise
-        always look least-loaded.
-
-        On a sharded switch an NSM homed on the VM's own shard is
-        preferred, so the VM's requests never cross a shard boundary
-        (the traffic-closed layout the fig08 sharded benches prove
-        bit-identical to a standalone switch); the cluster-wide
-        least-loaded NSM is the fallback.
-        """
-        vm_reg = self._vm_registration(vm_id)
-        if vm_reg is None:
-            raise ConfigurationError(f"unknown VM id {vm_id}")
-        candidates = self._active_nsm_ids()
-        home = vm_reg.engine
-        nsm_id = self._least_loaded_nsm(
-            among=[nid for nid in candidates
-                   if self._nsms[nid].engine is home])
-        if nsm_id is None:
-            nsm_id = self._least_loaded_nsm(among=candidates)
-        if nsm_id is None:
-            raise ConfigurationError("no active NSM registered")
-        self.vm_to_nsm[vm_id] = nsm_id
-        self._orphaned_vms.discard(vm_id)
-        return nsm_id
-
-    def _active_nsm_ids(self, exclude: Optional[int] = None) -> List[int]:
-        """Ids of in-service NSMs cluster-wide — the one candidate list
-        both assign_vm_auto and _pick_standby draw from.  A recorded
-        quarantine disqualifies an NSM even if its registration flag is
-        out of step."""
-        quarantined = self.quarantined
-        return [nid for nid, reg in self._nsms.items()
-                if reg.active and nid != exclude
-                and nid not in quarantined]
-
-    def _least_loaded_nsm(self, exclude: Optional[int] = None,
-                          among: Optional[List[int]] = None) -> Optional[int]:
-        """The active NSM with the fewest live connections, or None.
-        ``among`` restricts the candidate pool (assign_vm_auto uses it
-        for same-shard placement preference).  O(active NSMs): the
-        table keeps per-NSM counts incrementally, so this never walks
-        the connection population."""
-        candidates = among if among is not None \
-            else self._active_nsm_ids(exclude)
-        if not candidates:
-            return None
-        loads = self.table.nsm_loads()
-        return min(sorted(candidates), key=lambda nid: loads.get(nid, 0))
-
-    # -- NSM health & failover (§8) ------------------------------------------
+    # -- NSM health (§8) -------------------------------------------------------
 
     def enable_health_monitor(self, heartbeat_interval: float = 1e-3,
                               detection_timeout: float = 5e-3) -> None:
-        """Start probing NSM liveness with heartbeat NQEs.
+        """Start probing the liveness of the NSMs homed here.
 
         Every ``heartbeat_interval`` the monitor pushes a HEARTBEAT into
         each active NSM's job ring; ServiceLib answers through its
         completion ring.  An NSM whose last ack is older than
-        ``detection_timeout`` is quarantined (see quarantine_nsm).  Off
-        by default so un-monitored timelines are byte-identical to
-        earlier builds.
+        ``detection_timeout`` is quarantined (see
+        ShardedCoreEngine.quarantine_nsm).  Off by default so
+        un-monitored timelines are byte-identical to earlier builds.
         """
         if detection_timeout <= heartbeat_interval:
             raise ConfigurationError(
@@ -505,15 +342,18 @@ class CoreEngine:
         self._health_enabled = False
 
     def _health_loop(self):
+        switch = self.switch
+        nsms = switch._nsms
+        last_ack = switch._last_ack
         while self._running and self._health_enabled:
             now = self.sim.now
-            for nsm_id in sorted(self._nsms):
-                reg = self._nsms[nsm_id]
+            for nsm_id in sorted(nsms):
+                reg = nsms[nsm_id]
                 if not reg.active or reg.engine is not self:
                     continue
-                last = self._last_ack.setdefault(nsm_id, now)
+                last = last_ack.setdefault(nsm_id, now)
                 if now - last >= self.detection_timeout:
-                    self.quarantine_nsm(nsm_id, reason="heartbeat-timeout")
+                    switch.quarantine_nsm(nsm_id, reason="heartbeat-timeout")
                     continue
                 probe = NQE_POOL.acquire(NqeOp.HEARTBEAT, 0, 0, 0,
                                          created_at=now)
@@ -529,165 +369,7 @@ class CoreEngine:
             yield self.sim.timeout(self.heartbeat_interval)
         self._health_process = None
 
-    def quarantine_nsm(self, nsm_id: int,
-                       reason: str = "failure-detected") -> List[int]:
-        """Take a dead NSM out of service and fail its work fast (§8).
-
-        Reclaims every NQE in the dead NSM's rings (requests fail fast as
-        ECONNRESET results toward their VMs, stale events are dropped
-        with payloads freed), resets each of its connection-table entries
-        with an ERROR_EVENT(ECONNRESET) to the owning socket, and rebinds
-        affected VMs to the least-loaded active standby NSM.  Returns the
-        rebound VM ids (empty when no standby exists — the VMs keep their
-        dead assignment and subsequent ops fail fast).
-        """
-        reg = self._nsms.get(nsm_id)
-        if reg is None or not reg.active:
-            return []
-        if reg.engine is not self:
-            return reg.engine.quarantine_nsm(nsm_id, reason=reason)
-        reg.active = False
-        self.quarantined[nsm_id] = reason
-        self._last_ack.pop(nsm_id, None)
-        self.nsms_quarantined += 1
-        self.core.charge(self.cost.ce_device_setup, "ce.quarantine")
-        self._reclaim_device(reg, fail_fast=True)
-        now = self.sim.now
-        for entry in self.table.entries_for_nsm(nsm_id):
-            vm_id, vm_qset, vm_sock = entry.vm_tuple
-            self.table.remove_vm(entry.vm_tuple)
-            self.conns_reset_on_failover += 1
-            error = NQE_POOL.acquire(
-                NqeOp.ERROR_EVENT, vm_id, vm_qset, vm_sock,
-                op_data=-RESULT_ERRNO["ECONNRESET"],
-                aux={"reason": reason}, created_at=now)
-            self._push_to_vm(error, event=True)
-        standby = self._pick_standby(exclude=nsm_id)
-        moved: List[int] = []
-        if standby is not None:
-            for vm_id, assigned in sorted(self.vm_to_nsm.items()):
-                if assigned == nsm_id:
-                    self.vm_to_nsm[vm_id] = standby
-                    moved.append(vm_id)
-            self.vms_failed_over += len(moved)
-        if self.obs is not None:
-            self.obs.on_nsm_quarantined(nsm_id, reason, len(moved))
-        for vm_id in moved:
-            for listener in self.failover_listeners:
-                listener(vm_id, nsm_id, standby)
-        return moved
-
-    # -- live migration (zero-reset stack upgrade) ----------------------------
-
-    def migrate_vm(self, vm_id: int, target_nsm_id: int, source_lib,
-                   target_lib, blackout_base_sec: float = 50e-6,
-                   blackout_per_conn_sec: float = 1e-6):
-        """Move a VM's connections to another NSM without resetting them.
-
-        A generator: run it as a sim process (or ``yield from`` it).  The
-        protocol, in switch order:
-
-        1. *Quiesce*: park the VM's device — its GuestLib keeps producing
-           and blocking normally, but the switch stops consuming, so ops
-           issued during the move simply wait.
-        2. *Drain*: sweep the NQEs already produced (they route to the
-           source NSM), then poll until the source NSM has consumed and
-           finished every job/send NQE of this VM.
-        3. *Export/import*: the source ServiceLib exports every socket
-           context (TCBs, buffers, listen state, accept backlog travel
-           live); after the modeled blackout the hugepage region is
-           attached to the target and the contexts are imported there.
-        4. *Rebind*: the connection table points the VM's entries at the
-           target NSM; the VM→NSM assignment follows; the source unmaps
-           the region.
-        5. *Resume*: unpark, doorbell the switch (bypassing fault
-           injection — resume is an operator action, not a guest MMIO
-           write), and the parked ops flow to the target.
-
-        On any failure the VM is unparked and resumed before the error
-        propagates, so a botched migration degrades to PR 3's failover
-        path instead of wedging the guest.
-        """
-        vm_reg = self._vm_registration(vm_id)
-        if vm_reg is None or not vm_reg.active:
-            raise ConfigurationError(f"unknown or inactive VM id {vm_id}")
-        if vm_reg.engine is not self:
-            # The home shard owns the VM's ring consumer end, so the
-            # drain and resume steps must run there.
-            return (yield from vm_reg.engine.migrate_vm(
-                vm_id, target_nsm_id, source_lib, target_lib,
-                blackout_base_sec, blackout_per_conn_sec))
-        if vm_reg.parked:
-            raise ConfigurationError(f"VM {vm_id} is already migrating")
-        source_nsm_id = self.vm_to_nsm.get(vm_id)
-        if source_nsm_id is None:
-            raise ConfigurationError(f"VM {vm_id} has no NSM assigned")
-        if source_nsm_id == target_nsm_id:
-            raise ConfigurationError(
-                f"VM {vm_id} is already served by NSM {target_nsm_id}")
-        target_reg = self._nsm_registration(target_nsm_id)
-        if target_reg is None or not target_reg.active:
-            raise ConfigurationError(
-                f"target NSM {target_nsm_id} is not active")
-        source_reg = self._nsm_registration(source_nsm_id)
-        if source_reg is None or not source_reg.active:
-            raise ConfigurationError(
-                f"source NSM {source_nsm_id} is not active")
-
-        started = self.sim.now
-        vm_reg.parked = True
-        try:
-            yield from self._drain_vm_rings(vm_reg)
-            yield from self._await_nsm_quiescent(source_reg, source_lib,
-                                                 vm_id)
-            blackout_started = self.sim.now
-            exports = source_lib.export_vm_sockets(vm_id)
-            blackout = (blackout_base_sec
-                        + blackout_per_conn_sec * len(exports))
-            yield self.sim.timeout(blackout)
-            region = self._vm_regions.get(vm_id)
-            if region is not None:
-                target_lib.attach_vm_region(vm_id, region)
-            target_lib.import_vm_sockets(vm_id, exports, source_lib.stack)
-            n_qsets = len(target_reg.device.queue_sets)
-            rebound = self.table.rebind_vm(
-                vm_id, target_nsm_id,
-                queue_set_for=lambda vt: hash(vt) % n_qsets)
-            self.vm_to_nsm[vm_id] = target_nsm_id
-            source_lib.detach_vm_region(vm_id)
-        except BaseException:
-            vm_reg.parked = False
-            self._resume_device(vm_reg)
-            raise
-        device = vm_reg.device
-        parked_ops = sum(len(ring) for qs in device.queue_sets
-                         for ring in device.produce_rings(qs))
-        vm_reg.parked = False
-        self._resume_device(vm_reg)
-        resumed = self.sim.now
-        record = {
-            "vm_id": vm_id,
-            "source_nsm": source_nsm_id,
-            "target_nsm": target_nsm_id,
-            "sockets_moved": len(exports),
-            "entries_rebound": rebound,
-            "parked_ops": parked_ops,
-            "started": round(started, 9),
-            "blackout_started": round(blackout_started, 9),
-            "resumed": round(resumed, 9),
-            "blackout_sec": round(resumed - blackout_started, 9),
-            "total_sec": round(resumed - started, 9),
-            "tcbs": [record["tcb"] for record in exports],
-        }
-        self.vms_migrated += 1
-        self.conns_migrated += len(exports)
-        self.migration_parked_ops += parked_ops
-        self.migrations.append(record)
-        if self.obs is not None:
-            self.obs.on_migration(vm_id, source_nsm_id, target_nsm_id,
-                                  record["blackout_sec"], len(exports),
-                                  parked_ops)
-        return record
+    # -- home-side steps of control operations ---------------------------------
 
     def _drain_vm_rings(self, reg: _Registration):
         """One bounded sweep over a parked VM's produce rings: everything
@@ -711,36 +393,12 @@ class CoreEngine:
                     self.batches += 1
                     yield from self._switch_batch(reg, batch, len(batch))
 
-    def _await_nsm_quiescent(self, source_reg: _Registration, source_lib,
-                             vm_id: int):
-        """Poll until the source NSM holds no unconsumed job/send NQE of
-        the migrating VM and no handler is mid-flight.  Only the consume
-        side matters: completion/receive rings oscillate under live
-        inbound traffic, and export quiesces the callbacks that feed
-        them."""
-        device = source_reg.device
-        while True:
-            if source_lib.busy_handlers == 0:
-                pending = any(
-                    nqe is not None and nqe.vm_id == vm_id
-                    for qs in device.queue_sets
-                    for ring in device.consume_rings(qs)
-                    for nqe in ring.snapshot())
-                if not pending:
-                    return
-            yield self.sim.timeout(5e-6)
-
     def _resume_device(self, reg: _Registration) -> None:
         """Doorbell a freshly unparked device.  Unlike kick(), never
         subject to injected doorbell loss: resume is an operator-plane
         action, not a guest MMIO write."""
         self._mark_ready(reg)
         self._wake_switch()
-
-    def _pick_standby(self, exclude: int) -> Optional[int]:
-        """The least-loaded active NSM other than ``exclude`` (the same
-        live-connection-count signal assign_vm_auto balances on)."""
-        return self._least_loaded_nsm(exclude=exclude)
 
     def _reclaim_device(self, reg: _Registration, fail_fast: bool) -> None:
         """Drain every ring of a departed device.  SPSC claims are
@@ -841,50 +499,33 @@ class CoreEngine:
         """Best-effort synchronous delivery into a VM's consume rings
         (failover paths only — the normal datapath goes through _deliver).
         A full ring here drops the element rather than blocking the
-        caller; the VM's pollers are live, so this is a last resort."""
-        vm_reg = self._vm_registration(nqe.vm_id)
+        caller; the VM's pollers are live, so this is a last resort.
+        The VM's home shard produces into its rings and counts the drop."""
+        vm_reg = self.switch._vms.get(nqe.vm_id)
         if vm_reg is None or not vm_reg.active:
             self._drop_nqe(nqe)
             return
-        if vm_reg.engine is not self:
-            # The VM's home shard is its rings' producer.
-            vm_reg.engine._push_to_vm(nqe, event)
-            return
+        home = vm_reg.engine
         device = vm_reg.device
         qs = device.queue_sets[nqe.queue_set_id % len(device.queue_sets)]
         control_ring, data_ring = device.consume_rings(qs)
         ring = data_ring if event else control_ring
-        if ring.try_push(nqe, owner=self):
+        if ring.try_push(nqe, owner=home):
             device.wake()
         else:
-            self._count_backpressure_drop(nqe.vm_id)
-            self._drop_nqe(nqe)
+            home._count_backpressure_drop(nqe.vm_id)
+            home._drop_nqe(nqe)
 
     def _free_payload(self, nqe: Nqe) -> None:
         """Free the hugepage buffer an NQE references, if any."""
         if not nqe.data_ptr:
             return
-        region = self._vm_regions.get(nqe.vm_id)
+        region = self.switch._vm_regions.get(nqe.vm_id)
         if region is None:
             return
         buffer = region.lookup(nqe.data_ptr)
         if buffer is not None and not buffer.freed:
             buffer.free()
-
-    def set_bandwidth_limit(self, vm_id: int, bits_per_sec: float,
-                            burst_bits: Optional[float] = None) -> None:
-        """Cap a VM's egress bandwidth through NetKernel (Fig. 21)."""
-        self._bw_limits[vm_id] = TokenBucket(
-            self.sim, bits_per_sec, burst_bits or bits_per_sec * 0.01)
-
-    def clear_bandwidth_limit(self, vm_id: int) -> None:
-        """Remove a VM's bandwidth cap (it becomes work-conserving)."""
-        self._bw_limits.pop(vm_id, None)
-
-    def set_ops_limit(self, vm_id: int, nqes_per_sec: float) -> None:
-        """Cap a VM's NQE (operation) rate (§4.4)."""
-        self._op_limits[vm_id] = TokenBucket(
-            self.sim, nqes_per_sec, nqes_per_sec * 0.01)
 
     # -- overload control (repro.core.overload) --------------------------------
 
@@ -911,37 +552,7 @@ class CoreEngine:
         if self.overload is not None:
             self.overload.stop()
 
-    def nsm_device(self, nsm_id: int) -> NKDevice:
-        """The NK device registered for an NSM id."""
-        return self._nsms[nsm_id].device
-
-    def vm_device(self, vm_id: int) -> NKDevice:
-        """The NK device registered for a VM id."""
-        return self._vms[vm_id].device
-
-    # -- registration lookup --------------------------------------------------
-
-    def _vm_registration(self, vm_id: int) -> Optional[_Registration]:
-        """The registration for ``vm_id``, on whichever shard it lives."""
-        return self._vms.get(vm_id)
-
-    def _nsm_registration(self, nsm_id: int) -> Optional[_Registration]:
-        """The registration for ``nsm_id``, on whichever shard it lives."""
-        return self._nsms.get(nsm_id)
-
-    # -- cluster membership (repro.core.sharding) ------------------------------
-
-    def _join_cluster(self, index: int, first: "CoreEngine") -> None:
-        """Become shard ``index`` of a multi-shard cluster whose shard 0
-        is ``first``: share its control plane by reference and open the
-        inbox peers hand NQEs for devices homed here to."""
-        self.shard_index = index
-        for name in _CLUSTER_STATE:
-            setattr(self, name, getattr(first, name))
-        self._inbound = _HandoffInbox(f"shard{index}.handoff",
-                                      self.ring_slots)
-        #: Reusable drain scratch for the inbox (never reallocated).
-        self._handoff_scratch: list = []
+    # -- cross-shard handoff ---------------------------------------------------
 
     def _drain_handoffs(self):
         """Deliver every NQE peer shards handed to this one, in FIFO
@@ -977,8 +588,9 @@ class CoreEngine:
         mark exactly it dirty; ``None`` (manual kicks, ``stop()``)
         conservatively marks every registered device.
         """
-        if (device is not None and self.faults is not None
-                and self.faults.should_drop_doorbell(device)):
+        faults = self.switch.faults
+        if (device is not None and faults is not None
+                and faults.should_drop_doorbell(device)):
             return  # injected doorbell loss: the MMIO write vanished
         if device is not None:
             reg = device.ce_registration
@@ -987,7 +599,7 @@ class CoreEngine:
             if reg is not None and reg.active and reg.state != _READY:
                 self._mark_ready(reg)
         else:
-            for registry in (self._vms, self._nsms):
+            for registry in (self.switch._vms, self.switch._nsms):
                 for reg in registry.values():
                     if reg.engine is self:
                         self._mark_ready(reg)
@@ -1143,8 +755,8 @@ class CoreEngine:
         stall: Optional[float] = None
         bw = ops = None
         if device.role == ROLE_VM:
-            bw = self._bw_limits.get(reg.numeric_id)
-            ops = self._op_limits.get(reg.numeric_id)
+            bw = self.switch._bw_limits.get(reg.numeric_id)
+            ops = self.switch._op_limits.get(reg.numeric_id)
         limited = bw is not None or ops is not None
         batch_size = self.batch_size
         scratch = self._scratch
@@ -1247,7 +859,8 @@ class CoreEngine:
         :meth:`_deliver`, which is also the only place this yields."""
         role = reg.device.role
         is_vm = role == ROLE_VM
-        obs = self.obs
+        vm_id = reg.numeric_id
+        obs = self.switch.obs
         # Overload accounting applies to VM egress only.
         ov = self.overload if is_vm else None
         resolve = self._resolve_vm_to_nsm if is_vm else self._resolve_nsm_to_vm
@@ -1255,6 +868,12 @@ class CoreEngine:
         for i in range(count):
             nqe = nqes[i]
             nqes[i] = None
+            if is_vm:
+                # The guest writes vm_id; the switch knows which device
+                # it polled.  Stamping it keeps a spoofed id from
+                # reaching a neighbour's sockets or hugepages: the op
+                # acts on the spoofer's own tuple instead.
+                nqe.vm_id = vm_id
             if obs is not None:
                 obs.on_ce_switch(nqe, role)
             if ov is not None and ov.ingest(nqe) and self._shed_nqe(nqe):
@@ -1268,12 +887,14 @@ class CoreEngine:
     def _resolve_vm_to_nsm(self, reg: _Registration, nqe: Nqe):
         """Pick the destination (ring, device) for a VM-egress NQE, or
         consume it (fail-fast/drop) and return None.  Never yields."""
+        switch = self.switch
+        table = switch.table
         vm_tuple = (nqe.vm_id, nqe.queue_set_id, nqe.socket_id)
-        entry = self.table.lookup_vm(vm_tuple)
+        entry = table.lookup_vm(vm_tuple)
         if entry is None:
-            nsm_id = self.vm_to_nsm.get(reg.numeric_id)
+            nsm_id = switch.vm_to_nsm.get(reg.numeric_id)
             if nsm_id is None:
-                if reg.numeric_id in self._orphaned_vms:
+                if reg.numeric_id in switch._orphaned_vms:
                     # The serving NSM was deregistered and no standby
                     # exists.  Raising here would kill the switch for
                     # every tenant; fail the op fast instead.
@@ -1281,7 +902,7 @@ class CoreEngine:
                     return None
                 raise ConfigurationError(
                     f"VM {reg.numeric_id} has no NSM assigned")
-            nsm_reg = self._nsm_registration(nsm_id)
+            nsm_reg = switch._nsms.get(nsm_id)
             if nsm_reg is None or not nsm_reg.active:
                 # Assigned NSM is dead and no standby took over: fail
                 # fast rather than queueing toward a corpse.
@@ -1298,14 +919,14 @@ class CoreEngine:
                 # with an errno.
                 qs = nsm_device.queue_sets[qset]
                 return (qs.send if op is NqeOp.SEND else qs.job), nsm_device
-            entry = self.table.insert(vm_tuple, nsm_id, qset)
+            entry = table.insert(vm_tuple, nsm_id, qset)
             if op is NqeOp.ACCEPT_ATTACH:
                 # The NSM socket already exists; complete the entry now.
-                self.table.complete(vm_tuple, nqe.op_data)
-        nsm_reg = self._nsm_registration(entry.nsm_id)
+                table.complete(vm_tuple, nqe.op_data)
+        nsm_reg = switch._nsms.get(entry.nsm_id)
         if nsm_reg is None or not nsm_reg.active:
             # The serving NSM died between insert and this switch.
-            self.table.remove_vm(vm_tuple)
+            table.remove_vm(vm_tuple)
             self._fail_fast_nqe(nqe)
             return None
         nsm_device = nsm_reg.device
@@ -1321,18 +942,19 @@ class CoreEngine:
         if op is NqeOp.HEARTBEAT_ACK:
             # Liveness answer for the health monitor; never reaches a VM.
             self.heartbeat_acks += 1
-            self._last_ack[reg.numeric_id] = self.sim._now
+            self.switch._last_ack[reg.numeric_id] = self.sim._now
             NQE_POOL.release(nqe)
             return None
-        vm_reg = self._vm_registration(nqe.vm_id)
+        vm_reg = self.switch._vms.get(nqe.vm_id)
         if vm_reg is None:
             self._drop_nqe(nqe)  # VM shut down
             return None
         if op is NqeOp.OP_RESULT:
             # Connection-table bookkeeping applies only to results; the
             # event path skips the tuple build and lookup entirely.
+            table = self.switch.table
             vm_tuple = (nqe.vm_id, nqe.queue_set_id, nqe.socket_id)
-            entry = self.table.lookup_vm(vm_tuple)
+            entry = table.lookup_vm(vm_tuple)
             if entry is not None and not entry.complete and nqe.op_data > 0:
                 # Fig. 6 step (4): response carries the NSM socket id.
                 # Only a positive op_data announces one — ServiceLib's
@@ -1340,10 +962,10 @@ class CoreEngine:
                 # (completing on those used to alias every control-op
                 # entry onto NSM socket 0; the table now rejects such
                 # collisions instead of silently last-writer-winning).
-                self.table.complete(vm_tuple, nqe.op_data)
+                table.complete(vm_tuple, nqe.op_data)
             aux = nqe.aux
             if type(aux) is dict and aux.get("req_op") == NqeOp.CLOSE:
-                self.table.remove_vm(vm_tuple)
+                table.remove_vm(vm_tuple)
         vm_device = vm_reg.device
         qs = vm_device.queue_sets[nqe.queue_set_id % len(vm_device.queue_sets)]
         # A VM device consumes (completion, receive) — consume_rings()
@@ -1369,7 +991,7 @@ class CoreEngine:
             home._inbound.push(ring, nqe, target_device)
             home._wake_switch()
             return True
-        if self.faults is not None:
+        if self.switch.faults is not None:
             return False
         if target_reg is not None and not target_reg.active:
             self._drop_nqe(nqe)
@@ -1416,7 +1038,7 @@ class CoreEngine:
         forever.  Reached only after :meth:`_deliver_fast` declined,
         which it never does for a target homed on another shard.
         """
-        faults = self.faults
+        faults = self.switch.faults
         if faults is not None:
             if faults.should_drop_slot(nqe, target_device):
                 self._drop_nqe(nqe)  # injected ring-slot write loss
@@ -1437,7 +1059,7 @@ class CoreEngine:
                 self._drop_nqe(nqe)  # consumer died while we stalled
                 return
             if deadline is None:
-                deadline = self.sim._now + self.deliver_stall_budget
+                deadline = self.sim._now + self.switch.deliver_stall_budget
             elif self.sim._now >= deadline:
                 self._count_backpressure_drop(nqe.vm_id)
                 self._drop_nqe(nqe)
@@ -1475,7 +1097,7 @@ class CoreEngine:
             "batches": self.batches,
             "avg_batch": (self.nqes_switched / self.batches
                           if self.batches else 0.0),
-            "connections": len(self.table),
+            "connections": len(self.switch.table),
             "rate_limited_stalls": self.rate_limited_stalls,
             "nqes_dropped": self.nqes_dropped,
             "nqes_dropped_backpressure": self.nqes_dropped_backpressure,
@@ -1507,17 +1129,3 @@ class CoreEngine:
                 "shed": self.vm_shed.get(vm_id, 0),
             }
         return out
-
-    def isolation_state(self) -> dict:
-        """Per-VM token-bucket fill levels (bw in bits, ops in NQEs)."""
-        state: Dict[int, dict] = {}
-        for kind, limits in (("bw", self._bw_limits),
-                             ("ops", self._op_limits)):
-            for vm_id, bucket in limits.items():
-                bucket._refill()
-                state.setdefault(vm_id, {})[kind] = {
-                    "rate": bucket.rate,
-                    "burst": bucket.burst,
-                    "tokens": bucket.tokens,
-                }
-        return state

@@ -213,7 +213,7 @@ class NetKernelHost:
         stack upgrade).  Returns CoreEngine's migration generator — run
         it with ``sim.process(...)`` or ``yield from`` it; it yields the
         migration record on completion.  ``kwargs`` pass through to
-        :meth:`CoreEngine.migrate_vm` (blackout tuning)."""
+        :meth:`ShardedCoreEngine.migrate_vm` (blackout tuning)."""
         source_nsm_id = self.coreengine.vm_to_nsm.get(vm.vm_id)
         source = next((n for n in self.nsms.values()
                        if n.nsm_id == source_nsm_id), None)

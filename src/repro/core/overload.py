@@ -214,7 +214,7 @@ class OverloadGovernor:
         device this engine services (resets each ring's window)."""
         occ = 0.0
         engine = self.engine
-        for registry in (engine._vms, engine._nsms):
+        for registry in (engine.switch._vms, engine.switch._nsms):
             for numeric_id in sorted(registry):
                 reg = registry[numeric_id]
                 if reg.engine is not engine:
@@ -248,7 +248,7 @@ class OverloadGovernor:
             self.level_transitions += 1
             old = self.level
             self.level = new_level
-            obs = getattr(self.engine, "obs", None)
+            obs = self.engine.switch.obs
             if obs is not None:
                 obs.on_overload_level(self.engine, old, new_level,
                                       occ, lat)
@@ -269,7 +269,7 @@ class OverloadGovernor:
         budget = delta if delta > self.min_admit_budget \
             else self.min_admit_budget
         engine = self.engine
-        vm_ids = sorted(vm_id for vm_id, reg in engine._vms.items()
+        vm_ids = sorted(vm_id for vm_id, reg in engine.switch._vms.items()
                         if reg.engine is engine)
         if not vm_ids:
             self._admit_quota = {}

@@ -23,13 +23,12 @@ def fleet_snapshot(host) -> Dict[str, Any]:
     quarantined = dict(engine.quarantined)
     nsms = []
     for name, nsm in sorted(host.nsms.items()):
-        reg = engine._nsm_registration(nsm.nsm_id)
         nsms.append({
             "name": name,
             "nsm_id": nsm.nsm_id,
             "stack": nsm.stack_name,
             "vcpus": nsm.vcpus,
-            "active": bool(reg is not None and reg.active),
+            "active": engine.nsm_active(nsm.nsm_id),
             "quarantined": quarantined.get(nsm.nsm_id),
         })
     per_vm_drops = engine.per_vm_drops()

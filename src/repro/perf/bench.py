@@ -22,8 +22,8 @@ import time
 from collections import deque
 from typing import Dict, List, Optional
 
-from repro.core.coreengine import CoreEngine
 from repro.core.nqe import NQE_POOL, NqeOp
+from repro.core.sharding import ShardedCoreEngine
 from repro.cpu.core import Core
 from repro.cpu.cost_model import DEFAULT_COST_MODEL
 from repro.sim import Simulator
@@ -188,7 +188,8 @@ def _mux_workload(n_vms: int, active_vms: int,
     core = Core(sim, name="bench.ce", hz=DEFAULT_COST_MODEL.core_hz)
     # Ring capacity matters only once a ring fills: ring slabs grow with
     # traffic, so booting idle devices costs the same at any capacity.
-    engine = CoreEngine(sim, core, batch_size=8, ring_slots=ring_slots)
+    engine = ShardedCoreEngine(sim, [core], batch_size=8,
+                               ring_slots=ring_slots)
     nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
     vms = []
     for i in range(n_vms):
@@ -276,8 +277,6 @@ def _sharded_mux_workload(n_shards: int, vms_per_shard: int,
     result must be the VM's home-shard NSM, counted in ``cohomed``) and
     seeded with one established connection-table entry.
     """
-    from repro.core.sharding import ShardedCoreEngine
-
     sim = Simulator()
     cores = [Core(sim, name=f"bench.ce{i}", hz=DEFAULT_COST_MODEL.core_hz)
              for i in range(n_shards)]

@@ -42,8 +42,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.coreengine import CoreEngine
 from repro.core.nqe import NQE_POOL, NqeOp
+from repro.core.sharding import ShardedCoreEngine
 from repro.cpu.core import Core
 from repro.cpu.cost_model import DEFAULT_COST_MODEL
 from repro.errors import ConfigurationError, SocketError, TimedOutError, \
@@ -103,7 +103,7 @@ def _measure_mux(rate: float, seed: int, window: float,
     pool_before = NQE_POOL.outstanding
     sim = Simulator()
     core = Core(sim, name="cap.ce", hz=DEFAULT_COST_MODEL.core_hz)
-    engine = CoreEngine(sim, core, batch_size=8, ring_slots=128)
+    engine = ShardedCoreEngine(sim, [core], batch_size=8, ring_slots=128)
     governor = engine.enable_overload_control()
     nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
     vms = []
@@ -212,7 +212,8 @@ def _measure_mux(rate: float, seed: int, window: float,
     sim.run(until=window * 1.5 + 0.005)
 
     ok = sum(ok_per_vm.values())
-    dropped = (engine.nqes_dropped + engine.nqes_dropped_backpressure)
+    ce = engine.stats()
+    dropped = ce["nqes_dropped"] + ce["nqes_dropped_backpressure"]
     resolved = (ok + counters["rejected"] + counters["ring_full"]
                 + counters["eagain"] + dropped)
     goodput = ok / window
@@ -323,7 +324,7 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
     ok = sum(ok_per_vm.values())
     goodput = ok / window
     latencies.sort()
-    engine = host.coreengine
+    ce = host.coreengine.stats()
     found = census(host, pool_before)
     return {
         "rate": rate,
@@ -334,8 +335,7 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
         "eagain": counters["sheds"],
         "timeouts": counters["timeouts"],
         "errors": counters["errors"],
-        "dropped": (engine.nqes_dropped
-                    + engine.nqes_dropped_backpressure),
+        "dropped": ce["nqes_dropped"] + ce["nqes_dropped_backpressure"],
         "hung_ops": len(clients) - finished[0],
         "goodput": goodput,
         "loss": max(0.0, 1.0 - goodput / rate),
@@ -343,7 +343,7 @@ def _measure_echo(rate: float, seed: int, window: float, n_vms: int,
         "p99_us": round(_percentile(latencies, 0.99) * 1e6, 3),
         "per_vm_ok": {str(vm_id): n
                       for vm_id, n in sorted(ok_per_vm.items())},
-        "overload": engine.overload.stats(),
+        "overload": host.coreengine.overload.stats(),
         "events_processed": sim.events_processed,
         "pool_delta": found.pool_delta,
     }, found.leaks()

@@ -85,8 +85,8 @@ class Census:
 def census(host, pool_baseline: int, extra_stacks=()) -> Census:
     """Check a quiescent host's resource balance.
 
-    ``host`` is a NetKernelHost, or a bare CoreEngine (hugepage and pool
-    checks only); ``pool_baseline`` is ``NQE_POOL.outstanding`` from
+    ``host`` is a NetKernelHost, or a bare ShardedCoreEngine (hugepage
+    and pool checks only); ``pool_baseline`` is ``NQE_POOL.outstanding`` from
     before it was built; ``extra_stacks`` are retired NSMs' stacks.  Every
     VM region CoreEngine ever registered is checked, removed VMs' too."""
     found = Census(NQE_POOL.outstanding - pool_baseline)
@@ -118,8 +118,7 @@ def _check_connections(host, found: Census) -> None:
     checked = 0
     for name, nsm in sorted(host.nsms.items()):
         lib = nsm.servicelib
-        registration = ce._nsm_registration(nsm.nsm_id)
-        if registration is None or not registration.active:
+        if not ce.nsm_active(nsm.nsm_id):
             found.fenced += len(lib._by_nsm_id)
             continue
         entries = table.entries_for_nsm(nsm.nsm_id)

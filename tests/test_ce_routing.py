@@ -7,8 +7,8 @@ switching behaviour in isolation.
 
 import pytest
 
-from repro.core.coreengine import CoreEngine
 from repro.core.nqe import Nqe, NqeOp
+from repro.core.sharding import ShardedCoreEngine
 from repro.cpu.core import Core
 from repro.sim import Simulator
 
@@ -16,7 +16,7 @@ from repro.sim import Simulator
 @pytest.fixture
 def setup():
     sim = Simulator()
-    engine = CoreEngine(sim, Core(sim), batch_size=4)
+    engine = ShardedCoreEngine(sim, [Core(sim)], batch_size=4)
     vm_id, vm_dev = engine.register_vm("vm", queue_sets=1)
     nsm_id, nsm_dev = engine.register_nsm("nsm", queue_sets=2)
     engine.assign_vm(vm_id, nsm_id)
@@ -71,7 +71,7 @@ class TestVmToNsmRouting:
         from repro.errors import ConfigurationError
 
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim))
+        engine = ShardedCoreEngine(sim, [Core(sim)])
         vm_id, vm_dev = engine.register_vm("lone", queue_sets=1)
         push_vm_nqe(vm_dev, Nqe(NqeOp.SOCKET, vm_id, 0, 1))
         with pytest.raises(ConfigurationError):
@@ -130,7 +130,8 @@ class TestNsmToVmRouting:
         # Fill the VM's receive ring to capacity.
         rx = vm_dev.queue_sets[0].receive
         for index in range(rx.capacity):
-            rx.push(Nqe(NqeOp.DATA_ARRIVED, vm_id, 0, 1), owner=engine)
+            rx.push(Nqe(NqeOp.DATA_ARRIVED, vm_id, 0, 1),
+                    owner=engine.shards[0])
         event = Nqe(NqeOp.DATA_ARRIVED, vm_id, 0, 42)
         nsm_dev.queue_sets[0].receive.push(event, owner="servicelib")
         nsm_dev.ring_doorbell()

@@ -164,12 +164,12 @@ class TestNoFullScans:
 class TestLoadBalancedAssignment:
     def test_assign_vm_auto_uses_live_connection_counts(self):
         """assign_vm_auto balances on the public nsm_loads() signal."""
-        from repro.core.coreengine import CoreEngine
+        from repro.core.sharding import ShardedCoreEngine
         from repro.cpu.core import Core
         from repro.sim import Simulator
 
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim))
+        engine = ShardedCoreEngine(sim, [Core(sim)])
         nsm_a, _ = engine.register_nsm("a", queue_sets=1)
         nsm_b, _ = engine.register_nsm("b", queue_sets=1)
         nsm_c, _ = engine.register_nsm("c", queue_sets=1)

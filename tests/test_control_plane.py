@@ -10,15 +10,16 @@ from repro.core.control import (
     decode,
     encode,
 )
-from repro.core.coreengine import CoreEngine
+from repro.core.sharding import ShardedCoreEngine
 from repro.cpu.core import Core
+from repro.errors import ConfigurationError
 from repro.sim import Simulator
 
 
 @pytest.fixture
 def plane():
     sim = Simulator()
-    return ControlPlane(CoreEngine(sim, Core(sim)))
+    return ControlPlane(ShardedCoreEngine(sim, [Core(sim)]))
 
 
 class TestWireFormat:
@@ -62,6 +63,20 @@ class TestControlPlane:
         op, _, code = decode(response)
         assert op == CeOp.ERROR
         assert code == CeError.UNKNOWN_ID
+
+    def test_assign_to_quarantined_nsm_errors(self, plane):
+        """A quarantined NSM takes no new VMs: the wire answers ERROR and
+        the VM keeps its in-service assignment."""
+        _, _, vm_id = decode(plane.handle(encode(CeOp.REGISTER_VM, 1, 1)))
+        _, _, live = decode(plane.handle(encode(CeOp.REGISTER_NSM, 1, 1)))
+        _, _, dead = decode(plane.handle(encode(CeOp.REGISTER_NSM, 1, 2)))
+        plane.engine.assign_vm(vm_id, live)
+        plane.engine.quarantine_nsm(dead, reason="test")
+        op, _, code = decode(plane.handle(encode(CeOp.ASSIGN_VM, dead, vm_id)))
+        assert (op, code) == (CeOp.ERROR, CeError.UNKNOWN_ID)
+        with pytest.raises(ConfigurationError):
+            plane.engine.assign_vm(vm_id, dead)
+        assert plane.engine.vm_to_nsm[vm_id] == live
 
     def test_malformed_request_errors(self, plane):
         response = plane.handle(b"garbage!")  # 8 bytes but invalid op

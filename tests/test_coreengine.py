@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.coreengine import CoreEngine, TokenBucket
+from repro.core.coreengine import TokenBucket
 from repro.core.host import NetKernelHost
 from repro.core.nqe import Nqe, NqeOp
+from repro.core.sharding import ShardedCoreEngine
 from repro.cpu.core import Core
 from repro.errors import ConfigurationError
 from repro.net.fabric import Network
@@ -89,7 +90,7 @@ class TestTokenBucket:
 
 class TestRegistration:
     def test_register_assigns_unique_ids(self, sim):
-        engine = CoreEngine(sim, Core(sim))
+        engine = ShardedCoreEngine(sim, [Core(sim)])
         vm_id, vm_dev = engine.register_vm("vm1", queue_sets=1)
         nsm_id, nsm_dev = engine.register_nsm("nsm1", queue_sets=2)
         assert vm_id != nsm_id
@@ -98,7 +99,7 @@ class TestRegistration:
         assert len(nsm_dev.queue_sets) == 2
 
     def test_assign_requires_known_parties(self, sim):
-        engine = CoreEngine(sim, Core(sim))
+        engine = ShardedCoreEngine(sim, [Core(sim)])
         vm_id, _ = engine.register_vm("vm1", queue_sets=1)
         with pytest.raises(ConfigurationError):
             engine.assign_vm(vm_id, 999)
@@ -106,7 +107,7 @@ class TestRegistration:
             engine.assign_vm(999, vm_id)
 
     def test_deregister_vm_clears_state(self, sim):
-        engine = CoreEngine(sim, Core(sim))
+        engine = ShardedCoreEngine(sim, [Core(sim)])
         vm_id, _ = engine.register_vm("vm1", queue_sets=1)
         nsm_id, _ = engine.register_nsm("nsm1", queue_sets=1)
         engine.assign_vm(vm_id, nsm_id)
@@ -117,13 +118,13 @@ class TestRegistration:
 
     def test_device_setup_cost_charged(self, sim):
         core = Core(sim)
-        engine = CoreEngine(sim, core)
+        engine = ShardedCoreEngine(sim, [core])
         engine.register_vm("vm1", queue_sets=1)
         assert core.busy_by_component["ce.device_setup"] > 0
 
     def test_invalid_batch_size(self, sim):
         with pytest.raises(ConfigurationError):
-            CoreEngine(sim, Core(sim), batch_size=0)
+            ShardedCoreEngine(sim, [Core(sim)], batch_size=0)
 
 
 def _throughput_host(sim, caps):
@@ -220,14 +221,14 @@ class TestIsolation:
     def test_rate_limit_stall_counter(self, sim):
         host, received = _throughput_host(sim, {"vm1": mbps(10)})
         sim.run(until=1.0)
-        assert host.coreengine.rate_limited_stalls > 0
+        assert host.coreengine.stats()["rate_limited_stalls"] > 0
 
 
 class TestControlOpsAdmission:
     def test_control_ring_ops_are_rate_limited(self, sim):
         # Regression: job-queue (control) NQEs used to be popped before
         # any admission check, bypassing the §4.4 per-VM ops bucket.
-        engine = CoreEngine(sim, Core(sim))
+        engine = ShardedCoreEngine(sim, [Core(sim)])
         nsm_id, nsm_dev = engine.register_nsm("nsm", queue_sets=1)
         vm_id, vm_dev = engine.register_vm("vm", queue_sets=1)
         engine.assign_vm(vm_id, nsm_id)
@@ -244,17 +245,24 @@ class TestControlOpsAdmission:
         # pre-fix engine switches all 50 immediately.
         assert engine.nqes_switched <= 20
         assert engine.nqes_switched >= 5
-        assert engine.rate_limited_stalls > 0
+        assert engine.stats()["rate_limited_stalls"] > 0
 
 
-class _SlowScanEngine(CoreEngine):
-    """CoreEngine whose per-device scan has an explicit suspension point,
-    modelling any mid-pass yield (batch cost charging, backpressure...)
-    so the kick-during-scan window can be hit deterministically."""
+def _slow_scan_engine(sim):
+    """A one-shard switch whose per-device scan has an explicit
+    suspension point, modelling any mid-pass yield (batch cost charging,
+    backpressure...) so the kick-during-scan window can be hit
+    deterministically."""
+    engine = ShardedCoreEngine(sim, [Core(sim)])
+    shard = engine.shards[0]
+    service_device = shard._service_device
 
-    def _service_device(self, reg):
-        yield self.sim.timeout(1e-9)
-        return (yield from super()._service_device(reg))
+    def slow_service_device(reg):
+        yield sim.timeout(1e-9)
+        return (yield from service_device(reg))
+
+    shard._service_device = slow_service_device
+    return engine
 
 
 class TestDoorbellRace:
@@ -265,7 +273,7 @@ class TestDoorbellRace:
         # scanned and the pass otherwise made no progress, an engine that
         # sleeps on the *fresh* doorbell sleeps forever — nobody will
         # ring it again.  The fix captures the doorbell before the scan.
-        engine = _SlowScanEngine(sim, Core(sim))
+        engine = _slow_scan_engine(sim)
         nsm_id, _ = engine.register_nsm("nsm", queue_sets=1)
         vma_id, vma_dev = engine.register_vm("vma", queue_sets=1)
         vmb_id, _ = engine.register_vm("vmb", queue_sets=1)
@@ -289,7 +297,7 @@ class TestDoorbellRace:
 
 class TestAutoAssignment:
     def test_least_loaded_nsm_chosen(self, sim):
-        engine = CoreEngine(sim, Core(sim))
+        engine = ShardedCoreEngine(sim, [Core(sim)])
         nsm_a, _ = engine.register_nsm("a", queue_sets=1)
         nsm_b, _ = engine.register_nsm("b", queue_sets=1)
         # Load NSM a with two live connections.
@@ -301,7 +309,7 @@ class TestAutoAssignment:
         assert engine.vm_to_nsm[vm_id] == nsm_b
 
     def test_requires_an_nsm(self, sim):
-        engine = CoreEngine(sim, Core(sim))
+        engine = ShardedCoreEngine(sim, [Core(sim)])
         vm_id, _ = engine.register_vm("vm", queue_sets=1)
         with pytest.raises(ConfigurationError):
             engine.assign_vm_auto(vm_id)

@@ -53,17 +53,17 @@ STEPS = {"echo_64b": 5, "bulk_8x64k": 2, "short_conn_64b": 5,
 #: run: one hot VM, 250 doorbells of 8 NQEs, 5 us apart.
 RATCHET = {
     "echo_64b": Cost(ops=388, events=15_159, resumes=12_042,
-                     calls=251_475),
+                     calls=249_140),
     "echo_64b+obs": Cost(ops=388, events=15_159, resumes=12_042,
-                         calls=289_613),
+                         calls=287_278),
     "bulk_8x64k": Cost(ops=166, events=48_828, resumes=17_860,
-                       calls=1_069_407),
+                       calls=1_061_408),
     "short_conn_64b": Cost(ops=36, events=4_533, resumes=3_552,
-                           calls=67_724),
+                           calls=66_991),
     "fleet_10k": Cost(ops=400, events=16_369, resumes=13_164,
-                      calls=264_164),
+                      calls=261_764),
     "nqe_switch": Cost(ops=4_000, events=1_756, resumes=1_755,
-                       calls=60_599),
+                       calls=56_612),
 }
 
 

@@ -70,7 +70,7 @@ class TestVmDeregisterInflight:
         dropped_before = {}
 
         def teardown():
-            dropped_before["nqes"] = host.coreengine.nqes_dropped
+            dropped_before["nqes"] = host.coreengine.stats()["nqes_dropped"]
             host.remove_vm(client_vm)
 
         sim.call_at(0.021, teardown)
@@ -79,7 +79,7 @@ class TestVmDeregisterInflight:
         ce = host.coreengine
         assert state["sent"] > 0
         # In-flight NQEs existed at teardown and were reclaimed, not lost.
-        assert ce.nqes_dropped > dropped_before["nqes"]
+        assert ce.stats()["nqes_dropped"] > dropped_before["nqes"]
         # No stale ConnectionTable entries for the vanished VM.
         assert ce.table.entries_for_vm(client_vm.vm_id) == []
         assert "cli" not in host.vms
@@ -247,7 +247,7 @@ class TestNsmDeregisterInflight:
         # reset event), rather than hanging forever.
         assert state["outcome"] in ("ECONNRESET", "timeout")
         assert state["late_op"] == "ECONNRESET"  # failed fast, not hung
-        assert ce.nqes_failed_fast > 0
+        assert ce.stats()["nqes_failed_fast"] > 0
         # No stale table entries point at the departed NSM.
         assert ce.table.entries_for_nsm(nsm_c.nsm_id) == []
         assert client_vm.vm_id not in ce.vm_to_nsm

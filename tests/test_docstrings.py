@@ -48,10 +48,12 @@ def test_public_methods_documented_on_key_classes():
     from repro.core.guestlib import GuestLib
     from repro.core.host import NetKernelHost
     from repro.core.servicelib import ServiceLib
+    from repro.core.sharding import ShardedCoreEngine
     from repro.stack.tcp.engine import TcpEngine
 
     missing = []
-    for cls in (NetKernelHost, CoreEngine, GuestLib, ServiceLib, TcpEngine):
+    for cls in (NetKernelHost, CoreEngine, ShardedCoreEngine, GuestLib,
+                ServiceLib, TcpEngine):
         for name, member in vars(cls).items():
             if name.startswith("_") or not callable(member):
                 continue

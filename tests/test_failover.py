@@ -26,8 +26,8 @@ class TestHealthMonitor:
                              detection_timeout=5e-3)
         sim.run(until=0.05)
         ce = host.coreengine
-        assert ce.heartbeats_sent > 10
-        assert ce.heartbeat_acks > 10
+        assert ce.stats()["heartbeats_sent"] > 10
+        assert ce.stats()["heartbeat_acks"] > 10
         assert ce.quarantined == {}
 
     def test_detection_timeout_must_exceed_interval(self):
@@ -51,7 +51,7 @@ class TestHealthMonitor:
         # Quarantine is permanent even though the stall itself ended.
         sim.run(until=0.2)
         assert nsm.nsm_id in ce.quarantined
-        assert ce.nsms_quarantined == 1
+        assert ce.stats()["nsms_quarantined"] == 1
 
 
 class TestFailover:
@@ -123,8 +123,8 @@ class TestFailover:
         assert log["resets"] >= 1          # in-flight conn failed fast
         assert log["ok_after_crash"] > 5   # traffic resumed on the standby
         assert log["errors"] == []
-        assert ce.conns_reset_on_failover >= 1
-        assert ce.vms_failed_over == 1
+        assert ce.stats()["conns_reset_on_failover"] >= 1
+        assert ce.stats()["vms_failed_over"] == 1
 
     def test_crash_without_standby_fails_ops_fast_not_hung(self):
         sim = Simulator()
@@ -223,7 +223,7 @@ class TestDeliveryBackpressure:
         vm.spawn(app())
         sim.run(until=0.1)
         ce = host.coreengine
-        assert ce.nqes_dropped_backpressure > 0
+        assert ce.stats()["nqes_dropped_backpressure"] > 0
         # Reclaim what is still parked in the dead NSM's 4-slot rings,
         # then let the VM poller consume the fail-fast results.
         ce.quarantine_nsm(nsm.nsm_id, reason="test-cleanup")
@@ -238,10 +238,10 @@ class TestDeliveryBackpressure:
         host = _host(sim)
         ce = host.coreengine.shards[0]
         outstanding_before = NQE_POOL.outstanding
-        dropped_before = ce.nqes_dropped
+        dropped_before = ce.stats()["nqes_dropped"]
         nqe = NQE_POOL.acquire(NqeOp.DATA_ARRIVED, 1, 0, 1,
                                created_at=sim.now)
         assert NQE_POOL.outstanding == outstanding_before + 1
         ce._drop_nqe(nqe)
         assert NQE_POOL.outstanding == outstanding_before
-        assert ce.nqes_dropped == dropped_before + 1
+        assert ce.stats()["nqes_dropped"] == dropped_before + 1

@@ -6,7 +6,8 @@ dropped by ServiceLib and counted against that VM; an op ServiceLib
 does not serve, and a SETSOCKOPT/GETSOCKOPT with a malformed ``aux``,
 complete with EINVAL.  None may raise out of the NSM's poller (and with
 it out of ``sim.run()``), which would stop every tenant that NSM
-serves."""
+serves.  A ``vm_id`` naming another VM is overwritten by the switch, so
+a spoofed op acts on the spoofer's own tuple and hugepages."""
 
 from repro.core.host import NetKernelHost
 from repro.core.nqe import NQE_POOL, RESULT_ERRNO, NqeOp
@@ -20,8 +21,8 @@ PAYLOAD = bytes(range(256)) * 16
 
 def _echo_next_to(hostile_nqes):
     """Run a 4 KiB echo between two well-behaved VMs while a third pushes
-    ``hostile_nqes(device, vm)`` — (ring index, NQE) pairs — straight
-    into its own produce rings mid-echo.  Returns the host, the NSM, the
+    ``hostile_nqes(host, device, vm)`` — (ring index, NQE) pairs, iterated
+    at push time — straight into its own produce rings mid-echo.  Returns the host, the NSM, the
     hostile VM and the NQE pool's outstanding count before the run."""
     outstanding_before = NQE_POOL.outstanding
     sim = Simulator()
@@ -60,7 +61,7 @@ def _echo_next_to(hostile_nqes):
     def hostile():
         device = host.coreengine.vm_device(hostile_vm.vm_id)
         rings = device.produce_rings(device.queue_sets[0])
-        nqes = hostile_nqes(device, hostile_vm)
+        nqes = hostile_nqes(host, device, hostile_vm)
         yield sim.timeout(1.5e-3)  # mid-echo
         for ring, nqe in nqes:
             rings[ring].push(nqe, owner="hostile")
@@ -76,7 +77,7 @@ def _echo_next_to(hostile_nqes):
 
 
 def test_dangling_send_pointers_are_dropped_and_neighbours_unharmed():
-    def nqes(device, vm):
+    def nqes(host, device, vm):
         # Raw NQEs into the send ring: a pointer that was never allocated
         # and one to a buffer already freed.
         freed = device.hugepages.alloc(64)
@@ -99,7 +100,7 @@ def test_unserved_ops_complete_with_einval_and_neighbours_unharmed():
     unserved = (NqeOp.OP_RESULT, NqeOp.SEND_RESULT, NqeOp.DATA_ARRIVED)
     waiters = []
 
-    def nqes(device, vm):
+    def nqes(host, device, vm):
         out = []
         for op in unserved:
             nqe = NQE_POOL.acquire(op, vm.vm_id, 0, 1)
@@ -139,11 +140,57 @@ def test_malformed_sockopt_aux_completes_with_einval():
                 results.append(response.op_data)
         yield from lib.close(sock)
 
-    def nqes(device, vm):
+    def nqes(host, device, vm):
         vm.spawn(crafted_sockopts(vm))
         return []
 
     host, nsm, hostile_vm, outstanding_before = _echo_next_to(nqes)
     assert results == [-RESULT_ERRNO["EINVAL"]] * (2 * len(bad_aux))
     assert nsm.servicelib.vm_bad_aux == {hostile_vm.vm_id: 2 * len(bad_aux)}
+    assert_census_clean(host, outstanding_before)
+
+
+def _server_listener(host):
+    """The srv VM's listening socket's tuple, looked up when called:
+    socket ids come from a process-wide counter."""
+    server_id = host.vms["srv"].vm_id
+    return next(vm_tuple for vm_tuple, ctx
+                in host.nsms["nsm0"].servicelib._by_vm_tuple.items()
+                if ctx.is_listener and vm_tuple[0] == server_id)
+
+
+def test_spoofed_vm_id_cannot_close_a_neighbours_listener():
+    # The census checks fds from the NSM side only, so it cannot see a
+    # listener whose context and entry vanished under a live guest fd.
+    spoofed = []
+
+    def nqes(host, device, vm):
+        spoofed.append(_server_listener(host))
+        yield 0, NQE_POOL.acquire(NqeOp.CLOSE, *spoofed[0])
+
+    host, nsm, _, outstanding_before = _echo_next_to(nqes)
+    listener = spoofed[0]
+    assert nsm.servicelib._by_vm_tuple[listener].is_listener
+    assert host.coreengine.table.lookup_vm(listener) is not None
+    assert_census_clean(host, outstanding_before)
+
+
+def test_spoofed_vm_id_cannot_free_a_neighbours_hugepage_buffer():
+    victims = []
+
+    def nqes(host, device, vm):
+        server_id = host.vms["srv"].vm_id
+        region = host.coreengine.vm_device(server_id).hugepages
+        victims.append(region.alloc(64))
+        yield 1, NQE_POOL.acquire(NqeOp.SEND, *_server_listener(host),
+                                  data_ptr=victims[0].buffer_id, size=64)
+
+    host, nsm, hostile_vm, outstanding_before = _echo_next_to(nqes)
+    victim = victims[0]
+    assert not victim.freed
+    # Stamped with the hostile VM's id, the pointer names no buffer of
+    # its own region: its send is dropped and counted against it.
+    assert nsm.servicelib.stats()["vm_bad_data_ptrs"] == {
+        hostile_vm.vm_id: 1}
+    victim.free()
     assert_census_clean(host, outstanding_before)

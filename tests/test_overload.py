@@ -3,7 +3,6 @@ contract, chaos integration, and the shed policy's pinned timeline."""
 
 import pytest
 
-from repro.core.coreengine import CoreEngine
 from repro.core.host import NetKernelHost
 from repro.core.nqe import NQE_POOL, NqeOp
 from repro.core.overload import (
@@ -13,6 +12,7 @@ from repro.core.overload import (
     OverloadGovernor,
     governor_for_device,
 )
+from repro.core.sharding import ShardedCoreEngine
 from repro.cpu.core import Core
 from repro.errors import TimedOutError, TryAgainError
 from repro.faults.chaos import run_chaos
@@ -65,7 +65,7 @@ class TestRingWatermarks:
 
 
 def _raw_engine(sim, n_vms=1):
-    engine = CoreEngine(sim, Core(sim), batch_size=8, ring_slots=128)
+    engine = ShardedCoreEngine(sim, [Core(sim)], batch_size=8, ring_slots=128)
     governor = engine.enable_overload_control()
     nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
     vms = []
@@ -216,7 +216,7 @@ class TestSwitchShed:
                     completions[vm_id] += 1
                 NQE_POOL.release(nqe)
         return {
-            "sheds": engine.nqes_shed,
+            "sheds": engine.stats()["nqes_shed"],
             "eagain": eagain,
             "completions": completions,
             "consumed": consumed[0],

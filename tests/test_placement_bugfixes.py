@@ -83,7 +83,7 @@ class TestRecycledNsmId:
         # Simulate an id allocator that recycles the dead id, with the
         # predecessor's ack timestamp still on the books.
         engine._last_ack[dead_id] = 0.0
-        engine.shards[0]._ids = iter([dead_id])
+        engine._ids = iter([dead_id])
         fresh = host.add_nsm("fresh", vcpus=1, stack="kernel")
         assert fresh.nsm_id == dead_id
 

@@ -13,8 +13,8 @@ from collections import deque
 
 import pytest
 
-from repro.core.coreengine import CoreEngine
 from repro.core.nqe import NQE_POOL, NqeOp
+from repro.core.sharding import ShardedCoreEngine
 from repro.cpu.core import Core
 from repro.errors import RingEmptyError, RingFullError
 from repro.mem.ring import INITIAL_SLAB_SLOTS, SpscRing
@@ -229,7 +229,7 @@ def _burst_workload():
     """
     sim = Simulator()
     core = Core(sim, name="ce")
-    engine = CoreEngine(sim, core, batch_size=8, ring_slots=256)
+    engine = ShardedCoreEngine(sim, [core], batch_size=8, ring_slots=256)
     nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
     vms = []
     for i in range(2):

@@ -19,8 +19,8 @@ import itertools
 
 import pytest
 
-from repro.core.coreengine import CoreEngine
 from repro.core.nqe import NQE_POOL, Nqe, NqeOp, NqePool
+from repro.core.sharding import ShardedCoreEngine
 from repro.cpu.core import Core
 from repro.errors import SimulationError
 from repro.experiments import run_experiment
@@ -208,7 +208,7 @@ class TestRawSwitchIdenticalAcrossModes:
     @staticmethod
     def _rate_limited_run():
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim, name="ce"), batch_size=4)
+        engine = ShardedCoreEngine(sim, [Core(sim, name="ce")], batch_size=4)
         nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
         vm_id, vm_dev = engine.register_vm("vm0", queue_sets=1)
         engine.assign_vm(vm_id, nsm_id)
@@ -290,7 +290,7 @@ class TestZeroAllocSwitching:
 
     def test_steady_state_switching_allocates_no_lists(self):
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim, name="ce"), batch_size=8)
+        engine = ShardedCoreEngine(sim, [Core(sim, name="ce")], batch_size=8)
         nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=2)
         devices = [nsm_dev]
         vms = []
@@ -357,7 +357,7 @@ class TestStaleWakeupFix:
 
     def _build(self):
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim, name="ce"), batch_size=4)
+        engine = ShardedCoreEngine(sim, [Core(sim, name="ce")], batch_size=4)
         nsm_id, nsm_dev = engine.register_nsm("nsm0", queue_sets=1)
         limited_id, limited_dev = engine.register_vm("vm-limited",
                                                      queue_sets=1)
@@ -385,10 +385,11 @@ class TestStaleWakeupFix:
 
         sim.process(other_producer())
         sim.run(until=0.05)
-        assert engine.rate_limited_stalls > 0
-        assert engine.stale_wakeups > 0
-        assert sim.events_cancelled >= engine.stale_wakeups
-        assert engine.stats()["sched.stale_wakeups"] == engine.stale_wakeups
+        shard = engine.shards[0]
+        assert shard.rate_limited_stalls > 0
+        assert shard.stale_wakeups > 0
+        assert sim.events_cancelled >= shard.stale_wakeups
+        assert engine.stats()["sched.stale_wakeups"] == shard.stale_wakeups
 
 
 class TestTimeoutCancel:
@@ -451,7 +452,7 @@ class TestNqePool:
 class TestReadySetBehaviour:
     def test_kick_without_device_marks_everything(self):
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim, name="ce"))
+        engine = ShardedCoreEngine(sim, [Core(sim, name="ce")])
         nsm_id, _ = engine.register_nsm("nsm0", queue_sets=1)
         vm_id, vm_dev = engine.register_vm("vm0", queue_sets=1)
         engine.assign_vm(vm_id, nsm_id)

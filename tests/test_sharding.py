@@ -54,17 +54,15 @@ class TestFacade:
             engine.register_vm("oob", 1, shard=2)
 
     def test_control_plane_is_shared_across_shards(self):
+        """One control plane: every shard reaches it through its
+        ``switch`` back-reference and holds no alias of its state."""
         sim, engine = _bare_cluster(n_shards=3)
-        first = engine.shards[0]
-        for shard in engine.shards[1:]:
-            assert shard.table is first.table
-            assert shard.vm_to_nsm is first.vm_to_nsm
-            assert shard._ids is first._ids
+        for shard in engine.shards:
+            assert shard.switch is engine
             # One directory and one health verdict, not one per shard.
-            assert shard._vms is first._vms
-            assert shard._nsms is first._nsms
-            assert shard.quarantined is first.quarantined
-            assert shard._last_ack is first._last_ack
+            for name in ("table", "vm_to_nsm", "_ids", "_vms", "_nsms",
+                         "quarantined", "_last_ack"):
+                assert not hasattr(shard, name), name
 
     def test_cross_shard_assignment_and_least_loaded(self):
         """assign_vm_auto must see NSMs on every shard, and exclude
@@ -128,15 +126,14 @@ class TestShardAwarePlacement:
         assert engine.assign_vm_auto(vm0) == nsm1
 
     def test_auto_assign_distrusts_stale_active_flag(self):
-        """A quarantine recorded on the home shard disqualifies the NSM
-        even while its registration still says active (half-applied
-        quarantine state must not receive new VMs)."""
+        """A recorded quarantine disqualifies the NSM even while its
+        registration still says active (half-applied quarantine state
+        must not receive new VMs)."""
         sim, engine = _bare_cluster(n_shards=2)
         nsm0, _ = engine.register_nsm("nsm0", 1, shard=0)
         nsm1, _ = engine.register_nsm("nsm1", 1, shard=1)
-        home = engine.shards[0]
-        home.quarantined[nsm0] = "half-applied"
-        assert home._nsms[nsm0].active
+        engine.quarantined[nsm0] = "half-applied"
+        assert engine._nsms[nsm0].active
         vm0, _ = engine.register_vm("vm0", 1, shard=0)
         assert engine.assign_vm_auto(vm0) == nsm1
 
@@ -166,23 +163,12 @@ class TestDirectoryConsistency:
         with pytest.raises(ConfigurationError):
             engine.shard_of_vm(vm_id)
 
-    def test_shard_side_deregister_keeps_directory_in_step(self):
-        """A guest DEREGISTER lands on the home shard's engine, not the
-        facade; the shared directory must still be cleaned."""
-        sim, engine = _bare_cluster()
-        vm_id, _ = engine.register_vm("vm", 1, shard=1)
-        engine.shards[1].deregister(vm_id)
-        with pytest.raises(ConfigurationError):
-            engine.shard_of_vm(vm_id)
-        assert all(vm_id not in shard._vms for shard in engine.shards)
-
-
-    def test_deregister_on_a_peer_shard_deregisters_at_home(self):
-        """A guest DEREGISTER for a device homed on shard 0 that reaches
-        shard 1's control plane deregisters it at its home: the device
-        leaves the shared directory and its rings are reclaimed."""
+    def test_wire_deregister_reclaims_at_the_home_shard(self):
+        """A guest DEREGISTER through the §5 wire control plane for a
+        device homed on shard 1 removes it from the directory and
+        reclaims its rings."""
         sim, engine = _bare_cluster(n_shards=2)
-        vm, vm_dev = engine.register_vm("vm", 1, shard=0)
+        vm, vm_dev = engine.register_vm("vm", 1, shard=1)
         nsm, _ = engine.register_nsm("nsm", 1, shard=0)
         engine.assign_vm(vm, nsm)
         pool_before = NQE_POOL.outstanding
@@ -190,10 +176,10 @@ class TestDirectoryConsistency:
         assert control_ring.try_push(
             NQE_POOL.acquire(NqeOp.SETSOCKOPT, vm, 0, 1), owner=object())
 
-        plane = ControlPlane(engine.shards[1])
+        plane = ControlPlane(engine)
         reply = plane.handle(encode(CeOp.DEREGISTER, 0, vm))
         assert decode(reply)[0] is CeOp.OK
-        assert vm not in engine.shards[0]._vms
+        assert vm not in engine._vms
         with pytest.raises(ConfigurationError):
             engine.shard_of_vm(vm)
         assert vm not in engine.vm_to_nsm
@@ -304,8 +290,9 @@ class TestCrossShardHandoff:
         assert done["reply"] == b"across-shards"
         # The client VM's NQEs were switched on shard 1 and delivered to
         # the NSM homed on shard 0 (and vice versa for responses).
-        assert engine.handoffs_in > 0
-        assert engine.handoffs_in == engine.handoffs_out
+        stats = engine.stats()
+        assert stats["handoffs_in"] > 0
+        assert stats["handoffs_in"] == stats["handoffs_out"]
         assert len(engine.table) == 0
 
     def test_traffic_closed_partition_has_no_handoffs(self):

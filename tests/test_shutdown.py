@@ -115,13 +115,13 @@ class TestDeregisteredVmDrop:
         # Regression: CoreEngine used to discard NQEs addressed to a
         # vanished VM without releasing their hugepage payload, leaking
         # the buffer for the lifetime of the region.
-        from repro.core.coreengine import CoreEngine
+        from repro.core.sharding import ShardedCoreEngine
         from repro.core.nqe import Nqe, NqeOp
         from repro.cpu.core import Core
         from repro.mem.hugepages import HugepageRegion
 
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim))
+        engine = ShardedCoreEngine(sim, [Core(sim)])
         region = HugepageRegion(name="vm.hp")
         nsm_id, nsm_dev = engine.register_nsm("nsm", queue_sets=1)
         vm_id, _ = engine.register_vm("vm", queue_sets=1, hugepages=region)
@@ -140,7 +140,6 @@ class TestDeregisteredVmDrop:
         nsm_dev.ring_doorbell()
         sim.run(until=0.01)
 
-        assert engine.nqes_dropped == 1
         assert engine.stats()["nqes_dropped"] == 1
         assert buffer.freed
         # The NQE was built directly, not taken from the pool, so only
@@ -148,12 +147,12 @@ class TestDeregisteredVmDrop:
         assert census(engine, NQE_POOL.outstanding).hugepages == []
 
     def test_drop_without_payload_only_counts(self):
-        from repro.core.coreengine import CoreEngine
+        from repro.core.sharding import ShardedCoreEngine
         from repro.core.nqe import Nqe, NqeOp
         from repro.cpu.core import Core
 
         sim = Simulator()
-        engine = CoreEngine(sim, Core(sim))
+        engine = ShardedCoreEngine(sim, [Core(sim)])
         nsm_id, nsm_dev = engine.register_nsm("nsm", queue_sets=1)
         vm_id, _ = engine.register_vm("vm", queue_sets=1)
         engine.assign_vm(vm_id, nsm_id)
@@ -165,4 +164,4 @@ class TestDeregisteredVmDrop:
         nsm_dev.ring_doorbell()
         sim.run(until=0.01)
 
-        assert engine.nqes_dropped == 1
+        assert engine.stats()["nqes_dropped"] == 1
