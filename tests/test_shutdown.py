@@ -115,8 +115,8 @@ class TestDeregisteredVmDrop:
         # Regression: CoreEngine used to discard NQEs addressed to a
         # vanished VM without releasing their hugepage payload, leaking
         # the buffer for the lifetime of the region.
-        from repro.core.sharding import ShardedCoreEngine
         from repro.core.nqe import Nqe, NqeOp
+        from repro.core.sharding import ShardedCoreEngine
         from repro.cpu.core import Core
         from repro.mem.hugepages import HugepageRegion
 
@@ -147,8 +147,8 @@ class TestDeregisteredVmDrop:
         assert census(engine, NQE_POOL.outstanding).hugepages == []
 
     def test_drop_without_payload_only_counts(self):
-        from repro.core.sharding import ShardedCoreEngine
         from repro.core.nqe import Nqe, NqeOp
+        from repro.core.sharding import ShardedCoreEngine
         from repro.cpu.core import Core
 
         sim = Simulator()
