@@ -36,16 +36,13 @@ class BaselineVM:
         ]
         self.cost = cost_model
         self.stack = None  # installed by BaselineHost.add_vm
-        self._apps = []
 
     @property
     def vcpus(self) -> int:
         return len(self.cores)
 
     def spawn(self, app_generator) -> object:
-        process = self.sim.process(app_generator)
-        self._apps.append(process)
-        return process
+        return self.sim.process(app_generator)
 
     def total_cycles(self) -> float:
         return sum(core.busy_cycles for core in self.cores)

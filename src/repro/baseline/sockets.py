@@ -1,22 +1,20 @@
 """BSD socket facade over an in-guest stack (the status quo).
 
-Same :class:`~repro.core.sockets.SocketApi` surface as NetKernel's facade,
-so identical application coroutines run on both architectures — the
+Same :class:`~repro.core.sockets.SocketApi` surface as NetKernel's
+GuestLib, so identical application coroutines run on both architectures — the
 property the paper's evaluation relies on.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.core.guestlib import EPOLLIN, EPOLLOUT, EpollInstance
+from repro.core.guestlib import EpollInstance
 from repro.core.sockets import SocketApi
 from repro.cpu.core import Core
 from repro.cpu.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.errors import (
-    BadFileDescriptorError,
     InvalidSocketStateError,
     NotConnectedError,
     SocketError,

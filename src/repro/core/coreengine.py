@@ -41,8 +41,7 @@ toward a device homed elsewhere hands it to that shard's inbox.
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.nk_device import NKDevice, ROLE_NSM, ROLE_VM
 from repro.core.nqe import NQE_POOL, Nqe, NqeOp, RESULT_ERRNO
@@ -146,40 +145,6 @@ class _Registration:
         self.engine = engine
 
 
-#: Handoff triples drained per scratch refill (a multiple of 3: the
-#: inbox ring stores flattened ring/nqe/device slots).
-_HANDOFF_DRAIN = 96
-
-
-class _HandoffInbox:
-    """Cross-shard handoff inbox: a slab-backed ring of flattened
-    (ring, nqe, device) triples, with an unbounded spill deque behind it.
-
-    The simulator is single-threaded, so the producing end is logically
-    "any peer shard mid-pass" and the consuming end is the home shard's
-    pass top: the SPSC claim discipline is deliberately bypassed
-    (owner=None) and documented here instead.  FIFO across the ring/spill
-    boundary holds because once a push spills, *every* later push spills
-    too until the consumer has fully drained the spill; only then does
-    the (by now empty) ring start filling again.
-    """
-
-    __slots__ = ("ring", "spill")
-
-    def __init__(self, name: str, slots: int):
-        self.ring = SpscRing(max(slots, 64) * 3, name=name)
-        self.spill = deque()
-
-    def push(self, ring, nqe, device) -> None:
-        r = self.ring
-        if self.spill or r.capacity - r._count < 3:
-            self.spill.append((ring, nqe, device))
-            return
-        r.try_push(ring)
-        r.try_push(nqe)
-        r.try_push(device)
-
-
 class CoreEngine:
     """One shard of the NQE switch: a switching loop on a dedicated core
     over the devices homed on it.  Built only by :class:`ShardedCoreEngine`
@@ -223,11 +188,11 @@ class CoreEngine:
         # check.  Enabled via enable_overload_control().
         self.overload = None
 
-        # Cross-shard handoff: the inbox peer shards hand NQEs for
-        # devices homed here to.  None on a shard without peers.
-        self._inbound: Optional[_HandoffInbox] = None
-        #: Reusable drain scratch for the inbox (never reallocated).
-        self._handoff_scratch: list = []
+        # Cross-shard handoff: the FIFO of (ring, nqe, device) triples
+        # peer shards hand over for devices homed here.  The simulator is
+        # single-threaded, so a peer appends mid-pass and this shard pops
+        # at its pass top.  None on a shard without peers.
+        self._inbound: Optional[Deque[Tuple[SpscRing, Nqe, NKDevice]]] = None
         self.handoffs_in = 0
         self.handoffs_out = 0
 
@@ -559,22 +524,8 @@ class CoreEngine:
         order, through the stock delivery path (fault hooks, backpressure
         budget and liveness checks apply here, once)."""
         inbox = self._inbound
-        ring = inbox.ring
-        spill = inbox.spill
-        scratch = self._handoff_scratch
-        while ring._count or spill:
-            n = ring.drain_into(scratch, _HANDOFF_DRAIN)
-            if n:
-                for i in range(0, n, 3):
-                    dring = scratch[i]
-                    nqe = scratch[i + 1]
-                    device = scratch[i + 2]
-                    scratch[i] = scratch[i + 1] = scratch[i + 2] = None
-                    self.handoffs_in += 1
-                    if not self._deliver_fast(dring, nqe, device):
-                        yield from self._deliver(dring, nqe, device)
-                continue
-            dring, nqe, device = spill.popleft()
+        while inbox:
+            dring, nqe, device = inbox.popleft()
             self.handoffs_in += 1
             if not self._deliver_fast(dring, nqe, device):
                 yield from self._deliver(dring, nqe, device)
@@ -668,8 +619,7 @@ class CoreEngine:
         while self._running:
             self._kicked = False
             self._pass_counter += 1
-            inbox = self._inbound
-            if inbox is not None and (inbox.ring._count or inbox.spill):
+            if self._inbound:
                 yield from self._drain_handoffs()
             self._in_pass = True
             progressed = False
@@ -875,7 +825,7 @@ class CoreEngine:
                 # acts on the spoofer's own tuple instead.
                 nqe.vm_id = vm_id
             if obs is not None:
-                obs.on_ce_switch(nqe, role)
+                obs.tracer.ce_switch(nqe, role)
             if ov is not None and ov.ingest(nqe) and self._shed_nqe(nqe):
                 self.nqes_switched += 1
                 continue
@@ -988,7 +938,7 @@ class CoreEngine:
         if target_reg is not None and target_reg.engine is not self:
             self.handoffs_out += 1
             home = target_reg.engine
-            home._inbound.push(ring, nqe, target_device)
+            home._inbound.append((ring, nqe, target_device))
             home._wake_switch()
             return True
         if self.switch.faults is not None:

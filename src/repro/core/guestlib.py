@@ -233,10 +233,8 @@ class GuestLib:
         self._accept_rr = 0
 
         # One poller per queue set (per vCPU lane), as in the paper.
-        self._pollers = [
+        for idx in range(len(device.queue_sets)):
             sim.process(self._poller(idx))
-            for idx in range(len(device.queue_sets))
-        ]
 
         # Statistics.
         self.nqes_sent = 0
@@ -262,7 +260,7 @@ class GuestLib:
         self.cores.append(core)
         self.device.add_queue_set()
         index = len(self.device.queue_sets) - 1
-        self._pollers.append(self.sim.process(self._poller(index)))
+        self.sim.process(self._poller(index))
         return index
 
     # -- fd management -----------------------------------------------------------
@@ -349,7 +347,7 @@ class GuestLib:
             yield self.sim.timeout(5e-6)
         self.nqes_sent += 1
         if self.obs is not None:
-            self.obs.on_guest_enqueue(nqe)
+            self.obs.tracer.guest_enqueue(nqe)
         self.device.ring_doorbell()
 
     def _call(self, vcpu: int, sock: NetKernelSocket, op: NqeOp,
@@ -852,7 +850,7 @@ class GuestLib:
                 scratch[i] = None
                 self.nqes_received += 1
                 if self.obs is not None:
-                    self.obs.on_guest_deliver(nqe)
+                    self.obs.tracer.guest_deliver(nqe)
                 retained = self._dispatch(nqe, qset_index)
                 # GuestLib is the final consumer of inbound NQEs, except
                 # an OP_RESULT claimed by a blocked caller (released by

@@ -11,7 +11,7 @@ Typical wiring::
     host = NetKernelHost(sim, network)
     nsm = host.add_nsm("nsm0", vcpus=2, stack="kernel")
     vm = host.add_vm("vm1", vcpus=1, nsm=nsm)
-    api = host.socket_api(vm)          # BSD socket facade for apps
+    api = host.socket_api(vm)          # the VM's GuestLib: BSD sockets
     vm.spawn(my_app(api))
 
 The NSM's stack is the host's network endpoint: traffic addressed to the
@@ -279,10 +279,9 @@ class NetKernelHost:
         return self.autoscaler
 
     def socket_api(self, vm: GuestVM):
-        """The BSD socket facade applications in ``vm`` program against."""
-        from repro.core.sockets import NetKernelSocketApi
-
-        return NetKernelSocketApi(vm.guestlib)
+        """The BSD socket surface applications in ``vm`` program against:
+        its GuestLib (:mod:`repro.core.sockets` documents the calls)."""
+        return vm.guestlib
 
     # -- accounting -----------------------------------------------------------------
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.nqe import Nqe
 from repro.mem.ring import SpscRing
 
 #: Default ring capacity in NQEs (ring bytes / 32B per element).
@@ -65,8 +64,3 @@ class QueueSet:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<QueueSet {self.owner_id}#{self.index}>"
-
-
-def push_nqe(ring: SpscRing, nqe: Nqe, owner: object) -> bool:
-    """Typed helper: push one NQE, False when the ring is full."""
-    return ring.try_push(nqe, owner=owner)

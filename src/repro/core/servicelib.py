@@ -94,15 +94,15 @@ class ServiceLib:
 
         self._by_vm_tuple: Dict[VmTuple, _SocketContext] = {}
         self._by_nsm_id: Dict[int, _SocketContext] = {}
-        #: NQE op -> handler; an op outside it completes with EINVAL.
+        #: NQE op -> handler for every op but SEND and SENDTO (the two
+        #: that wait, dispatched by the poller); an op in neither
+        #: completes with EINVAL.
         self._handlers = {
             NqeOp.SOCKET: self._op_socket,
             NqeOp.BIND: self._op_bind,
             NqeOp.LISTEN: self._op_listen,
             NqeOp.CONNECT: self._op_connect,
             NqeOp.ACCEPT_ATTACH: self._op_accept_attach,
-            NqeOp.SEND: self._op_send,
-            NqeOp.SENDTO: self._op_sendto,
             NqeOp.RECV_CREDIT: self._op_recv_credit,
             NqeOp.CLOSE: self._op_close,
             NqeOp.SETSOCKOPT: self._op_setsockopt,
@@ -111,10 +111,8 @@ class ServiceLib:
             NqeOp.HEARTBEAT: self._op_heartbeat,
         }
 
-        self._pollers = [
+        for idx in range(len(device.queue_sets)):
             sim.process(self._poller(idx))
-            for idx in range(len(device.queue_sets))
-        ]
 
         # Statistics.
         self.nqes_processed = 0
@@ -123,13 +121,14 @@ class ServiceLib:
         #: SEND/SENDTO NQEs dropped because their guest-supplied
         #: ``data_ptr`` named no live buffer in the VM's region, by VM id.
         self.vm_bad_data_ptrs: Dict[int, int] = {}
-        #: SETSOCKOPT/GETSOCKOPT NQEs answered EINVAL for a malformed
-        #: ``aux``, by VM id.
+        #: CONNECT/SENDTO/SETSOCKOPT/GETSOCKOPT NQEs answered EINVAL for
+        #: a malformed ``aux``, by VM id.
         self.vm_bad_aux: Dict[int, int] = {}
         #: Pump passes run with an overload-clamped receive window.
         self.rx_window_clamps = 0
-        #: Handlers currently executing (migration waits for zero before
-        #: exporting, so no NQE is half-processed across the move).
+        #: SEND/SENDTO handlers suspended on their copy, the only handlers
+        #: that wait (migration waits for zero before exporting, so no
+        #: NQE is half-processed across the move).
         self.busy_handlers = 0
 
         # Failure state (§8): crashed NSMs stop polling and emitting;
@@ -203,7 +202,7 @@ class ServiceLib:
         elif ring.try_push(nqe, owner=self):
             self.nqes_emitted += 1
             if self.obs is not None:
-                self.obs.on_nsm_emit(nqe)
+                self.obs.tracer.nsm_emit(nqe)
             self.device.ring_doorbell()
         else:
             self.sim.call_later(2e-6, lambda: self._push(ring, nqe))
@@ -218,6 +217,11 @@ class ServiceLib:
                        errno_name: str) -> None:
         code = RESULT_ERRNO.get(errno_name, 5)
         self._respond(request, ctx_qset, op_data=-code)
+
+    def _count_bad_aux(self, nqe: Nqe) -> None:
+        """Count a malformed guest-supplied ``aux`` against the VM."""
+        bad = self.vm_bad_aux
+        bad[nqe.vm_id] = bad.get(nqe.vm_id, 0) + 1
 
     # -- pollers (VM -> NSM) -----------------------------------------------------
 
@@ -247,28 +251,34 @@ class ServiceLib:
                     continue
                 self.nqes_processed += 1
                 if self.obs is not None:
-                    self.obs.on_nsm_consume(nqe)
-                self.busy_handlers += 1
-                try:
-                    yield from self._handle(nqe, qset_index, core)
-                finally:
-                    self.busy_handlers -= 1
+                    self.obs.tracer.nsm_consume(nqe)
+                op = nqe.op
+                if op is NqeOp.SEND or op is NqeOp.SENDTO:
+                    # The only handlers that wait: each charges the copy
+                    # out of hugepages on the core.
+                    self.busy_handlers += 1
+                    try:
+                        if op is NqeOp.SEND:
+                            yield from self._op_send(nqe, core)
+                        else:
+                            yield from self._op_sendto(nqe, core)
+                    finally:
+                        self.busy_handlers -= 1
+                else:
+                    handler = self._handlers.get(op)
+                    if handler is None:
+                        self._respond_errno(nqe, qset_index, "EINVAL")
+                    else:
+                        handler(nqe, qset_index)
                 # ServiceLib is the final consumer of request NQEs; a
                 # CONNECT stays live inside the stack's completion
                 # callbacks until the connection resolves.
-                if nqe.op is not NqeOp.CONNECT:
+                if op is not NqeOp.CONNECT:
                     NQE_POOL.release(nqe)
-
-    def _handle(self, nqe: Nqe, qset: int, core):
-        handler = self._handlers.get(nqe.op)
-        if handler is None:
-            self._respond_errno(nqe, qset, "EINVAL")
-            return
-        yield from handler(nqe, qset, core)
 
     # -- control operations ----------------------------------------------------------
 
-    def _op_socket(self, nqe: Nqe, qset: int, core):
+    def _op_socket(self, nqe: Nqe, qset: int):
         """Create the NSM-side socket; op_data of the result carries the
         NSM socket id that completes the connection-table entry.
 
@@ -293,10 +303,8 @@ class ServiceLib:
         self._by_nsm_id[ctx.nsm_sock_id] = ctx
         self._install_callbacks(ctx)
         self._respond(nqe, qset, op_data=ctx.nsm_sock_id)
-        return
-        yield  # pragma: no cover - keeps this a generator
 
-    def _op_bind(self, nqe: Nqe, qset: int, core):
+    def _op_bind(self, nqe: Nqe, qset: int):
         ctx = self._by_vm_tuple.get(nqe.vm_tuple)
         if ctx is None:
             self._respond_errno(nqe, qset, "EBADF")
@@ -309,13 +317,11 @@ class ServiceLib:
             self._respond(nqe, qset, op_data=0)
         except SocketError as error:
             self._respond_errno(nqe, qset, error.errno_name)
-        return
-        yield  # pragma: no cover
 
-    def _op_listen(self, nqe: Nqe, qset: int, core):
+    def _op_listen(self, nqe: Nqe, qset: int):
         ctx = self._by_vm_tuple.get(nqe.vm_tuple)
-        if ctx is None:
-            self._respond_errno(nqe, qset, "EBADF")
+        if ctx is None or ctx.kind == "udp":
+            self._respond_errno(nqe, qset, "EBADF" if ctx is None else "EINVAL")
             return
         try:
             self.stack.listen(ctx.stack_sock, nqe.op_data or 128)
@@ -323,21 +329,15 @@ class ServiceLib:
             self._respond(nqe, qset, op_data=0)
         except SocketError as error:
             self._respond_errno(nqe, qset, error.errno_name)
-        return
-        yield  # pragma: no cover
 
-    def _op_connect(self, nqe: Nqe, qset: int, core):
+    def _op_connect(self, nqe: Nqe, qset: int):
         # The poller does not release CONNECT requests (they stay live in
         # the stack's completion callbacks), so every exit from this
         # handler must release the request itself.
         ctx = self._by_vm_tuple.get(nqe.vm_tuple)
-        if ctx is None:
-            self._respond_errno(nqe, qset, "EBADF")
-            NQE_POOL.release(nqe)
-            return
-        remote = (nqe.aux or {}).get("remote")
-        if remote is None:
-            self._respond_errno(nqe, qset, "EINVAL")
+        remote = self._aux_address(nqe, "remote")
+        if ctx is None or ctx.kind == "udp" or remote is None:
+            self._respond_errno(nqe, qset, "EBADF" if ctx is None else "EINVAL")
             NQE_POOL.release(nqe)
             return
         ctx.connect_token = nqe
@@ -346,8 +346,6 @@ class ServiceLib:
             self.stack.connect(ctx.stack_sock, remote)
         except SocketError as error:
             finish(error.errno_name)
-        return
-        yield  # pragma: no cover
 
     def _arm_connect_resolution(self, ctx: _SocketContext, nqe: Nqe,
                                 qset: int):
@@ -378,7 +376,7 @@ class ServiceLib:
         sock.on_error = lambda _s, errno_name: finish(errno_name)
         return finish
 
-    def _op_accept_attach(self, nqe: Nqe, qset: int, core):
+    def _op_accept_attach(self, nqe: Nqe, qset: int):
         """The guest attached its socket id to an accepted connection."""
         ctx = self._by_nsm_id.get(nqe.op_data)
         if ctx is None:
@@ -388,8 +386,19 @@ class ServiceLib:
         self._by_vm_tuple[ctx.vm_tuple] = ctx
         # Data may have arrived before the guest attached: flush it now.
         self._pump_rx(ctx)
-        return
-        yield  # pragma: no cover
+
+    def _aux_address(self, nqe: Nqe, key: str):
+        """The ``(host, port)`` pair a CONNECT/SENDTO names in
+        ``aux[key]``, or None, counted against the sending VM, when the
+        guest-supplied ``aux`` is anything else (the caller answers
+        EINVAL instead of raising out of the poller)."""
+        aux = nqe.aux
+        address = aux.get(key) if type(aux) is dict else None
+        if (type(address) is tuple and len(address) == 2
+                and type(address[0]) is str and type(address[1]) is int):
+            return address
+        self._count_bad_aux(nqe)
+        return None
 
     def _sockopt_name(self, nqe: Nqe, qset: int):
         """The option a SETSOCKOPT/GETSOCKOPT names, or False once a
@@ -402,12 +411,11 @@ class ServiceLib:
         option = aux.get("option") if type(aux) is dict else False
         if option is None or type(option) is str:
             return option
-        bad = self.vm_bad_aux
-        bad[nqe.vm_id] = bad.get(nqe.vm_id, 0) + 1
+        self._count_bad_aux(nqe)
         self._respond_errno(nqe, qset, "EINVAL")
         return False
 
-    def _op_setsockopt(self, nqe: Nqe, qset: int, core):
+    def _op_setsockopt(self, nqe: Nqe, qset: int):
         # Options are accepted and recorded; the simulated stacks have no
         # tunables that alter behaviour (SO_REUSEPORT is modelled at the
         # capacity level in repro.model).
@@ -418,10 +426,8 @@ class ServiceLib:
         if ctx is not None and option is not None:
             ctx.options[option] = nqe.op_data
         self._respond(nqe, qset, op_data=0)
-        return
-        yield  # pragma: no cover
 
-    def _op_getsockopt(self, nqe: Nqe, qset: int, core):
+    def _op_getsockopt(self, nqe: Nqe, qset: int):
         """Read back a recorded option value (0 for never-set options)."""
         option = self._sockopt_name(nqe, qset)
         if option is False:
@@ -431,16 +437,12 @@ class ServiceLib:
             self._respond_errno(nqe, qset, "EBADF")
             return
         self._respond(nqe, qset, op_data=ctx.options.get(option, 0))
-        return
-        yield  # pragma: no cover
 
-    def _op_heartbeat(self, nqe: Nqe, qset: int, core):
+    def _op_heartbeat(self, nqe: Nqe, qset: int):
         """CoreEngine liveness probe: answer immediately on the completion
         ring.  A crashed/stalled NSM never reaches this handler, which is
         exactly what CE's failure detector keys on."""
         self._emit(qset, nqe.response(NqeOp.HEARTBEAT_ACK), event=False)
-        return
-        yield  # pragma: no cover
 
     def _abort_pending_connect(self, ctx: _SocketContext, qset: int) -> None:
         """A close raced an in-flight connect.  Once the socket is torn
@@ -453,7 +455,7 @@ class ServiceLib:
         self._respond_errno(pending, qset, "ECONNRESET")
         NQE_POOL.release(pending)
 
-    def _op_close(self, nqe: Nqe, qset: int, core):
+    def _op_close(self, nqe: Nqe, qset: int):
         ctx = self._by_vm_tuple.get(nqe.vm_tuple)
         if ctx is None:
             self._respond(nqe, qset, op_data=0, req_op=NqeOp.CLOSE)
@@ -470,10 +472,8 @@ class ServiceLib:
                 self._finish_close(ctx)
         self._respond(nqe, qset, op_data=0, req_op=NqeOp.CLOSE)
         self._by_vm_tuple.pop(nqe.vm_tuple, None)
-        return
-        yield  # pragma: no cover
 
-    def _op_shutdown(self, nqe: Nqe, qset: int, core):
+    def _op_shutdown(self, nqe: Nqe, qset: int):
         """Half-close (SHUT_WR): FIN the write side, keep receiving.
 
         The stack sends its FIN once buffered data drains; the context
@@ -493,8 +493,6 @@ class ServiceLib:
         else:
             ctx.closing = True  # FIN goes out when pending bytes drain
         self._respond(nqe, qset, op_data=0)
-        return
-        yield  # pragma: no cover
 
     def _finish_close(self, ctx: _SocketContext) -> None:
         try:
@@ -545,13 +543,13 @@ class ServiceLib:
             return None
         return buffer
 
-    def _op_send(self, nqe: Nqe, qset: int, core):
+    def _op_send(self, nqe: Nqe, core):
         buffer = self._payload(nqe)
         if buffer is None:
             return
         ctx = self._by_vm_tuple.get(nqe.vm_tuple)
-        if ctx is None or ctx.closing:
-            buffer.free()  # socket gone: drop the payload, no leak
+        if ctx is None or ctx.closing or ctx.kind == "udp":
+            buffer.free()  # no stream to send on: drop the payload, no leak
             return
         data = buffer.read()
         buffer.free()
@@ -560,9 +558,9 @@ class ServiceLib:
                            "servicelib.send_copy")
         ctx.pending_tx.append(data)
         ctx.pending_tx_bytes += len(data)
-        self._flush_tx(ctx, nqe)
+        self._flush_tx(ctx)
 
-    def _flush_tx(self, ctx: _SocketContext, request: Optional[Nqe] = None) -> None:
+    def _flush_tx(self, ctx: _SocketContext) -> None:
         """Push pending bytes into the stack; credit the guest as accepted."""
         if self.crashed or ctx.lib is not self:
             return
@@ -593,7 +591,7 @@ class ServiceLib:
         if ctx.closing and not ctx.pending_tx:
             self._finish_close(ctx)
 
-    def _op_sendto(self, nqe: Nqe, qset: int, core):
+    def _op_sendto(self, nqe: Nqe, core):
         buffer = self._payload(nqe)
         if buffer is None:
             return
@@ -605,18 +603,18 @@ class ServiceLib:
         buffer.free()
         yield core.execute(self.cost.nsm_copy_cycles(len(data)),
                            "servicelib.send_copy")
-        dest = (nqe.aux or {}).get("dest")
+        dest = self._aux_address(nqe, "dest")
+        code = RESULT_ERRNO["EINVAL"]
+        if dest is not None:
+            try:
+                self.stack.udp_sendto(ctx.stack_sock, data, dest)
+                code = 0
+            except SocketError as error:
+                code = RESULT_ERRNO.get(error.errno_name, 5)
         vm_id, vm_qset, vm_sock = ctx.vm_tuple
-        try:
-            self.stack.udp_sendto(ctx.stack_sock, data, dest)
-            credit = NQE_POOL.acquire(
-                NqeOp.SEND_RESULT, vm_id, vm_qset, vm_sock,
-                op_data=0, size=len(data), created_at=self.sim._now)
-        except SocketError as error:
-            code = RESULT_ERRNO.get(error.errno_name, 5)
-            credit = NQE_POOL.acquire(
-                NqeOp.SEND_RESULT, vm_id, vm_qset, vm_sock,
-                op_data=-code, size=len(data), created_at=self.sim._now)
+        credit = NQE_POOL.acquire(
+            NqeOp.SEND_RESULT, vm_id, vm_qset, vm_sock, op_data=-code,
+            size=len(data), created_at=self.sim._now)
         self._emit(ctx.qset, credit, event=False)
 
     def _pump_udp_rx(self, ctx: _SocketContext) -> None:
@@ -642,14 +640,12 @@ class ServiceLib:
                 aux={"from": source}, created_at=self.sim._now)
             self._emit(ctx.qset, event, event=True)
 
-    def _op_recv_credit(self, nqe: Nqe, qset: int, core):
+    def _op_recv_credit(self, nqe: Nqe, qset: int):
         ctx = self._by_vm_tuple.get(nqe.vm_tuple)
-        if ctx is None:
+        if ctx is None or ctx.kind == "udp":
             return
         ctx.rx_window_used = max(0, ctx.rx_window_used - nqe.op_data)
         self._pump_rx(ctx)
-        return
-        yield  # pragma: no cover
 
     def _effective_recv_window(self) -> int:
         """Per-connection receive window after overload clamping.

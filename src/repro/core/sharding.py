@@ -33,8 +33,8 @@ Rings are strict SPSC (repro.mem.ring): each end is claimed by exactly
 one party, and for every device's consume rings that party is the
 device's *home shard*.  A shard switching an NQE whose destination
 device is homed elsewhere therefore cannot push it directly — it hands
-the (ring, NQE, device) triple to the destination shard's inbox and
-rings that shard's doorbell.  The destination drains its inbox at the
+the (ring, NQE, device) triple to the destination shard's inbox, a
+FIFO ``deque``, and rings that shard's doorbell.  The destination drains its inbox at the
 top of its next switching pass, using the stock delivery path (fault
 hooks, backpressure budget and liveness checks all apply exactly once,
 on the destination side).  Only shards with peers have an inbox, so a
@@ -53,11 +53,11 @@ population.  The perf harness asserts exactly that.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.conn_table import ConnectionTable
-from repro.core.coreengine import (CoreEngine, TokenBucket, _HandoffInbox,
-                                   _Registration)
+from repro.core.coreengine import CoreEngine, TokenBucket, _Registration
 from repro.core.nk_device import NKDevice
 from repro.core.nqe import NQE_POOL, NqeOp, RESULT_ERRNO
 from repro.core.queues import DEFAULT_RING_SLOTS
@@ -127,8 +127,7 @@ class ShardedCoreEngine:
         ]
         if len(self.shards) > 1:
             for shard in self.shards:
-                shard._inbound = _HandoffInbox(
-                    f"shard{shard.shard_index}.handoff", ring_slots)
+                shard._inbound = deque()
         self._rr_vm = itertools.count()
         self._rr_nsm = itertools.count()
 

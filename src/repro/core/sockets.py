@@ -1,31 +1,27 @@
-"""The BSD socket facade applications program against.
+"""The BSD socket surface applications program against.
 
 The whole point of NetKernel is that applications keep the BSD socket API
 (§1): the same application coroutine runs unmodified against
 
-* :class:`NetKernelSocketApi` — backed by GuestLib (socket calls become
-  NQEs served by an NSM), or
+* :class:`~repro.core.guestlib.GuestLib` itself — each socket call
+  becomes an NQE served by an NSM (``NetKernelHost.socket_api(vm)``
+  returns the VM's GuestLib), or
 * ``BaselineSocketApi`` (:mod:`repro.baseline.sockets`) — backed by a
   network stack inside the VM, today's architecture.
 
-All potentially blocking calls are generator coroutines (``yield from``
-them inside an application process).  Constants EPOLLIN/EPOLLOUT mirror
-the kernel's.
+:class:`SocketApi` documents that surface; ``BaselineSocketApi``
+implements it and GuestLib provides the same methods.  All potentially
+blocking calls are generator coroutines (``yield from`` them inside an
+application process).  Constants EPOLLIN/EPOLLOUT mirror the kernel's.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.core.guestlib import (
-    EPOLLIN,
-    EPOLLOUT,
-    EpollInstance,
-    GuestLib,
-    NetKernelSocket,
-)
+from repro.core.guestlib import EPOLLIN, EPOLLOUT
 
-__all__ = ["SocketApi", "NetKernelSocketApi", "EPOLLIN", "EPOLLOUT"]
+__all__ = ["SocketApi", "EPOLLIN", "EPOLLOUT"]
 
 
 class SocketApi:
@@ -86,71 +82,3 @@ class SocketApi:
     def epoll_wait(self, epoll, max_events: int = 64,
                    timeout: Optional[float] = None, vcpu: int = 0):
         raise NotImplementedError
-
-
-class NetKernelSocketApi(SocketApi):
-    """The facade over GuestLib: applications never see NQEs."""
-
-    def __init__(self, guestlib: GuestLib):
-        self.guestlib = guestlib
-
-    def socket(self, vcpu: int = 0, sock_type: str = "stream"):
-        return (yield from self.guestlib.socket(vcpu, sock_type))
-
-    def bind(self, sock: NetKernelSocket, port: int, vcpu: int = 0):
-        return (yield from self.guestlib.bind(sock, port, vcpu))
-
-    def listen(self, sock: NetKernelSocket, backlog: int = 128,
-               vcpu: int = 0):
-        return (yield from self.guestlib.listen(sock, backlog, vcpu))
-
-    def connect(self, sock: NetKernelSocket, remote: Tuple[str, int],
-                vcpu: int = 0):
-        return (yield from self.guestlib.connect(sock, remote, vcpu))
-
-    def accept(self, listener: NetKernelSocket, vcpu: int = 0):
-        return (yield from self.guestlib.accept(listener, vcpu))
-
-    def accept_nonblocking(self, listener: NetKernelSocket):
-        return self.guestlib.accept_nonblocking(listener)
-
-    def send(self, sock: NetKernelSocket, data: bytes, vcpu: int = 0):
-        return (yield from self.guestlib.send(sock, data, vcpu))
-
-    def recv(self, sock: NetKernelSocket, max_bytes: int, vcpu: int = 0):
-        return (yield from self.guestlib.recv(sock, max_bytes, vcpu))
-
-    def sendto(self, sock: NetKernelSocket, data: bytes,
-               dest: Tuple[str, int], vcpu: int = 0):
-        return (yield from self.guestlib.sendto(sock, data, dest, vcpu))
-
-    def recvfrom(self, sock: NetKernelSocket, max_bytes: int, vcpu: int = 0):
-        return (yield from self.guestlib.recvfrom(sock, max_bytes, vcpu))
-
-    def recv_nonblocking(self, sock: NetKernelSocket, max_bytes: int):
-        return (yield from self.guestlib.recv_nonblocking(sock, max_bytes))
-
-    def close(self, sock: NetKernelSocket, vcpu: int = 0):
-        return (yield from self.guestlib.close(sock, vcpu))
-
-    def setsockopt(self, sock: NetKernelSocket, option: str, value: int,
-                   vcpu: int = 0):
-        return (yield from self.guestlib.setsockopt(sock, option, value, vcpu))
-
-    def getsockopt(self, sock: NetKernelSocket, option: str, vcpu: int = 0):
-        return (yield from self.guestlib.getsockopt(sock, option, vcpu))
-
-    def shutdown(self, sock: NetKernelSocket, vcpu: int = 0):
-        return (yield from self.guestlib.shutdown(sock, vcpu))
-
-    def epoll_create(self) -> EpollInstance:
-        return self.guestlib.epoll_create()
-
-    def epoll_ctl(self, epoll: EpollInstance, sock: NetKernelSocket,
-                  mask: int) -> None:
-        self.guestlib.epoll_ctl(epoll, sock, mask)
-
-    def epoll_wait(self, epoll: EpollInstance, max_events: int = 64,
-                   timeout: Optional[float] = None, vcpu: int = 0):
-        return (yield from self.guestlib.epoll_wait(epoll, max_events,
-                                                    timeout, vcpu))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.cpu.core import Core
 from repro.cpu.cost_model import CostModel, DEFAULT_COST_MODEL
@@ -13,8 +13,8 @@ class GuestVM:
     """A tenant VM under NetKernel: no network stack inside, only GuestLib.
 
     Applications run as generator processes pinned to vCPUs; they talk to
-    the network exclusively through the BSD socket facade backed by
-    GuestLib (see :mod:`repro.core.sockets`).
+    the network exclusively through GuestLib's BSD socket calls (see
+    :mod:`repro.core.sockets`).
     """
 
     def __init__(self, sim, name: str, vcpus: int = 1, user: str = "tenant",
@@ -33,7 +33,6 @@ class GuestVM:
         # Installed by NetKernelHost.add_vm().
         self.vm_id: Optional[int] = None
         self.guestlib = None
-        self._apps = []
 
     @property
     def vcpus(self) -> int:
@@ -41,9 +40,7 @@ class GuestVM:
 
     def spawn(self, app_generator) -> object:
         """Run an application coroutine inside this VM."""
-        process = self.sim.process(app_generator)
-        self._apps.append(process)
-        return process
+        return self.sim.process(app_generator)
 
     def total_cycles(self) -> float:
         return sum(core.busy_cycles for core in self.cores)

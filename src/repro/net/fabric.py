@@ -64,9 +64,6 @@ class Network:
     def remove_endpoint(self, host_id: str) -> None:
         self._endpoints.pop(host_id, None)
 
-    def has_endpoint(self, host_id: str) -> bool:
-        return host_id in self._endpoints
-
     def set_bottleneck(self, link: Link) -> None:
         """Insert a shared link every flow traverses (Fig. 9's scenario)."""
         self._bottleneck = link

@@ -58,10 +58,6 @@ class Link:
     def backlog_bytes(self) -> int:
         return self._backlog_bytes
 
-    def queueing_delay(self) -> float:
-        """Current wait before a newly arriving packet starts serializing."""
-        return max(0.0, self._busy_until - self.sim.now)
-
     def transmit(self, packet: Packet, deliver: DeliverFn) -> bool:
         """Enqueue ``packet``; call ``deliver`` when it reaches the far end.
 

@@ -31,8 +31,6 @@ class Nic:
         self._rx_handler: Optional[RxHandler] = None
         self.rx_packets = 0
         self.rx_bytes = 0
-        self.tx_packets = 0
-        self.tx_bytes = 0
 
     def on_receive(self, handler: RxHandler) -> None:
         """Install the RX handler (the host's network stack entry point)."""
@@ -47,11 +45,6 @@ class Nic:
         self.rx_packets += 1
         self.rx_bytes += packet.size
         self._rx_handler(packet)
-
-    def note_transmit(self, packet: Packet) -> None:
-        """Record a packet leaving through this NIC."""
-        self.tx_packets += 1
-        self.tx_bytes += packet.size
 
 
 class VNic(Nic):

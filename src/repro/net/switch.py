@@ -45,15 +45,9 @@ class VSwitch:
             )
         self._ports[port_id] = handler
 
-    def detach(self, port_id: str) -> None:
-        self._ports.pop(port_id, None)
-
     def set_uplink(self, handler: Callable[[Packet], None]) -> None:
         """Install the path toward the external fabric."""
         self._uplink_handler = handler
-
-    def is_local(self, endpoint_id: str) -> bool:
-        return endpoint_id in self._ports
 
     def forward(self, packet: Packet) -> None:
         """Route one packet: to a local port if attached, else the uplink."""

@@ -5,6 +5,9 @@ One :class:`Observability` instance owns a :class:`MetricsRegistry`, an
 :class:`PeriodicSampler`.  Components hold an ``obs`` attribute that is
 ``None`` by default; every hook site is guarded by ``if obs is not None``
 so a run without observability pays nothing beyond that attribute check.
+The five per-NQE hop sites (GuestLib enqueue and deliver, the switch,
+ServiceLib consume and emit) call ``obs.tracer`` directly; the failure,
+migration and overload hooks are the ``on_*`` methods below.
 
 Enable it on a host before (or after — late components are wired too)
 building VMs and NSMs::
@@ -57,23 +60,6 @@ class Observability:
         self.accountant = CpuAccountant()
         self.sampler: Optional[PeriodicSampler] = None
         self._host = None
-
-    # -- component hooks (hot path; must stay cheap and side-effect free) --
-
-    def on_guest_enqueue(self, nqe) -> None:
-        self.tracer.guest_enqueue(nqe)
-
-    def on_ce_switch(self, nqe, source_role: str) -> None:
-        self.tracer.ce_switch(nqe, source_role)
-
-    def on_nsm_consume(self, nqe) -> None:
-        self.tracer.nsm_consume(nqe)
-
-    def on_nsm_emit(self, nqe) -> None:
-        self.tracer.nsm_emit(nqe)
-
-    def on_guest_deliver(self, nqe) -> None:
-        self.tracer.guest_deliver(nqe)
 
     # -- failure/recovery hooks (§8) --------------------------------------
 

@@ -178,14 +178,6 @@ class TcpConnection:
     def inflight(self) -> int:
         return self.snd_nxt - self.snd_una
 
-    @property
-    def send_window(self) -> int:
-        return min(self.cc.window_bytes, self.rwnd)
-
-    @property
-    def data_start_seq(self) -> int:
-        return self.iss + 1
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<TcpConnection #{self.conn_id} {self.state.value} "
                 f"{self.local_addr}->{self.remote}>")

@@ -3,14 +3,16 @@
 A VM controls every field of the NQEs it produces.  A SEND or SENDTO
 whose ``data_ptr`` names no live buffer in the VM's hugepage region is
 dropped by ServiceLib and counted against that VM; an op ServiceLib
-does not serve, and a SETSOCKOPT/GETSOCKOPT with a malformed ``aux``,
-complete with EINVAL.  None may raise out of the NSM's poller (and with
-it out of ``sim.run()``), which would stop every tenant that NSM
-serves.  A ``vm_id`` naming another VM is overwritten by the switch, so
-a spoofed op acts on the spoofer's own tuple and hugepages."""
+does not serve, a CONNECT/SENDTO/SETSOCKOPT/GETSOCKOPT with a malformed
+``aux``, and a stream-only op on a datagram socket complete with
+EINVAL.  None may raise out of the NSM's poller (and with it out of
+``sim.run()``), which would stop every tenant that NSM serves.  A
+``vm_id`` naming another VM is overwritten by the switch, so a spoofed
+op acts on the spoofer's own tuple and hugepages."""
 
 from repro.core.host import NetKernelHost
 from repro.core.nqe import NQE_POOL, RESULT_ERRNO, NqeOp
+from repro.errors import SocketError
 from repro.net.fabric import Network
 from repro.sim import Simulator
 from repro.units import gbps, usec
@@ -193,4 +195,131 @@ def test_spoofed_vm_id_cannot_free_a_neighbours_hugepage_buffer():
     assert nsm.servicelib.stats()["vm_bad_data_ptrs"] == {
         hostile_vm.vm_id: 1}
     victim.free()
+    assert_census_clean(host, outstanding_before)
+
+
+def _hostile_app(app):
+    """An ``_echo_next_to`` argument that runs ``app(guestlib)`` in the
+    hostile VM mid-echo instead of pushing raw NQEs."""
+    def nqes(host, device, vm):
+        def run():
+            yield vm.guestlib.sim.timeout(1.5e-3)
+            yield from app(vm.guestlib)
+        vm.spawn(run())
+        return []
+    return nqes
+
+
+def _errno_of(call):
+    """The errno name a blocking GuestLib call fails with, or None."""
+    try:
+        yield from call
+    except SocketError as error:
+        return error.errno_name
+    return None
+
+
+def test_listen_on_a_datagram_socket_completes_with_einval():
+    # A UdpSocket has no local_port: the TCP stack's listen() must not
+    # see it.
+    errnos = []
+
+    def app(lib):
+        sock = yield from lib.socket(sock_type="dgram")
+        errnos.append((yield from _errno_of(lib.listen(sock))))
+        yield from lib.close(sock)
+
+    host, _, _, outstanding_before = _echo_next_to(_hostile_app(app))
+    assert errnos == ["EINVAL"]
+    assert_census_clean(host, outstanding_before)
+
+
+def test_connect_on_a_datagram_socket_completes_with_einval():
+    # A UdpSocket has no state: the TCP stack's connect() must not see it.
+    errnos = []
+
+    def app(lib):
+        sock = yield from lib.socket(sock_type="dgram")
+        errnos.append(
+            (yield from _errno_of(lib.connect(sock, ("nsm0", 80)))))
+        yield from lib.close(sock)
+
+    host, _, _, outstanding_before = _echo_next_to(_hostile_app(app))
+    assert errnos == ["EINVAL"]
+    assert_census_clean(host, outstanding_before)
+
+
+def test_recv_credit_naming_a_datagram_socket_is_ignored():
+    # A UdpSocket has no recv_buf: a credit must not pump it as a stream.
+    def app(lib):
+        sock = yield from lib.socket(sock_type="dgram")
+        yield from lib._push(sock.home_qset, NQE_POOL.acquire(
+            NqeOp.RECV_CREDIT, lib.vm_id, sock.home_qset, sock.sock_id,
+            op_data=64 * 1024))
+        yield from lib.close(sock)
+
+    host, _, _, outstanding_before = _echo_next_to(_hostile_app(app))
+    assert_census_clean(host, outstanding_before)
+
+
+def test_send_naming_a_datagram_socket_frees_its_payload():
+    # A UdpSocket has no state: the TCP stack's send() must not see it,
+    # and the payload must still be freed.
+    payloads = []
+
+    def app(lib):
+        sock = yield from lib.socket(sock_type="dgram")
+        payloads.append(lib.hugepages.alloc(64))
+        yield from lib._push(sock.home_qset, NQE_POOL.acquire(
+            NqeOp.SEND, lib.vm_id, sock.home_qset, sock.sock_id,
+            data_ptr=payloads[0].buffer_id, size=64), data=True)
+        yield from lib.close(sock)
+
+    host, _, _, outstanding_before = _echo_next_to(_hostile_app(app))
+    assert payloads[0].freed
+    assert_census_clean(host, outstanding_before)
+
+
+def test_connect_with_a_malformed_aux_completes_with_einval():
+    # aux is guest-written: anything but {"remote": (host, port)} is
+    # malformed, including a remote the stack cannot hash or route.
+    bad_aux = ("nsm0:80", ["remote"], {"remote": "nsm0:80"})
+    results = []
+
+    def app(lib):
+        sock = yield from lib.socket()
+        for aux in bad_aux:
+            response = yield from lib._call(0, sock, NqeOp.CONNECT, aux=aux)
+            results.append(response.op_data)
+        yield from lib.close(sock)
+
+    host, nsm, hostile_vm, outstanding_before = _echo_next_to(
+        _hostile_app(app))
+    assert results == [-RESULT_ERRNO["EINVAL"]] * len(bad_aux)
+    assert nsm.servicelib.vm_bad_aux == {hostile_vm.vm_id: len(bad_aux)}
+    assert_census_clean(host, outstanding_before)
+
+
+def test_sendto_with_a_malformed_aux_fails_the_send_with_einval():
+    # aux is guest-written: a SENDTO without {"dest": (host, port)} fails
+    # its send, and the credit still returns the in-flight bytes.
+    socks = []
+
+    def app(lib):
+        sock = yield from lib.socket(sock_type="dgram")
+        socks.append(sock)
+        buffer = lib.hugepages.alloc(64)
+        buffer.write(bytes(64))
+        sock.tx_inflight += 64  # as sendto() does: the credit returns it
+        yield from lib._push(sock.home_qset, NQE_POOL.acquire(
+            NqeOp.SENDTO, lib.vm_id, sock.home_qset, sock.sock_id,
+            data_ptr=buffer.buffer_id, size=64, aux="nsm0:80"), data=True)
+        yield lib.sim.timeout(1e-3)
+        yield from lib.close(sock)
+
+    host, nsm, hostile_vm, outstanding_before = _echo_next_to(
+        _hostile_app(app))
+    assert socks[0].errno == "EINVAL"
+    assert socks[0].tx_inflight == 0
+    assert nsm.servicelib.vm_bad_aux == {hostile_vm.vm_id: 1}
     assert_census_clean(host, outstanding_before)

@@ -1,8 +1,11 @@
 """Configuration validation and assembly tests for hosts, VMs, NSMs."""
 
+import inspect
+
 import pytest
 
 from repro.core.host import NetKernelHost
+from repro.core.sockets import SocketApi
 from repro.core.nsm import NetworkStackModule
 from repro.core.vm import GuestVM
 from repro.errors import ConfigurationError
@@ -75,6 +78,18 @@ class TestGuestVm:
         vm.cores[0].charge(100)
         vm.cores[1].charge(50)
         assert vm.total_cycles() == 150
+
+    def test_socket_api_is_the_guestlib(self, host):
+        # Applications call GuestLib directly, so it must offer every
+        # SocketApi call with the same parameters.
+        vm = host.add_vm("v", vcpus=1, nsm=host.add_nsm("n", vcpus=1))
+        api = host.socket_api(vm)
+        assert api is vm.guestlib
+        for name, method in vars(SocketApi).items():
+            if callable(method):
+                assert (inspect.signature(getattr(api, name)).parameters
+                        .keys() == inspect.signature(method).parameters
+                        .keys() - {"self"}), name
 
 
 class TestNsm:

@@ -4,12 +4,15 @@ An idle VM's NK device (four 4,096-NQE rings per lane) and GuestLib must
 cost almost nothing, or a host cannot multiplex thousands of tenant VMs
 onto a few NSMs (§4.3, Fig. 8).  Preallocated ring slots alone cost
 ~128 KiB per VM; lazily grown slabs and a backoff RNG built on first draw
-bring the whole VM to a few KiB.  tracemalloc counts Python allocations,
-so the figure is deterministic and machine-independent.
+bring the whole VM to a few KiB.  tracemalloc counts Python allocations
+and the collector counts tracked objects, so both figures are
+deterministic and machine-independent.
 """
 
 import gc
 import tracemalloc
+
+import pytest
 
 from repro.core.host import NetKernelHost
 from repro.sim import Simulator
@@ -17,15 +20,41 @@ from repro.sim import Simulator
 VMS = 2_000
 #: The tripwire: eager 4,096-slot rings alone would be ~128 KiB per VM.
 MAX_BYTES_PER_VM = 16 * 1024
+#: gc-tracked objects each idle VM adds, exactly: 9 lists (4 ring slabs,
+#: the vCPU list GuestVM and GuestLib share, ``NKDevice.queue_sets``, and
+#: the parked poller's drain scratch and its Process's and Event's
+#: callbacks), 4 rings, 2 bound methods, and one each of GuestVM,
+#: GuestLib, Core, NKDevice, QueueSet, HugepageRegion, _Registration,
+#: defaultdict and the poller's Process, generator and Event.
+IDLE_VM_OBJECTS = 26
 
 
-def test_booted_idle_vm_costs_at_most_16_kib():
+def _tracked_objects() -> int:
+    """gc-tracked objects once collection has settled: a collection
+    untracks a tuple of atomic values only after an earlier one freed
+    the containers it held, so one collect can leave stragglers."""
+    count = -1
+    while True:
+        gc.collect()
+        settled, count = count, len(gc.get_objects())
+        if count == settled:
+            return count
+
+
+@pytest.fixture(scope="module")
+def idle_vms():
+    """Boot VMS idle VMs on a 4-shard host: (bytes per VM, gc-tracked
+    objects added), both measured after a full collection.  One VM per
+    NSM boots first, so host and NSM dicts that gain their first entry,
+    and one-time caches, are not counted against the VMS measured."""
     sim = Simulator()
     host = NetKernelHost(sim, ce_shards=4)
     for shard in range(4):
         host.add_nsm(f"nsm{shard}", vcpus=1, stack="kernel", shard=shard)
+    for shard in range(4):
+        host.add_vm(f"warmup{shard}", backoff_seed=1)
     sim.run(until=1e-4)
-    gc.collect()
+    objects = _tracked_objects()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -36,5 +65,20 @@ def test_booted_idle_vm_costs_at_most_16_kib():
         per_vm = (tracemalloc.get_traced_memory()[0] - before) / VMS
     finally:
         tracemalloc.stop()
-    assert len(host.vms) == VMS
+    objects = _tracked_objects() - objects
+    assert len(host.vms) == VMS + 4
+    return per_vm, objects
+
+
+def test_booted_idle_vm_costs_at_most_16_kib(idle_vms):
+    per_vm, _ = idle_vms
     assert per_vm <= MAX_BYTES_PER_VM, f"{per_vm / 1024:.1f} KiB per VM"
+
+
+def test_idle_vm_gc_object_count_is_pinned(idle_vms):
+    # Exact both ways: a rise is per-VM state an idle VM does not need,
+    # a fall lowers the pin.
+    _, objects = idle_vms
+    assert objects == IDLE_VM_OBJECTS * VMS, (
+        f"{objects} gc-tracked objects for {VMS} idle VMs "
+        f"({objects / VMS:.3f} per VM)")
