@@ -33,12 +33,12 @@ Rings are strict SPSC (repro.mem.ring): each end is claimed by exactly
 one party, and for every device's consume rings that party is the
 device's *home shard*.  A shard switching an NQE whose destination
 device is homed elsewhere therefore cannot push it directly — it hands
-the (ring, NQE, device) triple to the destination shard's inbox, a
-FIFO ``deque``, and rings that shard's doorbell.  The destination drains its inbox at the
-top of its next switching pass, using the stock delivery path (fault
-hooks, backpressure budget and liveness checks all apply exactly once,
-on the destination side).  Only shards with peers have an inbox, so a
-one-shard switch pays nothing per NQE for any of this.
+the (ring, NQE, device) triple to the destination shard's inbox, a FIFO
+``deque``, and rings that shard's doorbell.  The destination drains its
+inbox at the top of its next switching pass, using the stock delivery
+path (fault hooks, backpressure budget and liveness checks all apply
+exactly once, on the destination side).  Only shards with peers have an
+inbox, so a one-shard switch pays nothing per NQE for any of this.
 
 Determinism
 -----------
