@@ -8,7 +8,6 @@ NetKernel VM and in a baseline VM — the transparency property of §4.1.
 from repro.apps.epoll_server import EpollServer, ServerStats
 from repro.apps.load_gen import LoadGenerator, LoadStats
 from repro.apps.iperf import StreamSender, StreamReceiver, StreamStats
-from repro.apps.app_gateway import ApplicationGateway
 from repro.apps.redis import RedisServer, RedisClient
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "StreamSender",
     "StreamReceiver",
     "StreamStats",
-    "ApplicationGateway",
     "RedisServer",
     "RedisClient",
 ]

@@ -9,7 +9,7 @@ in the paper's short-connection workloads.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.sockets import EPOLLIN, SocketApi
 from repro.errors import SocketError

@@ -32,22 +32,6 @@ class StreamStats:
     def mark_finish(self) -> None:
         self.finished_at = self.sim.now
 
-    @property
-    def duration(self) -> float:
-        if self.started_at is None:
-            return 0.0
-        end = self.finished_at if self.finished_at is not None else self.sim.now
-        return max(0.0, end - self.started_at)
-
-    @property
-    def goodput_bps(self) -> float:
-        duration = self.duration
-        return self.bytes * 8.0 / duration if duration > 0 else 0.0
-
-    @property
-    def goodput_gbps(self) -> float:
-        return self.goodput_bps / 1e9
-
 
 class StreamSender:
     """Sends ``message_size``-byte messages for ``duration`` seconds."""

@@ -11,7 +11,6 @@ from repro.core.queues import QueueSet
 from repro.core.nk_device import NKDevice
 from repro.core.conn_table import ConnectionTable
 from repro.core.coreengine import CoreEngine
-from repro.core.control import ControlPlane
 from repro.core.guestlib import GuestLib
 from repro.core.servicelib import ServiceLib
 from repro.core.nsm import NetworkStackModule
@@ -26,7 +25,6 @@ __all__ = [
     "NKDevice",
     "ConnectionTable",
     "CoreEngine",
-    "ControlPlane",
     "GuestLib",
     "ServiceLib",
     "NetworkStackModule",

@@ -382,36 +382,48 @@ class CoreEngine:
                         else:
                             self._drop_nqe(nqe)
 
-    def _fail_fast_nqe(self, nqe: Nqe) -> None:
-        """Resolve an in-flight NQE whose NSM died as ECONNRESET.
+    def _error_result(self, nqe: Nqe, errno: int) -> Optional[Nqe]:
+        """The completion that answers VM request ``nqe`` with ``errno``.
 
-        Tokened requests become OP_RESULT(-ECONNRESET) so blocked callers
-        unblock; SEND/SENDTO free their payload and become
-        SEND_RESULT(-ECONNRESET) carrying the original size so GuestLib's
-        send-buffer accounting drains; results produced before the crash
-        are rewritten to -ECONNRESET (their success is unobservable now);
-        everything else is dropped with payloads freed.
+        A SEND/SENDTO frees its payload and becomes SEND_RESULT(errno)
+        carrying the original size, so GuestLib's send-buffer accounting
+        drains; a tokened request becomes OP_RESULT(errno) with its token
+        and ``req_op``, so the blocked caller unblocks.  ``nqe`` goes back
+        to the pool.  Any other op returns None and ``nqe`` is untouched.
         """
-        reset = -RESULT_ERRNO["ECONNRESET"]
         op = nqe.op
         if op in (NqeOp.SEND, NqeOp.SENDTO):
             self._free_payload(nqe)
             result = NQE_POOL.acquire(
                 NqeOp.SEND_RESULT, nqe.vm_id, nqe.queue_set_id,
-                nqe.socket_id, op_data=reset, size=nqe.size,
+                nqe.socket_id, op_data=errno, size=nqe.size,
                 created_at=self.sim._now)
-            NQE_POOL.release(nqe)
-            self.nqes_failed_fast += 1
-            self._push_to_vm(result, event=False)
         elif op in _TOKENED_REQUESTS:
             result = NQE_POOL.acquire(
                 NqeOp.OP_RESULT, nqe.vm_id, nqe.queue_set_id,
-                nqe.socket_id, op_data=reset, token=nqe.token,
+                nqe.socket_id, op_data=errno, token=nqe.token,
                 aux={"req_op": op}, created_at=self.sim._now)
-            NQE_POOL.release(nqe)
+        else:
+            return None
+        NQE_POOL.release(nqe)
+        return result
+
+    def _fail_fast_nqe(self, nqe: Nqe) -> None:
+        """Resolve an in-flight NQE whose NSM died as ECONNRESET.
+
+        VM requests become their -ECONNRESET completion
+        (:meth:`_error_result`); results produced before the crash are
+        rewritten to -ECONNRESET (their success is unobservable now);
+        everything else is dropped with payloads freed.
+        """
+        reset = -RESULT_ERRNO["ECONNRESET"]
+        result = self._error_result(nqe, reset)
+        if result is not None:
             self.nqes_failed_fast += 1
             self._push_to_vm(result, event=False)
-        elif op in (NqeOp.OP_RESULT, NqeOp.SEND_RESULT):
+            return
+        op = nqe.op
+        if op in (NqeOp.OP_RESULT, NqeOp.SEND_RESULT):
             if (op is NqeOp.OP_RESULT and isinstance(nqe.aux, dict)
                     and nqe.aux.get("req_op") in (NqeOp.CLOSE,
                                                   NqeOp.SHUTDOWN)):
@@ -437,23 +449,10 @@ class CoreEngine:
         Returns False for ops that cannot carry an errno to a waiter
         (events, credits) — those fall through to normal routing.
         """
-        again = -RESULT_ERRNO["EAGAIN"]
-        op = nqe.op
         vm_id = nqe.vm_id
-        if op in (NqeOp.SEND, NqeOp.SENDTO):
-            self._free_payload(nqe)
-            result = NQE_POOL.acquire(
-                NqeOp.SEND_RESULT, nqe.vm_id, nqe.queue_set_id,
-                nqe.socket_id, op_data=again, size=nqe.size,
-                created_at=self.sim._now)
-        elif op in _TOKENED_REQUESTS:
-            result = NQE_POOL.acquire(
-                NqeOp.OP_RESULT, nqe.vm_id, nqe.queue_set_id,
-                nqe.socket_id, op_data=again, token=nqe.token,
-                aux={"req_op": op}, created_at=self.sim._now)
-        else:
+        result = self._error_result(nqe, -RESULT_ERRNO["EAGAIN"])
+        if result is None:
             return False
-        NQE_POOL.release(nqe)
         self.nqes_shed += 1
         shed = self.vm_shed
         shed[vm_id] = shed.get(vm_id, 0) + 1
@@ -494,28 +493,19 @@ class CoreEngine:
 
     # -- overload control (repro.core.overload) --------------------------------
 
-    def enable_overload_control(self, **params):
+    def enable_overload_control(self):
         """Arm the overload governor for this engine (idempotent).
 
-        ``params`` are forwarded to :class:`OverloadGovernor`.  Off by
-        default so un-governed timelines are byte-identical to earlier
-        builds; with it on, GuestLibs gate op issue on ``admit()``,
-        ServiceLibs clamp their receive windows, and the switch arms its
-        weight-aware EAGAIN shed backstop.
+        Off by default so un-governed timelines are byte-identical to
+        earlier builds; with it on, GuestLibs gate op issue on
+        ``admit()``, ServiceLibs clamp their receive windows, and the
+        switch arms its per-VM EAGAIN shed backstop.
         """
         if self.overload is not None:
             return self.overload
         from repro.core.overload import OverloadGovernor
-        self.overload = OverloadGovernor(self.sim, self, **params)
+        self.overload = OverloadGovernor(self.sim, self)
         return self.overload
-
-    def disable_overload_control(self) -> None:
-        """Disarm the governor: its sampler exits at the next tick and
-        its level pins to 0.  The governor object stays referenced so
-        end-of-run introspection (stats, fingerprints) still sees its
-        counters."""
-        if self.overload is not None:
-            self.overload.stop()
 
     # -- cross-shard handoff ---------------------------------------------------
 

@@ -254,15 +254,6 @@ class GuestLib:
         # Observability (repro.obs); None = tracing disabled (default).
         self.obs = None
 
-    def add_vcpu_lane(self, core) -> int:
-        """Hot-add a vCPU lane: a core, a queue set, and its poller
-        (§4.4's dynamic queue scaling).  Returns the new lane index."""
-        self.cores.append(core)
-        self.device.add_queue_set()
-        index = len(self.device.queue_sets) - 1
-        self.sim.process(self._poller(index))
-        return index
-
     # -- fd management -----------------------------------------------------------
 
     def _alloc_fd(self) -> int:

@@ -193,20 +193,6 @@ class NetKernelHost:
             self.obs.attach_vm(vm)
         return vm
 
-    def add_vcpu(self, vm: GuestVM) -> int:
-        """Hot-add a vCPU to a VM: a new core plus its queue-set lane
-        (§4.4's dynamic queue scaling).  Returns the new vCPU index."""
-        core = Core(self.sim, name=f"{vm.name}.cpu{vm.vcpus}",
-                    hz=self.cost.core_hz)
-        vm.cores.append(core)
-        return vm.guestlib.add_vcpu_lane(core)
-
-    def switch_nsm(self, vm: GuestVM, nsm: NetworkStackModule) -> None:
-        """Re-point a VM at a different NSM (new connections only)."""
-        self.coreengine.assign_vm(vm.vm_id, nsm.nsm_id)
-        region = self.coreengine.vm_device(vm.vm_id).hugepages
-        nsm.servicelib.attach_vm_region(vm.vm_id, region)
-
     def migrate_vm(self, vm: GuestVM, target_nsm: NetworkStackModule,
                    **kwargs):
         """Live-migrate a VM's connections to ``target_nsm`` (zero-reset

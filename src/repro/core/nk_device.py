@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.core.nqe import Nqe
 from repro.core.queues import DEFAULT_RING_SLOTS, QueueSet
 from repro.errors import ConfigurationError
 from repro.mem.hugepages import HugepageRegion
@@ -42,8 +41,6 @@ class NKDevice:
         self.sim = sim
         self.owner_id = owner_id
         self.role = role
-        #: Ring capacity of every lane, hot-added ones included.
-        self.ring_slots = ring_slots
         self.queue_sets: List[QueueSet] = [
             QueueSet(owner_id, i, slots=ring_slots) for i in range(queue_sets)
         ]
@@ -61,15 +58,6 @@ class NKDevice:
         # Statistics (§4.6 evaluation of interrupt-driven polling).
         self.wakeups_polled = 0
         self.wakeups_interrupt = 0
-
-    def add_queue_set(self) -> QueueSet:
-        """Hot-add one queue-set lane (§4.4: "queues can be dynamically
-        added or removed with the number of vCPUs"), sized like the
-        device's other lanes."""
-        qs = QueueSet(self.owner_id, len(self.queue_sets),
-                      slots=self.ring_slots)
-        self.queue_sets.append(qs)
-        return qs
 
     # -- ring direction ---------------------------------------------------------
 
@@ -135,16 +123,6 @@ class NKDevice:
 
     # -- bulk access ------------------------------------------------------------------
 
-    def consume_pending(self) -> bool:
-        vm = self.role == ROLE_VM
-        for qs in self.queue_sets:
-            if vm:
-                if qs.completion._count or qs.receive._count:
-                    return True
-            elif qs.job._count or qs.send._count:
-                return True
-        return False
-
     def produce_pending(self) -> bool:
         # Checked once per serviced device by the ready-set scheduler, so
         # the ring directions are inlined instead of built as tuples.
@@ -156,29 +134,6 @@ class NKDevice:
             elif qs.completion._count or qs.receive._count:
                 return True
         return False
-
-    def drain_consume(self, max_items: int, consumer: object) -> List[Nqe]:
-        """Pop up to ``max_items`` NQEs across this owner's consume rings."""
-        batch: List[Nqe] = []
-        n = self.drain_consume_into(batch, max_items, consumer)
-        del batch[n:]
-        return batch
-
-    def drain_consume_into(self, buf: List[Nqe], max_items: int,
-                           consumer: object) -> int:
-        """Allocation-free :meth:`drain_consume`: fill ``buf[0:n]``, return n.
-
-        ``buf`` is a caller-owned scratch list reused across passes
-        (grown on demand, never shrunk); slots past ``n`` are stale.
-        """
-        filled = 0
-        for qs in self.queue_sets:
-            for ring in self.consume_rings(qs):
-                if filled >= max_items:
-                    return filled
-                filled += ring.drain_into(buf, max_items - filled,
-                                          owner=consumer, start=filled)
-        return filled
 
     def ring_depths(self) -> dict:
         """Current and peak occupancy per ring, for obs samplers."""
@@ -192,14 +147,6 @@ class NKDevice:
                     "capacity": ring.capacity,
                 }
         return depths
-
-    def stats(self) -> dict:
-        merged = {}
-        for qs in self.queue_sets:
-            merged.update(qs.stats())
-        merged["wakeups_polled"] = self.wakeups_polled
-        merged["wakeups_interrupt"] = self.wakeups_interrupt
-        return merged
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<NKDevice {self.owner_id} role={self.role} "

@@ -227,12 +227,6 @@ class NqePool:
         """
         return (self.allocated + self.reused) - (self.released + self.discarded)
 
-    def stats(self) -> dict:
-        # ``discarded`` and ``outstanding`` stay off this dict: they are
-        # leak-detector internals exposed via the ``outstanding`` property.
-        return {"allocated": self.allocated, "reused": self.reused,
-                "released": self.released, "free": len(self._free)}
-
 
 #: Process-wide pool shared by GuestLib/ServiceLib (single-threaded sim).
 NQE_POOL = NqePool()

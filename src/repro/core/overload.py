@@ -40,9 +40,9 @@ Degradation contract (guest-visible):
   is unknown, an EAGAIN means it provably did not happen.
 
 Fairness: each sample window, the governor converts the switch's
-*demonstrated* throughput over the previous window into per-VM admission
-quotas proportional to configured weights (default 1.0).  A hot VM
-exhausts its own quota and backs off; its neighbours keep their shares —
+*demonstrated* throughput over the previous window into equal per-VM
+admission quotas.  A hot VM exhausts its own quota and backs off; its
+neighbours keep their shares —
 the fig09 isolation property, preserved under overload.  The switch-side
 shed quota is the admission quota times a slack factor, so shedding only
 catches producers that bypass the guest-side gate (or backlog issued
@@ -71,25 +71,26 @@ EXEMPT_OPS = frozenset((
 #: Governor levels, for readers of stats dicts.
 LEVEL_NORMAL, LEVEL_PRESSURED, LEVEL_OVERLOADED = 0, 1, 2
 
+#: Simulated seconds between detector samples.
+SAMPLE_INTERVAL = 200e-6
+#: Ring-occupancy fractions that enter level 2 / allow stepping down.
+OCC_ENTER, OCC_EXIT = 0.75, 0.40
+#: Delivery-latency EWMAs (seconds) that enter level 2 / allow stepping down.
+LATENCY_ENTER, LATENCY_EXIT = 2e-3, 0.5e-3
+#: Weight of each delivery in the latency EWMA.
+EWMA_ALPHA = 0.2
+#: Floor of the per-window admission budget, in NQEs.
+MIN_ADMIT_BUDGET = 8
+#: Shed quota = admission quota x this slack (+1).
+SHED_SLACK = 2.0
+
 
 class OverloadGovernor:
     """Per-shard overload detector + per-VM admission/shed policy."""
 
-    def __init__(self, sim, engine, sample_interval: float = 200e-6,
-                 occ_enter: float = 0.75, occ_exit: float = 0.40,
-                 latency_enter: float = 2e-3, latency_exit: float = 0.5e-3,
-                 ewma_alpha: float = 0.2, min_admit_budget: int = 8,
-                 shed_slack: float = 2.0):
+    def __init__(self, sim, engine):
         self.sim = sim
         self.engine = engine
-        self.sample_interval = sample_interval
-        self.occ_enter = occ_enter
-        self.occ_exit = occ_exit
-        self.latency_enter = latency_enter
-        self.latency_exit = latency_exit
-        self.ewma_alpha = ewma_alpha
-        self.min_admit_budget = min_admit_budget
-        self.shed_slack = shed_slack
 
         #: Current pressure level (0 normal / 1 pressured / 2 overloaded).
         self.level = LEVEL_NORMAL
@@ -97,8 +98,6 @@ class OverloadGovernor:
         self.latency_ewma = 0.0
         #: Last sampled max ring-occupancy fraction (diagnostics).
         self.last_occupancy = 0.0
-        #: Per-VM admission weights; unlisted VMs weigh 1.0.
-        self.vm_weights: Dict[int, float] = {}
 
         # Window state, rebuilt at every sampler tick.
         self._window_counts: Dict[int, int] = {}
@@ -111,8 +110,6 @@ class OverloadGovernor:
         #: measured signals.
         self._force_until = 0.0
 
-        self._enabled = True
-
         # Lifetime counters.
         self.samples = 0
         self.level_transitions = 0
@@ -120,23 +117,6 @@ class OverloadGovernor:
         self.switch_sheds = 0
         self.vm_admission_rejections: Dict[int, int] = {}
         self._process = sim.process(self._sampler())
-
-    # -- weights ---------------------------------------------------------------
-
-    def set_vm_weight(self, vm_id: int, weight: float) -> None:
-        """Set a VM's admission weight (its share of capacity under
-        overload is ``weight / sum(weights)``)."""
-        if weight <= 0:
-            raise ValueError(f"weight must be positive: {weight}")
-        self.vm_weights[vm_id] = weight
-
-    def stop(self) -> None:
-        """Disarm the governor: the sampler exits at its next tick and
-        every hook becomes a no-op (level pinned at 0)."""
-        self._enabled = False
-        self.level = LEVEL_NORMAL
-        self._admit_quota = {}
-        self._shed_quota = {}
 
     # -- fault hook ------------------------------------------------------------
 
@@ -151,8 +131,7 @@ class OverloadGovernor:
     def note_delivery(self, latency: float) -> None:
         """Fold one delivery's production→ring latency into the EWMA.
         Called by the switch at every successful delivery."""
-        alpha = self.ewma_alpha
-        self.latency_ewma += alpha * (latency - self.latency_ewma)
+        self.latency_ewma += EWMA_ALPHA * (latency - self.latency_ewma)
 
     def ingest(self, nqe: Nqe) -> bool:
         """Account one VM-egress NQE against its VM's window; return
@@ -160,7 +139,7 @@ class OverloadGovernor:
 
         Shedding triggers only at level 2, only for non-exempt ops, and
         only once a VM's in-window count exceeds its shed quota — the
-        admission quota times ``shed_slack`` — so a guest that honours
+        admission quota times ``SHED_SLACK`` — so a guest that honours
         the admission gate is never shed at the switch.
         """
         vm_id = nqe.vm_id
@@ -179,7 +158,7 @@ class OverloadGovernor:
         """Admission check at the guest op-issue boundary.
 
         Below level 2 everything is admitted.  At level 2 each VM spends
-        a per-window quota proportional to its weight; an exhausted
+        an equal per-window quota; an exhausted
         quota rejects (the guest surfaces EAGAIN and backs off).  Exempt
         ops and VMs registered since the last tick are always admitted.
         """
@@ -202,11 +181,8 @@ class OverloadGovernor:
     # -- detector --------------------------------------------------------------
 
     def _sampler(self):
-        interval = self.sample_interval
-        while self._enabled and getattr(self.engine, "_running", True):
-            yield self.sim.timeout(interval)
-            if not self._enabled:
-                break
+        while getattr(self.engine, "_running", True):
+            yield self.sim.timeout(SAMPLE_INTERVAL)
             self._sample()
 
     def _max_occupancy(self) -> float:
@@ -234,9 +210,9 @@ class OverloadGovernor:
         self.last_occupancy = occ
         lat = self.latency_ewma
         forced = self.sim.now < self._force_until
-        if forced or occ >= self.occ_enter or lat >= self.latency_enter:
+        if forced or occ >= OCC_ENTER or lat >= LATENCY_ENTER:
             new_level = LEVEL_OVERLOADED
-        elif occ < self.occ_exit and lat < self.latency_exit:
+        elif occ < OCC_EXIT and lat < LATENCY_EXIT:
             # Hysteresis: step down one level per clean sample instead
             # of snapping to 0, so a single quiet window under a bursty
             # load does not whiplash admission on and off.
@@ -256,7 +232,7 @@ class OverloadGovernor:
 
     def _retarget_quotas(self) -> None:
         """Convert last window's demonstrated switch throughput into
-        weight-proportional per-VM admission quotas for the next window."""
+        equal per-VM admission quotas for the next window."""
         switched = self.engine.nqes_switched
         delta = switched - self._last_switched
         self._last_switched = switched
@@ -266,8 +242,7 @@ class OverloadGovernor:
             self._admit_quota = {}
             self._shed_quota = {}
             return
-        budget = delta if delta > self.min_admit_budget \
-            else self.min_admit_budget
+        budget = delta if delta > MIN_ADMIT_BUDGET else MIN_ADMIT_BUDGET
         engine = self.engine
         vm_ids = sorted(vm_id for vm_id, reg in engine.switch._vms.items()
                         if reg.engine is engine)
@@ -275,22 +250,13 @@ class OverloadGovernor:
             self._admit_quota = {}
             self._shed_quota = {}
             return
-        weights = self.vm_weights
-        total_weight = 0.0
-        for vm_id in vm_ids:
-            total_weight += weights.get(vm_id, 1.0)
-        admit: Dict[int, int] = {}
-        shed: Dict[int, int] = {}
-        slack = self.shed_slack
-        for vm_id in vm_ids:
-            share = weights.get(vm_id, 1.0) / total_weight
-            quota = int(budget * share)
-            if quota < 1:
-                quota = 1
-            admit[vm_id] = quota
-            shed[vm_id] = int(quota * slack) + 1
-        self._admit_quota = admit
-        self._shed_quota = shed
+        # budget * (1/n), not budget / n: the two truncate differently
+        # (98 * (1/49) < 2), and the pinned overload timelines use this.
+        quota = int(budget * (1.0 / len(vm_ids)))
+        if quota < 1:
+            quota = 1
+        self._admit_quota = dict.fromkeys(vm_ids, quota)
+        self._shed_quota = dict.fromkeys(vm_ids, int(quota * SHED_SLACK) + 1)
 
     # -- introspection ---------------------------------------------------------
 

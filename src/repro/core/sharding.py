@@ -188,8 +188,7 @@ class ShardedCoreEngine:
         the pool.  For an NSM they fail fast toward the VMs they belong
         to (the VMs outlive the NSM and must learn their connections
         died); for a VM they are silently dropped (nobody is left to
-        notify).  An unknown id is a no-op (guests reach this through
-        the control ring), charged to shard 0.
+        notify).  An unknown id is a no-op, charged to shard 0.
         """
         reg = self._vms.get(numeric_id) or self._nsms.get(numeric_id)
         home = self.shards[0] if reg is None else reg.engine
@@ -517,10 +516,6 @@ class ShardedCoreEngine:
         self._bw_limits[vm_id] = TokenBucket(
             self.sim, bits_per_sec, burst_bits or bits_per_sec * 0.01)
 
-    def clear_bandwidth_limit(self, vm_id: int) -> None:
-        """Remove a VM's bandwidth cap (it becomes work-conserving)."""
-        self._bw_limits.pop(vm_id, None)
-
     def set_ops_limit(self, vm_id: int, nqes_per_sec: float) -> None:
         """Cap a VM's NQE (operation) rate (§4.4)."""
         self._op_limits[vm_id] = TokenBucket(
@@ -572,18 +567,12 @@ class ShardedCoreEngine:
 
     # -- per-shard machinery -------------------------------------------------------
 
-    def enable_overload_control(self, **params):
+    def enable_overload_control(self):
         """Arm one overload governor per shard (each shard detects and
         governs over its own device population) and return shard 0's."""
         for shard in self.shards:
-            shard.enable_overload_control(**params)
+            shard.enable_overload_control()
         return self.shards[0].overload
-
-    def disable_overload_control(self) -> None:
-        """Disarm every shard's governor (see
-        CoreEngine.disable_overload_control)."""
-        for shard in self.shards:
-            shard.disable_overload_control()
 
     @property
     def overload(self):

@@ -40,13 +40,3 @@ class CpuAccountant:
             for component, cycles in core.busy_by_component.items():
                 merged[component] = merged.get(component, 0.0) + cycles
         return merged
-
-    def normalized_usage(self, numerator: Iterable[str],
-                         denominator: Iterable[str]) -> float:
-        """Cycle ratio between two group sets (Tables 6 and 7).
-
-        Raises ZeroDivisionError if the denominator groups did no work,
-        which always indicates a mis-wired experiment.
-        """
-        denom = self.total_cycles(denominator)
-        return self.total_cycles(numerator) / denom

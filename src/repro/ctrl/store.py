@@ -151,7 +151,3 @@ class RunStore:
         history.append(entry)
         _atomic_write(path, canonical_json(history))
         return path
-
-    def bench_history(self, name: str) -> List[Dict[str, Any]]:
-        path = self.bench_dir / f"BENCH_{name}.json"
-        return json.loads(path.read_text()) if path.is_file() else []

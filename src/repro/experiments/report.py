@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 
 class ExperimentResult:
@@ -107,14 +107,6 @@ def obs_ops_table(report: Dict[str, Any]) -> ExperimentResult:
         "obs-ops", "Per-op NQE latency by VM",
         ["kind", "op", "vm", "count", "p50_us", "p99_us", "max_us"],
         rows)
-
-
-def ratio_check(measured: float, paper: float,
-                tolerance: float = 0.5) -> bool:
-    """True when measured is within ±tolerance (relative) of paper."""
-    if paper == 0:
-        return measured == 0
-    return abs(measured - paper) / abs(paper) <= tolerance
 
 
 def qualitative(measured: float, paper: float) -> str:

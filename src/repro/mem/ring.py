@@ -98,10 +98,6 @@ class SpscRing:
     def full(self) -> bool:
         return self._count == self.capacity
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - self._count
-
     # -- slab -------------------------------------------------------------------
 
     def _grow(self) -> None:

@@ -7,12 +7,8 @@ steady-state throughput/RPS numbers, where event-level simulation of a
 100G datapath would be pointless work.
 """
 
-from repro.model.pipeline import Stage, PipelineModel
 from repro.model import throughput
 from repro.model import overhead
 from repro.model import multiplexing
-from repro.model import latency
 
-__all__ = ["Stage", "PipelineModel", "throughput", "overhead",
-           "multiplexing",
-           "latency"]
+__all__ = ["throughput", "overhead", "multiplexing"]

@@ -14,7 +14,6 @@ reserve 2 cores each, as in the paper.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence
 
 from repro.cpu.cost_model import CostModel, DEFAULT_COST_MODEL

@@ -12,7 +12,7 @@ message bytes; results are application-level Gbps or requests/second.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.cpu.cost_model import CostModel, DEFAULT_COST_MODEL
 

@@ -1,10 +1,8 @@
-"""Simulated physical network: packets, rate/delay links, NICs, the
-vSwitch, and a fabric that routes between hosts."""
+"""Simulated physical network: packets, rate/delay links, and a fabric
+that routes between hosts."""
 
 from repro.net.packet import Packet
 from repro.net.link import Link
-from repro.net.nic import Nic, VNic
-from repro.net.switch import VSwitch
 from repro.net.fabric import Network
 
-__all__ = ["Packet", "Link", "Nic", "VNic", "VSwitch", "Network"]
+__all__ = ["Packet", "Link", "Network"]

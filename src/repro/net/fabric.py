@@ -61,9 +61,6 @@ class Network:
             name=f"{host_id}.down")
         self._endpoints[host_id] = _Endpoint(uplink, downlink, handler)
 
-    def remove_endpoint(self, host_id: str) -> None:
-        self._endpoints.pop(host_id, None)
-
     def set_bottleneck(self, link: Link) -> None:
         """Insert a shared link every flow traverses (Fig. 9's scenario)."""
         self._bottleneck = link

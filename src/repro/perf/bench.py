@@ -328,10 +328,28 @@ def _sharded_mux_workload(n_shards: int, vms_per_shard: int,
     }
 
 
-def _bench_fig08_sharded(n_shards: int, vms_per_shard: int,
-                         nqes_quick: int, nqes_full: int):
+def _bench_fig08_sharded(n_shards: int, vms_per_shard_quick: int,
+                         vms_per_shard_full: int, nqes_quick: int,
+                         nqes_full: int, duty: int = 10,
+                         seed_conns: bool = False):
+    """Fig. 8 multiplexing over ``n_shards`` traffic-closed partitions,
+    1 in ``duty`` VMs active.  The switching fingerprint of every shard
+    must stay bit-identical to a standalone 1-shard run of one partition,
+    with zero cross-shard handoffs.
+
+    With ``seed_conns`` it is the 100k-VM scale proof for the indexed
+    connection table: every VM is placed via shard-aware
+    ``assign_vm_auto`` (one ``nsm_loads`` consultation per boot) and
+    seeded with one established connection, so boot alone performs
+    O(VMs) table control operations.  A connection table that regresses
+    to full-table scans turns that into O(VMs x connections) — ~2x10^8
+    entry visits even in the quick 20k-VM CI variant;
+    ``tests/test_conn_table.py`` proves there is no scan.  Shard-aware
+    placement must also have co-homed every VM (``cohomed`` == VMs).
+    """
     def bench(quick: bool) -> dict:
-        active = max(1, vms_per_shard // 10)  # 10% duty cycle
+        vms_per_shard = vms_per_shard_quick if quick else vms_per_shard_full
+        active = max(1, vms_per_shard // duty)
         nqes = nqes_quick if quick else nqes_full
         # 250 active producers per partition need completion headroom a
         # 256-slot ring does not give (the 1000-VM bench has only 100).
@@ -340,75 +358,23 @@ def _bench_fig08_sharded(n_shards: int, vms_per_shard: int,
         # partition's workload.
         wall_ref, peak_ref, ref = _measure(
             lambda: _mux_workload(vms_per_shard, active, nqes,
-                                  ring_slots=slots))
-        ref_fp = {key: ref[key] for key in _SHARD_FP_KEYS}
-        wall, peak, out = _measure(
-            lambda: _sharded_mux_workload(n_shards, vms_per_shard, active,
-                                          nqes, ring_slots=slots))
-        match = (all(fp == ref_fp for fp in out["per_shard"])
-                 and out["sim_now"] == ref["sim_now"]
-                 and out["handoffs"] == 0)
-        return {
-            "wall_s": wall,
-            "events": out["events_processed"],
-            "peak_rss": max(peak, peak_ref),
-            "n_shards": n_shards,
-            "vms_total": n_shards * vms_per_shard,
-            "wall_1shard_partition_s": wall_ref,
-            "handoffs": out["handoffs"],
-            "fingerprint_match": match,
-            "fingerprint": ref_fp,
-            "per_shard_fingerprints": out["per_shard"],
-            "sim_now": out["sim_now"],
-        }
-
-    return bench
-
-
-def _bench_fig08_sharded_100k(n_shards: int, vms_per_shard_quick: int,
-                              vms_per_shard_full: int,
-                              nqes_quick: int, nqes_full: int):
-    """The 100k-VM scale proof for the indexed connection table.
-
-    Every VM is placed via shard-aware ``assign_vm_auto`` (one
-    ``nsm_loads`` consultation per boot) and seeded with one established
-    connection, so boot alone performs O(VMs) table control operations.
-    A connection table that regresses to full-table scans turns that
-    into O(VMs x connections) — ~2x10^8 entry visits even in the quick
-    20k-VM CI variant; ``tests/test_conn_table.py`` proves there is no
-    scan.  The switching fingerprint of every shard must stay
-    bit-identical to a standalone 1-shard run of one partition, exactly
-    like ``fig08_sharded``, and shard-aware placement must have co-homed
-    every VM (``cohomed`` == VMs, ``handoffs`` == 0).
-    """
-    def bench(quick: bool) -> dict:
-        vms_per_shard = vms_per_shard_quick if quick else vms_per_shard_full
-        active = max(1, vms_per_shard // 100)  # 1% duty cycle
-        nqes = nqes_quick if quick else nqes_full
-        slots = 1024
-        wall_ref, peak_ref, ref = _measure(
-            lambda: _mux_workload(vms_per_shard, active, nqes,
-                                  ring_slots=slots, seed_conns=True))
+                                  ring_slots=slots, seed_conns=seed_conns))
         ref_fp = {key: ref[key] for key in _SHARD_FP_KEYS}
         wall, peak, out = _measure(
             lambda: _sharded_mux_workload(n_shards, vms_per_shard, active,
                                           nqes, ring_slots=slots,
-                                          seed_conns=True))
+                                          seed_conns=seed_conns))
         vms_total = n_shards * vms_per_shard
         match = (all(fp == ref_fp for fp in out["per_shard"])
                  and out["sim_now"] == ref["sim_now"]
                  and out["handoffs"] == 0
-                 and out["cohomed"] == vms_total)
-        return {
+                 and (not seed_conns or out["cohomed"] == vms_total))
+        result = {
             "wall_s": wall,
             "events": out["events_processed"],
             "peak_rss": max(peak, peak_ref),
             "n_shards": n_shards,
             "vms_total": vms_total,
-            # Upper bound on memory per VM: the sharded run's peak RSS,
-            # interpreter baseline included, over its VMs.
-            "rss_per_vm_kib": peak / vms_total,
-            "cohomed": out["cohomed"],
             "wall_1shard_partition_s": wall_ref,
             "handoffs": out["handoffs"],
             "fingerprint_match": match,
@@ -416,6 +382,12 @@ def _bench_fig08_sharded_100k(n_shards: int, vms_per_shard_quick: int,
             "per_shard_fingerprints": out["per_shard"],
             "sim_now": out["sim_now"],
         }
+        if seed_conns:
+            # Upper bound on memory per VM: the sharded run's peak RSS,
+            # interpreter baseline included, over its VMs.
+            result["rss_per_vm_kib"] = peak / vms_total
+            result["cohomed"] = out["cohomed"]
+        return result
 
     return bench
 
@@ -445,11 +417,12 @@ BENCHMARKS = {
     "fig08_mux_10": _bench_fig08(10, nqes_quick=100, nqes_full=2_000),
     "fig08_mux_100": _bench_fig08(100, nqes_quick=60, nqes_full=1_000),
     "fig08_mux_1000": _bench_fig08(1_000, nqes_quick=10, nqes_full=100),
-    "fig08_sharded": _bench_fig08_sharded(4, 2_500,
-                                          nqes_quick=4, nqes_full=100),
-    "fig08_sharded_100k": _bench_fig08_sharded_100k(
+    "fig08_sharded": _bench_fig08_sharded(
+        4, vms_per_shard_quick=2_500, vms_per_shard_full=2_500,
+        nqes_quick=4, nqes_full=100),
+    "fig08_sharded_100k": _bench_fig08_sharded(
         8, vms_per_shard_quick=2_500, vms_per_shard_full=12_500,
-        nqes_quick=8, nqes_full=40),
+        nqes_quick=8, nqes_full=40, duty=100, seed_conns=True),
     "capacity_mux": bench_capacity_mux,
 }
 

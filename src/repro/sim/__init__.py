@@ -8,8 +8,7 @@ reproduction (cores, rings, stacks, NetKernel) is built on these types.
 
 from repro.sim.event import Event, Timeout, AnyOf, AllOf
 from repro.sim.engine import Simulator
-from repro.sim.process import Process, Interrupt
-from repro.sim.resources import Resource, Store
+from repro.sim.process import Process
 
 __all__ = [
     "Event",
@@ -18,7 +17,4 @@ __all__ = [
     "AllOf",
     "Simulator",
     "Process",
-    "Interrupt",
-    "Resource",
-    "Store",
 ]

@@ -150,11 +150,5 @@ class NetworkStack:
     def udp_close(self, sock: UdpSocket) -> None:
         self.udp.close(sock)
 
-    # -- capacity hints (used by multiplexing / provisioning logic) -------------
-
-    def request_rate_per_core(self) -> float:
-        """Sustainable requests/second on one core (small messages)."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} host={self.host_id} cores={len(self.cores)}>"

@@ -36,6 +36,3 @@ class KernelStack(NetworkStack):
 
     def _conn_teardown_cycles(self) -> float:
         return self.cost.ktcp_request_cycles * 0.25
-
-    def request_rate_per_core(self) -> float:
-        return self.cost.core_hz / self.cost.ktcp_request_cycles

@@ -25,13 +25,12 @@ class MtcpStack(NetworkStack):
     #: §7.4 fn. 4); we enforce the same envelope for fidelity.
     SUPPORTED_CORE_COUNTS = (1, 2, 4, 8)
 
-    def __init__(self, *args, strict_core_counts: bool = True, **kwargs):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        if strict_core_counts and len(self.cores) not in self.SUPPORTED_CORE_COUNTS:
+        if len(self.cores) not in self.SUPPORTED_CORE_COUNTS:
             raise ValueError(
                 f"mTCP NSM supports {self.SUPPORTED_CORE_COUNTS} vCPUs, "
-                f"got {len(self.cores)} (pass strict_core_counts=False to "
-                "override)")
+                f"got {len(self.cores)}")
 
     def _segment_tx_cycles(self, payload_bytes: int) -> float:
         cost = self.cost
@@ -50,6 +49,3 @@ class MtcpStack(NetworkStack):
 
     def _conn_teardown_cycles(self) -> float:
         return self.cost.mtcp_request_cycles * 0.25
-
-    def request_rate_per_core(self) -> float:
-        return self.cost.core_hz / self.cost.mtcp_request_cycles

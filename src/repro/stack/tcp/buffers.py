@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, List, Union
 
 from repro.errors import ResourceError
 
@@ -211,35 +211,6 @@ class ReceiveBuffer:
         self._ready_len += take
         self.rcv_nxt = seq + take
         return take + self._drain_out_of_order()
-
-    def deliver_batch(self, segments: Iterable[Tuple[int, Payload]]) -> int:
-        """Deliver several segments in one call; returns total newly ready.
-
-        Exactly equivalent to summing :meth:`deliver` over ``segments`` in
-        order (tests check both against a reference model under overlap
-        and out-of-order patterns).  The fast path — consecutive in-order
-        segments with an empty reassembly stash — appends chunks directly
-        without re-running the stash purge/drain machinery per segment.
-        """
-        made = 0
-        chunks = self._chunks
-        for seq, data in segments:
-            if not self._out_of_order and seq == self.rcv_nxt and data:
-                length = len(data)
-                take = min(length, self.capacity - self._ready_len)
-                if take <= 0:
-                    continue  # window closed: deliver() would drop it too
-                if take == length and type(data) is bytes:
-                    chunk = data
-                else:
-                    chunk = bytes(data[:take])
-                chunks.append(chunk)
-                self._ready_len += take
-                self.rcv_nxt += take
-                made += take
-                continue
-            made += self.deliver(seq, data)
-        return made
 
     def _drain_out_of_order(self) -> int:
         drained = 0

@@ -4,8 +4,8 @@ Implements enough of TCP to reproduce the paper's transport-level
 behaviour: three-way handshake with listener backlog, MSS segmentation,
 cumulative ACKs with out-of-order reassembly, flow control with zero-window
 probing, RTT estimation (Jacobson) with exponential-backoff RTO, fast
-retransmit on three duplicate ACKs, pluggable congestion control (Reno,
-CUBIC, DCTCP, VM-level), ECN echo, and FIN/RST teardown.
+retransmit on three duplicate ACKs, pluggable congestion control (CUBIC,
+DCTCP, VM-level), ECN echo, and FIN/RST teardown.
 
 Deliberate simplifications (documented in DESIGN.md): no SACK, no delayed
 ACKs, no Nagle, timestamps modelled as a float echo rather than an option

@@ -44,16 +44,6 @@ class AgTrace:
     def mean(self) -> float:
         return sum(self.values) / len(self.values)
 
-    @property
-    def mean_utilization(self) -> float:
-        """Mean load relative to provisioned capacity (100)."""
-        return self.mean / 100.0
-
-    def quantile(self, q: float) -> float:
-        ordered = sorted(self.values)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<AgTrace {self.name} n={len(self)} peak={self.peak:.1f} "
                 f"mean={self.mean:.1f}>")
@@ -117,12 +107,6 @@ def generate_fleet(n_ags: int, minutes: int = 60, seed: int = 7,
                           profile=profile)
         for i in range(n_ags)
     ]
-
-
-def most_utilized(fleet: Sequence[AgTrace], count: int) -> List[AgTrace]:
-    """The ``count`` AGs with the highest mean load (Fig. 7 picks the
-    three most utilized — the *least* favourable case for multiplexing)."""
-    return sorted(fleet, key=lambda t: t.mean, reverse=True)[:count]
 
 
 def aggregate(traces: Sequence[AgTrace]) -> List[float]:

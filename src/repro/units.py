@@ -41,11 +41,6 @@ def MiB(n: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-def kbps(n: float) -> float:
-    """n kilobits per second, in bits per second."""
-    return n * 1e3
-
-
 def mbps(n: float) -> float:
     """n megabits per second, in bits per second."""
     return n * 1e6
@@ -56,49 +51,14 @@ def gbps(n: float) -> float:
     return n * 1e9
 
 
-def to_gbps(bits_per_sec: float) -> float:
-    """Express a bits-per-second rate in Gbps."""
-    return bits_per_sec / 1e9
-
-
-def bytes_per_sec(bits_per_sec: float) -> float:
-    """Convert a bit rate to a byte rate."""
-    return bits_per_sec / 8.0
-
-
-def bits(num_bytes: float) -> float:
-    """Convert bytes to bits."""
-    return num_bytes * 8.0
-
-
 # ---------------------------------------------------------------------------
 # Time (seconds)
 # ---------------------------------------------------------------------------
 
 
-def nsec(n: float) -> float:
-    """n nanoseconds, in seconds."""
-    return n * 1e-9
-
-
 def usec(n: float) -> float:
     """n microseconds, in seconds."""
     return n * 1e-6
-
-
-def msec(n: float) -> float:
-    """n milliseconds, in seconds."""
-    return n * 1e-3
-
-
-def to_usec(seconds: float) -> float:
-    """Express seconds in microseconds."""
-    return seconds * 1e6
-
-
-def to_msec(seconds: float) -> float:
-    """Express seconds in milliseconds."""
-    return seconds * 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +67,3 @@ def to_msec(seconds: float) -> float:
 
 #: Clock rate of the paper's testbed cores (Xeon E5-2698 v3, 2.3 GHz).
 PAPER_CORE_HZ = 2.3e9
-
-
-def cycles_to_seconds(cycles: float, core_hz: float = PAPER_CORE_HZ) -> float:
-    """Time taken to spend ``cycles`` on a core clocked at ``core_hz``."""
-    return cycles / core_hz
-
-
-def seconds_to_cycles(seconds: float, core_hz: float = PAPER_CORE_HZ) -> float:
-    """Cycles available in ``seconds`` on a core clocked at ``core_hz``."""
-    return seconds * core_hz

@@ -101,7 +101,6 @@ class TestIperf:
         sim.run(until=5.0)
         assert receiver.stats.bytes > 0
         assert receiver.stats.bytes == sender.stats.bytes
-        assert sender.stats.goodput_gbps > 0
 
 
 class TestLoadStats:

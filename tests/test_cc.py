@@ -5,7 +5,6 @@ import pytest
 from repro.stack.cc.base import CongestionControl, INITIAL_WINDOW_MSS
 from repro.stack.cc.cubic import CubicCC
 from repro.stack.cc.dctcp import DctcpCC
-from repro.stack.cc.reno import RenoCC
 from repro.stack.cc.vmcc import VmCC, VmSharedWindow
 
 MSS = 1448
@@ -24,47 +23,6 @@ class TestBase:
     def test_invalid_mss(self):
         with pytest.raises(ValueError):
             CongestionControl(0)
-
-
-class TestReno:
-    def test_slow_start_doubles_per_rtt(self):
-        cc = RenoCC(MSS)
-        start = cc.cwnd
-        cc.on_ack(int(start))  # a full window of ACKs
-        assert cc.cwnd == pytest.approx(2 * start)
-
-    def test_congestion_avoidance_additive(self):
-        cc = RenoCC(MSS)
-        cc.ssthresh = cc.cwnd  # leave slow start
-        start = cc.cwnd
-        cc.on_ack(int(start))
-        assert cc.cwnd == pytest.approx(start + MSS, rel=0.01)
-
-    def test_fast_retransmit_halves(self):
-        cc = RenoCC(MSS)
-        cc.cwnd = 100 * MSS
-        cc.on_fast_retransmit()
-        assert cc.cwnd == pytest.approx(50 * MSS)
-        assert cc.ssthresh == pytest.approx(50 * MSS)
-
-    def test_timeout_resets_to_one_mss(self):
-        cc = RenoCC(MSS)
-        cc.cwnd = 100 * MSS
-        cc.on_timeout()
-        assert cc.cwnd == MSS
-        assert cc.ssthresh == pytest.approx(50 * MSS)
-
-    def test_window_never_below_two_mss_after_loss(self):
-        cc = RenoCC(MSS)
-        cc.cwnd = float(MSS)
-        cc.on_fast_retransmit()
-        assert cc.ssthresh >= 2 * MSS
-
-    def test_zero_ack_is_noop(self):
-        cc = RenoCC(MSS)
-        start = cc.cwnd
-        cc.on_ack(0)
-        assert cc.cwnd == start
 
 
 class TestCubic:

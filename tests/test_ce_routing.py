@@ -55,8 +55,8 @@ class TestVmToNsmRouting:
         for _ in range(3):
             push_vm_nqe(vm_dev, Nqe(NqeOp.BIND, vm_id, 0, 7, op_data=80))
         sim.run(until=0.01)
-        depths = [qs.inbound_depth() + len(qs.job) + len(qs.send)
-                  for qs in nsm_dev.queue_sets]
+        depths = [len(qs.job) + len(qs.send) + len(qs.completion)
+                  + len(qs.receive) for qs in nsm_dev.queue_sets]
         non_empty = [d for d in depths if d]
         assert non_empty == [3]  # all three in the same lane
 

@@ -205,19 +205,6 @@ class TestIsolation:
         sim.run(until=1.0)
         assert received["vm1"]["bytes"] <= 4e6
 
-    def test_clear_bandwidth_limit(self, sim):
-        host, received = _throughput_host(sim, {"vm1": mbps(20)})
-        vm = host.vms["vm1"]
-
-        def lift():
-            host.coreengine.clear_bandwidth_limit(vm.vm_id)
-
-        sim.call_later(0.3, lift)
-        sim.run(until=1.0)
-        # After lifting the cap the VM must beat a pure-20Mbps run
-        # (0.6s at 20M would be 12e6 bits).
-        assert received["vm1"]["bytes"] * 8 > 16e6
-
     def test_rate_limit_stall_counter(self, sim):
         host, received = _throughput_host(sim, {"vm1": mbps(10)})
         sim.run(until=1.0)

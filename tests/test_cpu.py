@@ -126,16 +126,6 @@ class TestAccounting:
         assert accountant.cycles("vm") == 100
         assert accountant.total_cycles(["vm", "nsm"]) == 400
 
-    def test_normalized_usage(self, sim):
-        vm_core, nsm_core = Core(sim), Core(sim)
-        accountant = CpuAccountant()
-        accountant.register("vm", [vm_core])
-        accountant.register("nsm", [nsm_core])
-        vm_core.charge(100)
-        nsm_core.charge(50)
-        ratio = accountant.normalized_usage(["vm", "nsm"], ["vm"])
-        assert ratio == pytest.approx(1.5)
-
     def test_by_component_merges_cores(self, sim):
         cores = [Core(sim), Core(sim)]
         accountant = CpuAccountant()

@@ -102,8 +102,9 @@ class TestRunStore:
     def test_bench_history_appends(self, tmp_path):
         store = RunStore(tmp_path / "runs")
         store.record_bench("fig08_mux", {"wall_s": 1.0}, job_id="job-1")
-        store.record_bench("fig08_mux", {"wall_s": 0.9}, job_id="job-2")
-        history = store.bench_history("fig08_mux")
+        path = store.record_bench("fig08_mux", {"wall_s": 0.9},
+                                  job_id="job-2")
+        history = json.loads(path.read_text())
         assert [h["job_id"] for h in history] == ["job-1", "job-2"]
 
 

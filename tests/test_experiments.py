@@ -7,7 +7,7 @@ scaled-down here and at full scale in the benchmark harness.
 import pytest
 
 from repro.experiments import REGISTRY, run_experiment
-from repro.experiments.report import ExperimentResult, qualitative, ratio_check
+from repro.experiments.report import ExperimentResult, qualitative
 
 ANALYTIC_EXPERIMENTS = [
     "fig7", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
@@ -29,11 +29,6 @@ class TestReport:
         result = ExperimentResult("figX", "demo", ["a", "b"], [[1, 2]])
         assert result.row_dicts() == [{"a": 1, "b": 2}]
         assert result.column("b") == [2]
-
-    def test_ratio_check(self):
-        assert ratio_check(110, 100, tolerance=0.2)
-        assert not ratio_check(200, 100, tolerance=0.2)
-        assert ratio_check(0, 0)
 
     def test_qualitative(self):
         assert qualitative(110, 100) == "+10%"

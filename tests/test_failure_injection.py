@@ -1,14 +1,11 @@
 """Failure injection: packet loss, VM teardown, and queue overflow
 through the full NetKernel path."""
 
-import pytest
-
 from repro.core.host import NetKernelHost
 from repro.errors import SocketError
 from repro.net.fabric import Network
 from repro.net.link import Link
 from repro.sim import Simulator
-from repro.stack.tcp.engine import TcpEngine
 from repro.units import gbps, mbps, usec
 
 

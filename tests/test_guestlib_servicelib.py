@@ -5,11 +5,11 @@ import pytest
 
 from repro.core.guestlib import DEFAULT_SNDBUF, RECV_CREDIT_QUANTUM
 from repro.core.host import NetKernelHost
-from repro.core.nqe import NQE_POOL, NqeOp
-from repro.errors import NotConnectedError, SocketError
+from repro.core.nqe import NQE_POOL
+from repro.errors import NotConnectedError
 from repro.net.fabric import Network
 from repro.sim import Simulator
-from repro.units import gbps, mbps, usec
+from repro.units import gbps, usec
 from tests.census import assert_census_clean
 
 

@@ -10,8 +10,6 @@
    NSM died, and the socket is terminal either way.
 """
 
-import pytest
-
 from repro.core.host import NetKernelHost
 from repro.core.nqe import NQE_POOL, NqeOp, RESULT_ERRNO
 from repro.errors import TimedOutError

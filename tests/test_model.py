@@ -7,45 +7,10 @@ the constants were fitted directly.
 
 import pytest
 
-from repro.cpu.cost_model import DEFAULT_COST_MODEL
 from repro.model import multiplexing as mx
 from repro.model import overhead
 from repro.model import throughput as tp
-from repro.model.pipeline import PipelineModel, Stage
 from repro.trace.ag_trace import generate_fleet
-
-
-class TestPipeline:
-    def test_bottleneck_is_min_stage(self):
-        model = PipelineModel([
-            Stage("fast", cycles_per_op=100, cores=1),
-            Stage("slow", cycles_per_op=1000, cores=1),
-        ])
-        hz = DEFAULT_COST_MODEL.core_hz
-        assert model.throughput_ops() == pytest.approx(hz / 1000)
-        assert model.bottleneck().name == "slow"
-
-    def test_rate_cap_overrides_cpu(self):
-        model = PipelineModel([
-            Stage("capped", cycles_per_op=1, cores=8, rate_cap=500.0),
-        ])
-        assert model.throughput_ops() == 500.0
-
-    def test_zero_cost_stage_is_infinite(self):
-        stage = Stage("free", cycles_per_op=0)
-        assert stage.capacity(1e9) == float("inf")
-
-    def test_utilizations(self):
-        model = PipelineModel([Stage("s", cycles_per_op=1000, cores=1)])
-        hz = DEFAULT_COST_MODEL.core_hz
-        utils = model.utilizations(offered_ops=hz / 2000)
-        assert utils["s"] == pytest.approx(0.5)
-
-    def test_invalid_stage(self):
-        with pytest.raises(ValueError):
-            Stage("bad", cycles_per_op=-1)
-        with pytest.raises(ValueError):
-            PipelineModel([])
 
 
 class TestStreamThroughput:
@@ -243,46 +208,3 @@ class TestMultiplexing:
         few = mx.nsm_cores_for(fleet[:5])
         many = mx.nsm_cores_for(fleet)
         assert many >= few
-
-
-class TestLatencyModel:
-    def test_little_law_regime(self):
-        from repro.model import latency
-
-        # Saturated closed loop: mean = N / capacity.
-        mean = latency.closed_loop_mean_latency(1000, 70e3)
-        assert mean == pytest.approx(1000 / 70e3)
-
-    def test_unloaded_regime(self):
-        from repro.model import latency
-
-        mean = latency.closed_loop_mean_latency(1, 70e3,
-                                                base_rtt=100e-6)
-        assert mean == pytest.approx(100e-6 + 1 / 70e3)
-
-    def test_table5_means_match_paper_scale(self):
-        """The paper's Table 5 means follow from Fig. 20's capacities."""
-        from repro.model import latency
-
-        rows = latency.table5_prediction(concurrency=1000)
-        assert rows["Baseline"]["mean_ms"] == pytest.approx(16, rel=0.15)
-        assert rows["NetKernel"]["mean_ms"] == pytest.approx(
-            rows["Baseline"]["mean_ms"], rel=0.1)
-        assert rows["NetKernel, mTCP NSM"]["mean_ms"] == pytest.approx(
-            4, rel=0.45)
-
-    def test_syn_retry_tail_matches_paper_max(self):
-        """~5 retries at Linux's 1s SYN RTO lands near the 7019 ms max."""
-        from repro.model import latency
-
-        assert latency.syn_retry_completion_time(3) == pytest.approx(7.0)
-
-    def test_invalid_inputs(self):
-        from repro.model import latency
-
-        with pytest.raises(ValueError):
-            latency.closed_loop_mean_latency(0, 1000)
-        with pytest.raises(ValueError):
-            latency.closed_loop_mean_latency(10, 0)
-        with pytest.raises(ValueError):
-            latency.syn_retry_completion_time(-1)

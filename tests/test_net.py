@@ -1,13 +1,11 @@
-"""Tests for packets, links, NICs, vSwitch, and the fabric."""
+"""Tests for packets, links and the fabric."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.fabric import Network
 from repro.net.link import Link
-from repro.net.nic import Nic, VNic
 from repro.net.packet import HEADER_BYTES, Packet
-from repro.net.switch import VSwitch
 from repro.sim import Simulator
 from repro.units import gbps, mbps, usec
 
@@ -107,57 +105,6 @@ class TestLink:
             Link(sim, rate_bps=1e9, delay_sec=-1)
         with pytest.raises(ConfigurationError):
             Link(sim, rate_bps=1e9, loss_rate=1.5)
-
-
-class TestNic:
-    def test_rx_requires_handler(self):
-        nic = Nic("host")
-        with pytest.raises(ConfigurationError):
-            nic.receive(make_packet())
-
-    def test_rx_counters(self):
-        nic = Nic("host")
-        got = []
-        nic.on_receive(got.append)
-        nic.receive(make_packet(payload=100))
-        assert nic.rx_packets == 1
-        assert nic.rx_bytes == 100 + HEADER_BYTES
-        assert len(got) == 1
-
-    def test_vnic_is_single_queue(self):
-        vnic = VNic("vm1", rate_bps=gbps(10))
-        assert vnic.queues == 1
-        assert vnic.vm_id == "vm1"
-
-
-class TestVSwitch:
-    def test_local_delivery(self, sim):
-        switch = VSwitch(sim, "host")
-        got = []
-        switch.attach("vmB", got.append)
-        switch.forward(make_packet(dst=("vmB", 80)))
-        sim.run()
-        assert len(got) == 1
-        assert switch.local_packets == 1
-
-    def test_uplink_fallback(self, sim):
-        switch = VSwitch(sim, "host")
-        uplinked = []
-        switch.set_uplink(uplinked.append)
-        switch.forward(make_packet(dst=("remote", 80)))
-        assert len(uplinked) == 1
-        assert switch.uplink_packets == 1
-
-    def test_no_route_raises(self, sim):
-        switch = VSwitch(sim, "host")
-        with pytest.raises(ConfigurationError, match="no route"):
-            switch.forward(make_packet(dst=("nowhere", 1)))
-
-    def test_duplicate_port_rejected(self, sim):
-        switch = VSwitch(sim, "host")
-        switch.attach("vm", lambda p: None)
-        with pytest.raises(ConfigurationError):
-            switch.attach("vm", lambda p: None)
 
 
 class TestNetwork:

@@ -227,33 +227,6 @@ class TestMultiplexing:
         assert results["cli1"] == b"ack:one"
         assert results["cli2"] == b"ack:two"
 
-    def test_dynamic_nsm_switch(self, env):
-        """§3: 'a user can switch her NSM on the fly' (new connections)."""
-        sim, _, host = env
-        nsm_a = host.add_nsm("nsmA", vcpus=1, stack="kernel")
-        nsm_b = host.add_nsm("nsmB", vcpus=1, stack="kernel")
-        vm = host.add_vm("vm1", vcpus=1, nsm=nsm_a)
-        api = host.socket_api(vm)
-        seen = {}
-
-        def app():
-            s1 = yield from api.socket()
-            yield from api.bind(s1, 70)
-            yield from api.listen(s1)
-            seen["a_conns"] = nsm_a.stack.engine.active_connections
-            host.switch_nsm(vm, nsm_b)
-            s2 = yield from api.socket()
-            yield from api.bind(s2, 71)
-            yield from api.listen(s2)
-            seen["b_conns"] = nsm_b.stack.engine.active_connections
-            seen["a_listeners"] = len(nsm_a.stack.engine._listeners)
-            seen["b_listeners"] = len(nsm_b.stack.engine._listeners)
-
-        vm.spawn(app())
-        sim.run(until=5.0)
-        assert seen["a_listeners"] == 1
-        assert seen["b_listeners"] == 1
-
 
 class TestAccounting:
     def test_cycles_attributed_to_all_roles(self, env):
@@ -280,48 +253,3 @@ class TestAccounting:
         assert stats["nqes_switched"] > 10
         assert stats["batches"] > 0
         assert stats["avg_batch"] >= 1.0
-
-
-class TestDynamicQueueScaling:
-    def test_hot_added_vcpu_lane_carries_traffic(self, env):
-        """§4.4: queue sets can be added with the number of vCPUs."""
-        sim, _, host = env
-        nsm = host.add_nsm("nsm0", vcpus=2, stack="kernel")
-        vm_server = host.add_vm("srv", vcpus=1, nsm=nsm)
-        vm_client = host.add_vm("cli", vcpus=1, nsm=nsm)
-        api_s = host.socket_api(vm_server)
-        api_c = host.socket_api(vm_client)
-        results = {}
-
-        def server():
-            listener = yield from api_s.socket(0)
-            yield from api_s.bind(listener, 80)
-            yield from api_s.listen(listener, 64)
-            for index in range(2):
-                conn = yield from api_s.accept(listener)
-                data = yield from api_s.recv(conn, 1024)
-                yield from api_s.send(conn, b"ok:" + data)
-                yield from api_s.close(conn)
-
-        vm_server.spawn(server())
-
-        def request(vcpu, key):
-            sock = yield from api_c.socket(vcpu)
-            yield from api_c.connect(sock, ("nsm0", 80), vcpu)
-            yield from api_c.send(sock, key.encode(), vcpu)
-            results[key] = yield from api_c.recv(sock, 1024, vcpu)
-            yield from api_c.close(sock, vcpu)
-
-        def driver():
-            yield sim.timeout(0.001)
-            yield from request(0, "before")
-            # Hot-add a vCPU (and its queue-set lane) mid-run.
-            new_lane = host.add_vcpu(vm_client)
-            assert new_lane == 1
-            yield from request(new_lane, "after")
-
-        vm_client.spawn(driver())
-        sim.run(until=5.0)
-        assert results["before"] == b"ok:before"
-        assert results["after"] == b"ok:after"
-        assert len(host.coreengine.vm_device(vm_client.vm_id).queue_sets) == 2

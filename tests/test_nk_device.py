@@ -107,61 +107,13 @@ class TestNotification:
 
 
 class TestDraining:
-    def test_drain_consume_respects_role(self, sim):
-        device = make_device(sim, ROLE_VM)
-        qs = device.queue_sets[0]
-        qs.completion.push(Nqe(NqeOp.OP_RESULT, 1, 0, 1))
-        qs.receive.push(Nqe(NqeOp.DATA_ARRIVED, 1, 0, 1))
-        qs.job.push(Nqe(NqeOp.SOCKET, 1, 0, 1))  # produce side: untouched
-        batch = device.drain_consume(10, consumer="me")
-        assert len(batch) == 2
-        assert len(qs.job) == 1
 
-    def test_drain_limit(self, sim):
-        device = make_device(sim, ROLE_VM, queue_sets=1)
-        qs = device.queue_sets[0]
-        for _ in range(5):
-            qs.completion.push(Nqe(NqeOp.OP_RESULT, 1, 0, 1))
-        assert len(device.drain_consume(3, consumer="me")) == 3
 
     def test_pending_flags(self, sim):
         device = make_device(sim, ROLE_VM, queue_sets=1)
         qs = device.queue_sets[0]
-        assert not device.consume_pending()
         assert not device.produce_pending()
         qs.receive.push(Nqe(NqeOp.DATA_ARRIVED, 1, 0, 1))
-        assert device.consume_pending()
+        assert not device.produce_pending()  # a consume ring
         qs.send.push(Nqe(NqeOp.SEND, 1, 0, 1))
         assert device.produce_pending()
-
-    def test_stats_include_wakeups(self, sim):
-        device = make_device(sim)
-        stats = device.stats()
-        assert "wakeups_polled" in stats
-        assert "wakeups_interrupt" in stats
-
-
-class TestHotAddedLaneSizing:
-    """A hot-added lane takes the device's ring size, not the default."""
-
-    def test_add_queue_set_uses_device_ring_size(self, sim):
-        device = NKDevice(sim, "dev", ROLE_VM, 1,
-                          HugepageRegion(page_count=1), ring_slots=128)
-        qs = device.add_queue_set()
-        assert [r.capacity for r in (qs.job, qs.send, qs.completion,
-                                     qs.receive)] == [128] * 4
-
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_host_add_vcpu_lane_matches_engine_ring_size(self, sim, shards):
-        from repro.core.host import NetKernelHost
-
-        host = NetKernelHost(sim, ce_shards=shards)
-        host.coreengine.ring_slots = 128
-        host.add_nsm("nsm0", vcpus=1)
-        vm = host.add_vm("vm0")
-        lane = host.add_vcpu(vm)
-        device = host.coreengine.vm_device(vm.vm_id)
-        assert lane == 1 and len(device.queue_sets) == 2
-        assert {ring.capacity for qs in device.queue_sets
-                for ring in (qs.job, qs.send, qs.completion,
-                             qs.receive)} == {128}

@@ -85,17 +85,3 @@ class TestQueueSet:
         assert qs.send is not qs.receive
         assert {len(r) for r in (qs.job, qs.completion, qs.send,
                                  qs.receive)} == {0}
-
-    def test_depth_helpers(self):
-        qs = QueueSet("vm1", 0)
-        qs.job.push(Nqe(NqeOp.SOCKET, 1, 0, 1))
-        qs.send.push(Nqe(NqeOp.SEND, 1, 0, 1))
-        qs.receive.push(Nqe(NqeOp.DATA_ARRIVED, 1, 0, 1))
-        assert qs.outbound_depth() == 2
-        assert qs.inbound_depth() == 1
-
-    def test_stats_structure(self):
-        qs = QueueSet("vm9", 3)
-        stats = qs.stats()
-        assert "vm9.qs3.job" in stats
-        assert stats["vm9.qs3.job"]["produced"] == 0

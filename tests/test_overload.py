@@ -9,7 +9,6 @@ from repro.core.overload import (
     EXEMPT_OPS,
     LEVEL_NORMAL,
     LEVEL_OVERLOADED,
-    OverloadGovernor,
     governor_for_device,
 )
 from repro.core.sharding import ShardedCoreEngine
@@ -79,16 +78,16 @@ def _raw_engine(sim, n_vms=1):
 class TestGovernorPolicy:
     def test_below_overload_everything_admitted(self, sim):
         engine, governor, vms = _raw_engine(sim)
+        assert engine.overload is governor
+        assert governor_for_device(vms[0][1]) is governor
         assert governor.level == LEVEL_NORMAL
         for _ in range(1000):
             assert governor.admit(vms[0][0], NqeOp.SOCKET)
         assert governor.admission_rejections == 0
 
-    def test_quotas_are_weight_proportional(self, sim):
+    def test_quotas_split_the_budget_equally(self, sim):
         engine, governor, vms = _raw_engine(sim, n_vms=2)
         (vm_a, _), (vm_b, _) = vms
-        governor.set_vm_weight(vm_a, 3.0)
-        governor.set_vm_weight(vm_b, 1.0)
         governor.force_overload(until=1.0)
         sim.run(until=450e-6)  # two sampler ticks: level 2, quotas set
         assert governor.level == LEVEL_OVERLOADED
@@ -100,9 +99,8 @@ class TestGovernorPolicy:
             return count
 
         share_a, share_b = admitted(vm_a), admitted(vm_b)
-        # Idle window -> budget = min_admit_budget (8): 6 vs 2.
-        assert share_a == 3 * share_b
-        assert share_b >= 1
+        # Idle window -> budget = MIN_ADMIT_BUDGET (8): 4 each.
+        assert share_a == share_b == 4
         assert governor.admission_rejections == 2
         assert governor.vm_admission_rejections == {vm_a: 1, vm_b: 1}
 
@@ -124,35 +122,6 @@ class TestGovernorPolicy:
         # 0 -> 2 (forced), then 2 -> 1 -> 0 one step per clean sample.
         assert governor.level == LEVEL_NORMAL
         assert governor.level_transitions == 3
-
-    def test_stop_disarms_governor(self, sim):
-        engine, governor, vms = _raw_engine(sim)
-        governor.force_overload(until=1.0)
-        sim.run(until=450e-6)
-        assert governor.level == LEVEL_OVERLOADED
-        governor.stop()
-        assert governor.level == LEVEL_NORMAL
-        for _ in range(100):
-            assert governor.admit(vms[0][0], NqeOp.SETSOCKOPT)
-
-    def test_disable_overload_control_restores_seed_behaviour(self, sim):
-        engine, governor, vms = _raw_engine(sim)
-        assert engine.overload is governor
-        assert governor_for_device(vms[0][1]) is governor
-        governor.force_overload(until=1.0)
-        sim.run(until=450e-6)
-        engine.disable_overload_control()
-        # The object stays referenced for end-of-run introspection, but
-        # its level pins to 0 and every gate becomes a no-op.
-        assert engine.overload is governor
-        assert governor.level == LEVEL_NORMAL
-        for _ in range(100):
-            assert governor.admit(vms[0][0], NqeOp.SETSOCKOPT)
-
-    def test_weight_must_be_positive(self, sim):
-        engine, governor, _ = _raw_engine(sim)
-        with pytest.raises(ValueError):
-            governor.set_vm_weight(1, 0.0)
 
 
 # -- switch-side shedding -----------------------------------------------------

@@ -47,6 +47,17 @@ class TestAutoAssignSkipsQuarantined:
         vm2 = host.add_vm("vm2", nsm=nsm_b)
         assert engine.assign_vm_auto(vm2.vm_id) == nsm_b.nsm_id
 
+    def test_explicit_assign_to_quarantined_nsm_rejected(self):
+        """A quarantined NSM takes no new VMs, and the VM keeps its
+        in-service assignment."""
+        sim, host, nsm_a, nsm_b = _host_with_two_nsms()
+        engine = host.coreengine
+        vm = host.add_vm("vm", nsm=nsm_a)
+        engine.quarantine_nsm(nsm_b.nsm_id, reason="test")
+        with pytest.raises(ConfigurationError):
+            engine.assign_vm(vm.vm_id, nsm_b.nsm_id)
+        assert engine.vm_to_nsm[vm.vm_id] == nsm_a.nsm_id
+
     def test_no_active_nsm_raises_instead_of_assigning_a_corpse(self):
         sim, host, nsm_a, nsm_b = _host_with_two_nsms()
         engine = host.coreengine

@@ -1,8 +1,6 @@
 """Tests for the redis-like application over every architecture/stack —
 the §6.3 claim: protocol-speaking apps run unmodified on any NSM."""
 
-import pytest
-
 from repro.apps.redis import RedisClient, RedisServer, _FrameParser, \
     encode_command
 from repro.baseline.host import BaselineHost

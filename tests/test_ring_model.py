@@ -80,7 +80,6 @@ COUNTERS = ("produced", "consumed", "full_rejections", "peak_depth",
 def _check_state(ring, model, prev_slab):
     assert len(ring) == len(model.items)
     assert ring.full == (len(model.items) == model.capacity)
-    assert ring.free_slots == model.capacity - len(model.items)
     for name in COUNTERS:
         assert getattr(ring, name) == getattr(model, name), name
     size = len(ring._slots)
@@ -243,8 +242,9 @@ def _burst_workload():
         scratch = []
         qs = nsm_dev.queue_sets[0]
         completion, _ = nsm_dev.produce_rings(qs)
+        job, _ = nsm_dev.consume_rings(qs)
         while True:
-            n = nsm_dev.drain_consume_into(scratch, 64, owner)
+            n = job.drain_into(scratch, 64, owner=owner)
             if not n:
                 yield nsm_dev.wait_for_inbound()
                 yield sim.timeout(30e-6)  # let a burst pile up
@@ -261,8 +261,9 @@ def _burst_workload():
     def drainer(vm_id, vm_dev):
         owner = object()
         scratch = []
+        completion, _ = vm_dev.consume_rings(vm_dev.queue_sets[0])
         while True:
-            n = vm_dev.drain_consume_into(scratch, 64, owner)
+            n = completion.drain_into(scratch, 64, owner=owner)
             if not n:
                 yield vm_dev.wait_for_inbound()
                 yield sim.timeout(30e-6)

@@ -49,7 +49,7 @@ def severed_connection(**engine_kwargs):
     a.connect(conn, ("B", 80))
     sim.run(until=0.01)
     assert conn.established
-    network.remove_endpoint("B")
+    del network._endpoints["B"]  # sever: B stops answering
     network.add_endpoint("B", lambda packet: None)
     a.send(conn, b"x" * 1000)
     assert conn.inflight == 1000

@@ -315,8 +315,9 @@ class TestZeroAllocSwitching:
         def responder():
             owner = object()
             scratch = []
+            job, _ = nsm_dev.consume_rings(nsm_dev.queue_sets[0])
             while True:
-                n = nsm_dev.drain_consume_into(scratch, 64, owner)
+                n = job.drain_into(scratch, 64, owner=owner)
                 if not n:
                     yield nsm_dev.wait_for_inbound()
                     continue
@@ -331,8 +332,9 @@ class TestZeroAllocSwitching:
         def drainer(dev):
             owner = object()
             scratch = []
+            completion, _ = dev.consume_rings(dev.queue_sets[0])
             while True:
-                if not dev.drain_consume_into(scratch, 64, owner):
+                if not completion.drain_into(scratch, 64, owner=owner):
                     yield dev.wait_for_inbound()
 
         sim.process(responder())
@@ -430,16 +432,16 @@ class TestNqePool:
         assert recycled.vm_tuple == (2, 1, 9)
         assert recycled.size == 0 and recycled.aux is None
         assert recycled.trace is None
-        assert pool.stats() == {"allocated": 1, "reused": 1,
-                                "released": 1, "free": 0}
+        assert (pool.allocated, pool.reused, pool.released) == (1, 1, 1)
+        assert not pool._free
 
     def test_free_list_is_bounded(self):
         pool = NqePool(max_free=2)
         nqes = [pool.acquire(NqeOp.SEND, 1, 0, i) for i in range(4)]
         for nqe in nqes:
             pool.release(nqe)
-        assert pool.stats()["free"] == 2
-        assert pool.stats()["released"] == 2
+        assert len(pool._free) == 2
+        assert pool.released == 2
 
     def test_datapath_recycles_through_global_pool(self):
         before = NQE_POOL.reused + NQE_POOL.allocated

@@ -10,7 +10,6 @@ their pinned golden.
 
 import pytest
 
-from repro.core.control import CeOp, ControlPlane, decode, encode
 from repro.core.host import NetKernelHost
 from repro.core.nqe import NQE_POOL, NqeOp
 from repro.core.sharding import ShardedCoreEngine
@@ -163,10 +162,9 @@ class TestDirectoryConsistency:
         with pytest.raises(ConfigurationError):
             engine.shard_of_vm(vm_id)
 
-    def test_wire_deregister_reclaims_at_the_home_shard(self):
-        """A guest DEREGISTER through the §5 wire control plane for a
-        device homed on shard 1 removes it from the directory and
-        reclaims its rings."""
+    def test_deregister_reclaims_at_the_home_shard(self):
+        """Deregistering a device homed on shard 1 removes it from the
+        directory and reclaims its rings."""
         sim, engine = _bare_cluster(n_shards=2)
         vm, vm_dev = engine.register_vm("vm", 1, shard=1)
         nsm, _ = engine.register_nsm("nsm", 1, shard=0)
@@ -176,18 +174,15 @@ class TestDirectoryConsistency:
         assert control_ring.try_push(
             NQE_POOL.acquire(NqeOp.SETSOCKOPT, vm, 0, 1), owner=object())
 
-        plane = ControlPlane(engine)
-        reply = plane.handle(encode(CeOp.DEREGISTER, 0, vm))
-        assert decode(reply)[0] is CeOp.OK
+        engine.deregister(vm)
         assert vm not in engine._vms
         with pytest.raises(ConfigurationError):
             engine.shard_of_vm(vm)
         assert vm not in engine.vm_to_nsm
         assert len(control_ring) == 0
         assert NQE_POOL.outstanding == pool_before
-        # The id is unknown now: a second DEREGISTER is still a no-op.
-        reply = plane.handle(encode(CeOp.DEREGISTER, 0, vm))
-        assert decode(reply)[0] is CeOp.OK
+        # The id is unknown now: a second deregister is a no-op.
+        engine.deregister(vm)
         assert engine.shard_of_nsm(nsm) == 0
 
 

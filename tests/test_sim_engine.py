@@ -7,7 +7,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim import Simulator
 from repro.sim.event import Call, Timeout
-from repro.sim.process import Interrupt
 
 
 @pytest.fixture
@@ -182,20 +181,6 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             sim.run_until_event(process)
 
-    def test_interrupt_raises_inside_process(self, sim):
-        log = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as interrupt:
-                log.append((interrupt.cause, sim.now))
-
-        process = sim.process(sleeper())
-        sim.call_later(1.0, lambda: process.interrupt("wake"))
-        sim.run()
-        assert log == [("wake", 1.0)]
-
     def test_waiting_on_already_processed_event(self, sim):
         event = sim.event()
         event.succeed("early")
@@ -207,52 +192,6 @@ class TestProcesses:
 
         process = sim.process(late_waiter())
         assert sim.run_until_event(process) == "early"
-
-    def test_interrupt_wins_over_already_processed_wait(self, sim):
-        """A process parked on an event that was processed before it
-        waited is interrupted at that wait: it never sees the value."""
-        done = sim.event()
-        done.succeed("v")
-        sim.run()
-        log = []
-
-        def waiter():
-            try:
-                got = yield done
-                log.append(("resumed", got))
-                yield sim.timeout(1.0)
-            except Interrupt as interrupt:
-                log.append(("interrupted", interrupt.cause))
-
-        process = sim.process(waiter())
-        sim.call_later(0, lambda: process.interrupt("stop"))
-        sim.run()
-        assert log == [("interrupted", "stop")]
-        assert not process.is_alive
-
-    def test_interrupt_wins_over_triggered_wait(self, sim):
-        """An event triggered in the same instant as the interrupt, but
-        not yet processed, does not resume the process either."""
-        event = sim.event()
-        log = []
-
-        def waiter():
-            try:
-                got = yield event
-                log.append(("resumed", got))
-                yield sim.timeout(1.0)
-            except Interrupt as interrupt:
-                log.append(("interrupted", interrupt.cause, sim.now))
-
-        process = sim.process(waiter())
-
-        def fire_then_interrupt():
-            event.succeed("v")
-            process.interrupt("stop")
-
-        sim.call_later(0.5, fire_then_interrupt)
-        sim.run()
-        assert log == [("interrupted", "stop", 0.5)]
 
     def test_deadlock_detected(self, sim):
         event = sim.event()  # never triggered

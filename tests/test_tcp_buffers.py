@@ -233,20 +233,15 @@ class TestReceiveBuffer:
         assert buf.read(100_000) == payload
 
 
-class TestDeliverBatchEquivalence:
-    """``deliver_batch(segs)`` and N single ``deliver`` calls (the
-    ``batched`` parameter) must each match the reference model — same
-    bytes made ready, same cursor, same window, same stream.  The batch
-    fast path takes a different code path only for consecutive in-order
-    segments with an empty stash."""
+class TestDeliverMatchesModel:
+    """Segment-by-segment ``deliver`` must match the reference model —
+    same bytes made ready, same cursor, same window, same stream — under
+    reordering, overlap, duplicates and a closing window."""
 
-    def _check(self, segments, batched, capacity=1000):
+    def _check(self, segments, capacity=1000):
         buf = ReceiveBuffer(capacity, initial_seq=0)
         model = ReceiveModel(capacity)
-        if batched:
-            made = buf.deliver_batch(segments)
-        else:
-            made = sum(buf.deliver(seq, data) for seq, data in segments)
+        made = sum(buf.deliver(seq, data) for seq, data in segments)
         assert made == sum(model.deliver(seq, data)
                            for seq, data in segments)
         assert buf.rcv_nxt == model.rcv_nxt
@@ -254,53 +249,39 @@ class TestDeliverBatchEquivalence:
         assert len(buf) == len(model.ready)
         assert buf.read(10 * capacity) == model.read(10 * capacity)
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_in_order_run(self, batched):
-        self._check([(0, b"abc"), (3, b"def"), (6, b"ghi")], batched)
+    def test_in_order_run(self):
+        self._check([(0, b"abc"), (3, b"def"), (6, b"ghi")])
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_out_of_order_then_fill(self, batched):
-        self._check([(6, b"ghi"), (3, b"def"), (0, b"abc")], batched)
+    def test_out_of_order_then_fill(self):
+        self._check([(6, b"ghi"), (3, b"def"), (0, b"abc")])
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_overlap_and_duplicates(self, batched):
-        self._check(
-            [(0, b"abcd"), (2, b"cdef"), (0, b"abcd"), (4, b"efgh")],
-            batched)
+    def test_overlap_and_duplicates(self):
+        self._check([(0, b"abcd"), (2, b"cdef"), (0, b"abcd"), (4, b"efgh")])
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_stash_mid_batch_disables_fast_path(self, batched):
-        # Segment 2 stashes; segments 3-4 must go through full deliver()
-        # even though they are in-order, or the stash would never drain.
-        self._check(
-            [(0, b"aa"), (4, b"cc"), (2, b"bb"), (6, b"dd")], batched)
+    def test_stash_drains_when_the_gap_fills(self):
+        # Segment 2 stashes; segment 3 fills the gap and must drain it.
+        self._check([(0, b"aa"), (4, b"cc"), (2, b"bb"), (6, b"dd")])
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_window_closes_mid_batch(self, batched):
-        self._check([(0, b"abcd"), (4, b"efgh"), (8, b"ijkl")],
-                    batched, capacity=6)
+    def test_window_closes_mid_stream(self):
+        self._check([(0, b"abcd"), (4, b"efgh"), (8, b"ijkl")], capacity=6)
 
-    @pytest.mark.parametrize("batched", [True, False])
-    def test_memoryview_segments(self, batched):
+    def test_memoryview_segments(self):
         # The zero-copy hand-off delivers memoryviews over the sender
-        # slab; both delivery paths must materialize them on arrival.
+        # slab; delivery must materialize them on arrival.
         slab = bytearray(b"abcdefgh")
         segs = [(0, memoryview(slab)[0:4]), (4, memoryview(slab)[4:8])]
         buf = ReceiveBuffer(100, initial_seq=0)
-        if batched:
-            assert buf.deliver_batch(segs) == 8
-        else:
-            assert sum(buf.deliver(seq, data) for seq, data in segs) == 8
+        assert sum(buf.deliver(seq, data) for seq, data in segs) == 8
         slab[:] = b"XXXXXXXX"  # mutating the slab must not alias ready data
         assert buf.read(100) == b"abcdefgh"
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
-    def test_batch_equivalence_property(self, data):
+    def test_duplicated_segments_property(self, data):
         payload = data.draw(st.binary(min_size=1, max_size=200))
         order = _segments(data, payload, copies=2)
         capacity = data.draw(st.sampled_from((10_000, len(payload) // 2 + 1)))
-        self._check(order, data.draw(st.booleans()), capacity=capacity)
+        self._check(order, capacity=capacity)
 
 
 class TestBuffersMatchModels:
@@ -315,25 +296,18 @@ class TestBuffersMatchModels:
         buf = ReceiveBuffer(capacity, initial_seq=0)
         model = ReceiveModel(capacity)
         for _ in range(data.draw(st.integers(min_value=1, max_value=40))):
-            op = data.draw(st.sampled_from(("deliver", "batch", "read")))
-            if op == "read":
+            if data.draw(st.booleans()):
                 n = data.draw(st.integers(min_value=0, max_value=64))
                 assert buf.read(n) == model.read(n)
             else:
-                segs = []
-                for _ in range(1 if op == "deliver" else
-                               data.draw(st.integers(0, 4))):
-                    # Near the cursor, possibly stale or overlapping,
-                    # like a retransmitting sender's segments.
-                    seq = data.draw(st.integers(
-                        max(0, model.rcv_nxt - 20),
-                        min(len(payload) - 1, model.rcv_nxt + 60)))
-                    end = data.draw(st.integers(seq + 1, len(payload)))
-                    segs.append((seq, payload[seq:end]))
-                made = (buf.deliver(*segs[0]) if op == "deliver"
-                        else buf.deliver_batch(segs))
-                assert made == sum(model.deliver(seq, chunk)
-                                   for seq, chunk in segs)
+                # Near the cursor, possibly stale or overlapping, like a
+                # retransmitting sender's segments.
+                seq = data.draw(st.integers(
+                    max(0, model.rcv_nxt - 20),
+                    min(len(payload) - 1, model.rcv_nxt + 60)))
+                end = data.draw(st.integers(seq + 1, len(payload)))
+                chunk = payload[seq:end]
+                assert buf.deliver(seq, chunk) == model.deliver(seq, chunk)
             assert buf.rcv_nxt == model.rcv_nxt
             assert buf.window == model.window
             assert len(buf) == len(model.ready)

@@ -1,14 +1,12 @@
 """TCP engine edge cases: teardown races, zero-window recovery, port
 reuse, stray segments."""
 
-import pytest
-
 from repro.net.fabric import Network
 from repro.net.packet import Packet
 from repro.sim import Simulator
 from repro.stack.tcp.engine import TcpEngine
 from repro.stack.tcp.tcb import Segment, TcpState
-from repro.units import gbps, mbps, usec
+from repro.units import gbps, usec
 
 
 def make_pair(sim, rate=gbps(1), **kwargs):

@@ -10,7 +10,6 @@ from repro.errors import (
 from repro.net.fabric import Network
 from repro.net.link import Link
 from repro.sim import Simulator
-from repro.stack.cc.reno import RenoCC
 from repro.stack.tcp.engine import TcpEngine
 from repro.stack.tcp.tcb import TcpState
 from repro.units import gbps, mbps, usec
@@ -304,7 +303,7 @@ class TestLossRecovery:
         sim.run(until=0.05)
         assert conn.established
         # Sever the path entirely.
-        network.remove_endpoint("B")
+        del network._endpoints["B"]
         network.add_endpoint("B", lambda p: None)
         a.send(conn, b"more data")
         sim.run(until=600.0)
