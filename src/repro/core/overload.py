@@ -27,7 +27,7 @@ enter/exit thresholds, one-level-per-sample decay):
 * ``1`` (pressured): ServiceLib halves its effective receive window so
   inbound data stops amplifying the backlog.
 * ``2`` (overloaded): per-VM admission control engages at the GuestLib
-  op-issue boundary, and the switch arms its weight-aware shed backstop.
+  op-issue boundary, and the switch arms its per-VM shed backstop.
 
 Degradation contract (guest-visible):
 
@@ -42,11 +42,10 @@ Degradation contract (guest-visible):
 Fairness: each sample window, the governor converts the switch's
 *demonstrated* throughput over the previous window into equal per-VM
 admission quotas.  A hot VM exhausts its own quota and backs off; its
-neighbours keep their shares —
-the fig09 isolation property, preserved under overload.  The switch-side
-shed quota is the admission quota times a slack factor, so shedding only
-catches producers that bypass the guest-side gate (or backlog issued
-before the level flipped).
+neighbours keep their shares — the fig09 isolation property, preserved
+under overload.  The switch-side shed quota is the admission quota times
+a slack factor, so shedding only catches producers that bypass the
+guest-side gate (or backlog issued before the level flipped).
 
 Everything here is deterministic: no wall clock, no RNG — decisions are
 pure functions of ring states, lifetime counters, and simulated time, so
@@ -135,7 +134,7 @@ class OverloadGovernor:
 
     def ingest(self, nqe: Nqe) -> bool:
         """Account one VM-egress NQE against its VM's window; return
-        True when the switch should shed it (weight-aware backstop).
+        True when the switch should shed it (per-VM backstop).
 
         Shedding triggers only at level 2, only for non-exempt ops, and
         only once a VM's in-window count exceeds its shed quota — the
@@ -158,9 +157,9 @@ class OverloadGovernor:
         """Admission check at the guest op-issue boundary.
 
         Below level 2 everything is admitted.  At level 2 each VM spends
-        an equal per-window quota; an exhausted
-        quota rejects (the guest surfaces EAGAIN and backs off).  Exempt
-        ops and VMs registered since the last tick are always admitted.
+        an equal per-window quota; an exhausted quota rejects (the guest
+        surfaces EAGAIN and backs off).  Exempt ops and VMs registered
+        since the last tick are always admitted.
         """
         if self.level < LEVEL_OVERLOADED:
             return True
