@@ -117,3 +117,18 @@ class TestDraining:
         assert not device.produce_pending()  # a consume ring
         qs.send.push(Nqe(NqeOp.SEND, 1, 0, 1))
         assert device.produce_pending()
+
+
+class TestWakeAccountingPinned:
+    """The §4.6 ablation's exact (polled, interrupt) wakeups of the
+    client VM: how the consumer's poll window is opened and closed
+    decides every count, so a change to when pollers park shows here."""
+
+    @pytest.mark.parametrize("window, expected", [
+        (0.0, (0, 103)),
+        (20e-6, (1, 102)),
+        (200e-6, (102, 1)),
+    ])
+    def test_polling_ablation_counts(self, window, expected):
+        from repro.experiments.ablations import polling_wakeups
+        assert polling_wakeups(window) == expected
