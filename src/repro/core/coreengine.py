@@ -271,7 +271,6 @@ class CoreEngine:
             kwargs["poll_window_sec"] = poll_window_sec
         device = NKDevice(self.sim, owner_id, role, queue_sets, hugepages,
                           ring_slots=self.switch.ring_slots, **kwargs)
-        device.doorbell = self.kick
         self.core.charge(self.cost.ce_device_setup, "ce.device_setup")
         key = (0 if role == ROLE_VM else 1, numeric_id)
         reg = _Registration(numeric_id, device, key, self._pass_counter,

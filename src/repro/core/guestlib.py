@@ -232,9 +232,9 @@ class GuestLib:
         self._pending: Dict[int, object] = {}  # token -> Event
         self._accept_rr = 0
 
-        # One poller per queue set (per vCPU lane), as in the paper.
-        for idx in range(len(device.queue_sets)):
-            sim.process(self._poller(idx))
+        # One poller per queue set (per vCPU lane), as in the paper,
+        # started by the device's first wake.
+        device.attach_consumer(self)
 
         # Statistics.
         self.nqes_sent = 0
@@ -820,6 +820,11 @@ class GuestLib:
                     [waiter, self.sim.timeout(remaining)])
 
     # -- inbound dispatch ----------------------------------------------------------
+
+    def start_pollers(self) -> None:
+        """Start one poller per queue set (the NK device's first wake)."""
+        for idx in range(len(self.device.queue_sets)):
+            self.sim.process(self._poller(idx))
 
     def _poller(self, qset_index: int):
         """Drain completion/receive rings of one queue set (one vCPU lane)."""

@@ -11,17 +11,24 @@ The device implements interrupt-driven polling for its consumer (§4.6):
 the consumer polls for a short window (20 µs by default) and then sleeps
 until CoreEngine wakes the device.  Wakeups landing inside the window are
 counted as polled (cheap); later ones as interrupts.
+
+A consumer (GuestLib or ServiceLib) attaches at registration, but its
+pollers start on the device's first wake: an idle VM or NSM runs no
+poller process at all.  Attaching opens the poll window exactly where a
+poller parked at boot used to open it, and the pollers' start takes the
+heap slot that poller's wake event took, so the simulated timeline is
+the same as with pollers started at boot.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.queues import DEFAULT_RING_SLOTS, QueueSet
 from repro.errors import ConfigurationError
 from repro.mem.hugepages import HugepageRegion
 from repro.mem.ring import SpscRing
-from repro.sim.event import Event, PENDING as EVENT_PENDING
+from repro.sim.event import Event
 
 ROLE_VM = "vm"
 ROLE_NSM = "nsm"
@@ -46,15 +53,15 @@ class NKDevice:
         ]
         self.hugepages = hugepages
         self.poll_window_sec = poll_window_sec
-        #: Doorbell toward CoreEngine (installed at registration); called
-        #: with this device so the CE can mark exactly it ready (§4.3).
-        self.doorbell: Optional[Callable[["NKDevice"], None]] = None
-        #: Back-reference installed by CoreEngine at registration; lets a
-        #: device-carrying doorbell resolve to its scheduler entry in O(1).
+        #: Back-reference installed by CoreEngine at registration: the
+        #: doorbell kicks its shard (``engine``), which resolves the
+        #: device to its scheduler entry in O(1).
         self.ce_registration = None
-        #: Event consumers wait on; re-armed after each wake.
-        self._wake_event = sim.event()
+        #: Event consumers wait on, built by the first wait after a wake.
+        self._wake_event: Optional[Event] = None
         self._poll_started_at: Optional[float] = None
+        #: The attached consumer whose pollers have not started yet.
+        self._consumer = None
         # Statistics (§4.6 evaluation of interrupt-driven polling).
         self.wakeups_polled = 0
         self.wakeups_interrupt = 0
@@ -79,6 +86,15 @@ class NKDevice:
 
     # -- notifications -------------------------------------------------------------
 
+    def attach_consumer(self, consumer) -> None:
+        """Attach the consumer of this device's consume rings.
+
+        ``consumer.start_pollers()`` runs on the first :meth:`wake`.  The
+        poll window opens now, as if a poller had parked at boot.
+        """
+        self._consumer = consumer
+        self._poll_started_at = self.sim._now
+
     def ring_doorbell(self) -> None:
         """Tell CoreEngine that freshly produced NQEs are waiting.
 
@@ -86,8 +102,9 @@ class NKDevice:
         ready-set scheduler services just this device instead of
         rescanning every registered one.
         """
-        if self.doorbell is not None:
-            self.doorbell(self)
+        reg = self.ce_registration
+        if reg is not None:
+            reg.engine.kick(self)
 
     def wake(self) -> None:
         """CoreEngine delivered inbound NQEs: wake a sleeping consumer.
@@ -99,6 +116,9 @@ class NKDevice:
         succeed would only queue a ghost event nobody observes.  Batched
         deliveries used to queue one such ghost per NQE after the first —
         pure event-loop churn.
+
+        The first wake also starts the attached consumer's pollers: their
+        start events take the heap slot a parked poller's wake event took.
         """
         if self._poll_started_at is not None:
             elapsed = self.sim._now - self._poll_started_at
@@ -107,10 +127,14 @@ class NKDevice:
             else:
                 self.wakeups_interrupt += 1
             self._poll_started_at = None
+        consumer = self._consumer
+        if consumer is not None:
+            self._consumer = None
+            consumer.start_pollers()
         event = self._wake_event
-        if event.callbacks and event._state == EVENT_PENDING:
+        if event is not None and event.callbacks:
             event.succeed()
-            self._wake_event = Event(self.sim)
+            self._wake_event = None
 
     def wait_for_inbound(self):
         """Event to yield on when every consume ring is empty.
@@ -119,7 +143,10 @@ class NKDevice:
         """
         if self._poll_started_at is None:
             self._poll_started_at = self.sim._now
-        return self._wake_event
+        event = self._wake_event
+        if event is None:
+            event = self._wake_event = Event(self.sim)
+        return event
 
     # -- bulk access ------------------------------------------------------------------
 

@@ -111,8 +111,8 @@ class ServiceLib:
             NqeOp.HEARTBEAT: self._op_heartbeat,
         }
 
-        for idx in range(len(device.queue_sets)):
-            sim.process(self._poller(idx))
+        # One poller per queue set, started by the device's first wake.
+        device.attach_consumer(self)
 
         # Statistics.
         self.nqes_processed = 0
@@ -224,6 +224,11 @@ class ServiceLib:
         bad[nqe.vm_id] = bad.get(nqe.vm_id, 0) + 1
 
     # -- pollers (VM -> NSM) -----------------------------------------------------
+
+    def start_pollers(self) -> None:
+        """Start one poller per queue set (the NK device's first wake)."""
+        for idx in range(len(self.device.queue_sets)):
+            self.sim.process(self._poller(idx))
 
     def _poller(self, qset_index: int):
         qs = self.device.queue_sets[qset_index]

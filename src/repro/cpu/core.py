@@ -8,7 +8,6 @@ cycles spent by the VM, the NSM, and CoreEngine — §7.8).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.errors import ResourceError
@@ -30,7 +29,9 @@ class Core:
         self.name = name
         self.hz = hz
         self.busy_cycles: float = 0.0
-        self.busy_by_component: Dict[str, float] = defaultdict(float)
+        #: A plain dict: while it maps str to float the collector does
+        #: not track it (a defaultdict is always tracked).
+        self.busy_by_component: Dict[str, float] = {}
         # Time at which the core finishes everything currently queued.
         self._free_at: float = 0.0
 
@@ -43,7 +44,10 @@ class Core:
         if cycles < 0:
             raise ResourceError(f"negative work: {cycles}")
         self.busy_cycles += cycles
-        self.busy_by_component[component] += cycles
+        try:
+            self.busy_by_component[component] += cycles
+        except KeyError:
+            self.busy_by_component[component] = float(cycles)
         now = self.sim._now
         start = self._free_at if self._free_at > now else now
         self._free_at = start + cycles / self.hz
@@ -58,7 +62,10 @@ class Core:
         if cycles < 0:
             raise ResourceError(f"negative work: {cycles}")
         self.busy_cycles += cycles
-        self.busy_by_component[component] += cycles
+        try:
+            self.busy_by_component[component] += cycles
+        except KeyError:
+            self.busy_by_component[component] = float(cycles)
 
     def execute_nowait(self, cycles: float,
                        component: str = "unattributed") -> None:
@@ -71,7 +78,10 @@ class Core:
         if cycles < 0:
             raise ResourceError(f"negative work: {cycles}")
         self.busy_cycles += cycles
-        self.busy_by_component[component] += cycles
+        try:
+            self.busy_by_component[component] += cycles
+        except KeyError:
+            self.busy_by_component[component] = float(cycles)
         now = self.sim._now
         start = self._free_at if self._free_at > now else now
         self._free_at = start + cycles / self.hz

@@ -20,13 +20,15 @@ from repro.sim import Simulator
 VMS = 2_000
 #: The tripwire: eager 4,096-slot rings alone would be ~128 KiB per VM.
 MAX_BYTES_PER_VM = 16 * 1024
-#: gc-tracked objects each idle VM adds, exactly: 9 lists (4 ring slabs,
-#: the vCPU list GuestVM and GuestLib share, ``NKDevice.queue_sets``, and
-#: the parked poller's drain scratch and its Process's and Event's
-#: callbacks), 4 rings, 2 bound methods, and one each of GuestVM,
-#: GuestLib, Core, NKDevice, QueueSet, HugepageRegion, _Registration,
-#: defaultdict and the poller's Process, generator and Event.
-IDLE_VM_OBJECTS = 26
+#: gc-tracked objects each idle VM adds, exactly: 6 lists (4 ring slabs,
+#: the vCPU list GuestVM and GuestLib share, and ``NKDevice.queue_sets``),
+#: 4 rings, and one each of GuestVM, GuestLib, Core, NKDevice, QueueSet,
+#: HugepageRegion and _Registration.  An idle VM runs no poller: GuestLib's
+#: start on the device's first wake, and the device builds its wake event
+#: only when a consumer waits.  The doorbell goes through the registration
+#: (no bound method), and ``Core.busy_by_component`` is a plain dict, which
+#: the collector does not track while it maps str to float.
+IDLE_VM_OBJECTS = 17
 
 
 def _tracked_objects() -> int:
@@ -60,7 +62,7 @@ def idle_vms():
         before = tracemalloc.get_traced_memory()[0]
         for i in range(VMS):
             host.add_vm(f"vm{i}", backoff_seed=1)
-        sim.run(until=2e-4)  # every GuestLib poller parks on its device
+        sim.run(until=2e-4)  # boot events, if any, are processed
         gc.collect()
         per_vm = (tracemalloc.get_traced_memory()[0] - before) / VMS
     finally:

@@ -1,5 +1,7 @@
 """Tests for the NK device: ring direction, wake accounting, draining."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.nk_device import NKDevice, ROLE_NSM, ROLE_VM
@@ -49,9 +51,11 @@ class TestRingDirection:
 
 class TestNotification:
     def test_doorbell_callback(self, sim):
+        # The doorbell kicks the home shard of the device's registration.
         device = make_device(sim)
         rings = []
-        device.doorbell = lambda dev: rings.append(dev)
+        device.ce_registration = SimpleNamespace(
+            engine=SimpleNamespace(kick=rings.append))
         device.ring_doorbell()
         assert rings == [device]  # the doorbell identifies the kicker
 
