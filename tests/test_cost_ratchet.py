@@ -63,7 +63,7 @@ RATCHET = {
     "fleet_10k": Cost(ops=400, events=16_369, resumes=13_164,
                       calls=256_164),
     "nqe_switch": Cost(ops=4_000, events=1_756, resumes=1_755,
-                       calls=56_612),
+                       calls=56_610),
 }
 
 

@@ -30,16 +30,16 @@ from tests.goldens import digest
 SCENARIO_GOLDENS = {
     "chaos-nsm-crash": (
         lambda: scenario_runs.chaos(11, "nsm-crash", 0.2),
-        "7fbb9d7c33138cd3c1b5085c8990b788b81a346aab0919039b63fa30ecb771a5"),
+        "fcf1423fea2855f5e052d18b2130665fc65324504bd63160f4bdef33b77fe2be"),
     "chaos-nsm-stall": (
         lambda: scenario_runs.chaos(23, "nsm-stall", 0.2),
-        "b950429206917ae946e551760d55567aa8fac3e5aeb2bbcc578a6658e743c8b8"),
+        "582752d97723acc111ddbd5ba3e88a62a5f37120dbe9e168f3ded8d6993da894"),
     "chaos-overload": (
         lambda: scenario_runs.chaos(7, "overload", 0.25),
-        "e086edeae97609e76b3382166004dc31e82d69244cb102c8e8aab74689f96d34"),
+        "82d7dbdb0774f77c766d765ce20e81b4b22894c145861e43ea6e03dbd7d3ef5a"),
     "migrate": (
         lambda: scenario_runs.migration(0, 100, 0.12),
-        "aada36cef65e45ff745a6524d6fa753291fd45c13b9f9b5c70063318f3ca3842"),
+        "b057ead776d8d1e25799526c7d728601a0ec16d1354fcadb97297b2b442e766b"),
     "capacity-mux": (
         lambda: scenario_runs.capacity("mux", 0, 0.004, 3),
         "4affebc641018512869d9f5ed71c1e66d934a36dcbe79fbb11716c62d510eab1"),

@@ -97,7 +97,7 @@ TRANSFER_GOLDEN = (
 #: link's counters, every TCP engine's segment counts and every core's
 #: per-component cycles.
 BULK_TIMELINE_GOLDEN = (
-    "9b5254dcc9c1edd90883bda81c3f88c6c9fdb0bae46edc8ed2c6035001d2d0ca")
+    "e54483fe19339b640bbe65e94edf20483a3ee7d8d3560d28b1aa66e81ac58ed1")
 
 #: The same run without ``events_processed``/``events_cancelled``: the
 #: clock, bytes, link, segment and cycle counters only.
