@@ -136,3 +136,63 @@ class TestWakeAccountingPinned:
     def test_polling_ablation_counts(self, window, expected):
         from repro.experiments.ablations import polling_wakeups
         assert polling_wakeups(window) == expected
+
+
+def _guest_pollers(guestlib):
+    """GuestLib poller generators alive for ``guestlib``."""
+    import gc
+    import types
+
+    from repro.core.guestlib import GuestLib
+
+    code = GuestLib._poller.__code__
+    return [obj for obj in gc.get_objects()
+            if isinstance(obj, types.GeneratorType) and obj.gi_code is code
+            and obj.gi_frame is not None
+            and obj.gi_frame.f_locals.get("self") is guestlib]
+
+
+class TestPollersStartOnFirstWake:
+    """A consumer's pollers start on its device's first wake, not at
+    boot, without moving any simulated timestamp."""
+
+    def _host(self, vcpus):
+        from repro.core.host import NetKernelHost
+
+        sim = Simulator()
+        host = NetKernelHost(sim)
+        nsm = host.add_nsm("nsm0", vcpus=vcpus, stack="kernel")
+        vm = host.add_vm("vm0", vcpus=vcpus, nsm=nsm)
+        return sim, host, vm
+
+    def test_idle_vm_owns_no_poller_process(self):
+        sim, host, vm = self._host(vcpus=1)
+        sim.run(until=1e-3)
+        assert _guest_pollers(vm.guestlib) == []
+        device = host.coreengine.vm_device(vm.vm_id)
+        assert device._consumer is vm.guestlib
+        assert device._wake_event is None
+
+    def test_two_lane_first_wake_starts_both_pollers(self):
+        sim, host, vm = self._host(vcpus=2)
+        api = host.socket_api(vm)
+        done = []
+
+        def app():
+            yield sim.timeout(1e-3)
+            yield from api.socket(0)
+            done.append(sim.now)
+            # Lane 1's completion is drained by lane 1's poller.
+            sock = yield from api.socket(1)
+            done.append(sim.now)
+            yield from api.bind(sock, 80, vcpu=1)
+            done.append(sim.now)
+
+        vm.spawn(app())
+        sim.run(until=1e-3)
+        assert _guest_pollers(vm.guestlib) == []
+        sim.run()
+        assert len(_guest_pollers(vm.guestlib)) == 2
+        # The completion times of pollers started at boot.
+        assert done == [0.0010004630434782605, 0.001000926086956521,
+                        0.0010013891304347816]
