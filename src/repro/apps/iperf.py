@@ -8,29 +8,19 @@ the paper reports send/receive throughput.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.core.sockets import SocketApi
 from repro.errors import SocketError
 
 
 class StreamStats:
-    """Per-direction byte counters with a measurement window."""
+    """Per-direction byte, message and error counters."""
 
-    def __init__(self, sim):
-        self.sim = sim
+    def __init__(self):
         self.bytes = 0
         self.messages = 0
         self.errors = 0
-        self.started_at: Optional[float] = None
-        self.finished_at: Optional[float] = None
-
-    def mark_start(self) -> None:
-        if self.started_at is None:
-            self.started_at = self.sim.now
-
-    def mark_finish(self) -> None:
-        self.finished_at = self.sim.now
 
 
 class StreamSender:
@@ -45,7 +35,7 @@ class StreamSender:
         self.message_size = message_size
         self.duration = duration
         self.streams = streams
-        self.stats = StreamStats(sim)
+        self.stats = StreamStats()
         self._message = b"D" * message_size
 
     def start(self, vm) -> list:
@@ -62,7 +52,6 @@ class StreamSender:
         except SocketError:
             self.stats.errors += 1
             return
-        self.stats.mark_start()
         deadline = self.sim.now + self.duration
         while self.sim.now < deadline:
             try:
@@ -72,7 +61,6 @@ class StreamSender:
                 break
             self.stats.bytes += sent
             self.stats.messages += 1
-        self.stats.mark_finish()
         try:
             yield from api.close(sock, vcpu)
         except SocketError:
@@ -88,7 +76,7 @@ class StreamReceiver:
         self.api = api
         self.port = port
         self.read_size = read_size
-        self.stats = StreamStats(sim)
+        self.stats = StreamStats()
 
     def start(self, vm) -> list:
         return [vm.spawn(self._acceptor(vm))]
@@ -104,7 +92,6 @@ class StreamReceiver:
             index += 1
 
     def _drain(self, conn, vcpu: int):
-        self.stats.mark_start()
         while True:
             try:
                 data = yield from self.api.recv(conn, self.read_size, vcpu)
@@ -115,7 +102,6 @@ class StreamReceiver:
                 break
             self.stats.bytes += len(data)
             self.stats.messages += 1
-        self.stats.mark_finish()
         try:
             yield from self.api.close(conn, vcpu)
         except SocketError:

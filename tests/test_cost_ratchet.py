@@ -57,7 +57,7 @@ RATCHET = {
     "echo_64b+obs": Cost(ops=388, events=15_159, resumes=12_042,
                          calls=274_824),
     "bulk_8x64k": Cost(ops=166, events=48_828, resumes=17_860,
-                       calls=1_053_836),
+                       calls=1_053_724),
     "short_conn_64b": Cost(ops=36, events=4_533, resumes=3_552,
                            calls=65_598),
     "fleet_10k": Cost(ops=400, events=16_369, resumes=13_164,
