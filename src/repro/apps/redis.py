@@ -207,9 +207,6 @@ class RedisClient:
     def get(self, key: bytes):
         return (yield from self.command(b"GET", key))
 
-    def delete(self, key: bytes):
-        return (yield from self.command(b"DEL", key))
-
     def ping(self):
         return (yield from self.command(b"PING"))
 

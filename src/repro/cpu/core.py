@@ -8,7 +8,7 @@ cycles spent by the VM, the NSM, and CoreEngine — §7.8).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 from repro.errors import ResourceError
 from repro.sim.event import Event, Timeout
@@ -90,13 +90,6 @@ class Core:
     def busy_until(self) -> float:
         """Simulated time at which currently queued work completes."""
         return self._free_at
-
-    def utilization(self, window: Optional[float] = None) -> float:
-        """Fraction of cycles spent busy since t=0 (or over ``window``)."""
-        elapsed = window if window is not None else self.sim.now
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / (elapsed * self.hz))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Core {self.name} {self.hz / 1e9:.2f}GHz>"

@@ -35,7 +35,7 @@ Calibration sources (paper section / figure):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.units import PAPER_CORE_HZ
 
@@ -46,8 +46,8 @@ class CostModel:
 
     All ``*_fixed`` fields are cycles per operation; all ``*_per_byte``
     fields are cycles per byte.  Instances are frozen so a simulation's
-    calibration cannot drift mid-run; use :meth:`with_overrides` to derive
-    variants for ablations.
+    calibration cannot drift mid-run; ``dataclasses.replace`` derives a
+    variant.
     """
 
     core_hz: float = PAPER_CORE_HZ
@@ -170,10 +170,6 @@ class CostModel:
     baseline_syscall_fixed: float = 780.0
     #: vSwitch per-packet cost on the baseline colocated-VM path.
     vswitch_per_packet: float = 250.0
-
-    def with_overrides(self, **kwargs) -> "CostModel":
-        """A copy of this model with selected fields replaced."""
-        return replace(self, **kwargs)
 
     # -- derived helpers -----------------------------------------------------
 

@@ -52,12 +52,6 @@ class UnknownJobError(ControlPlaneError):
     exit_name = "usage"
 
 
-class JobExecutionError(ControlPlaneError):
-    """A job's executor raised; the worker may retry it."""
-
-    exit_name = "job-failed"
-
-
 class SocketError(NetKernelError):
     """Base class for BSD-socket-level failures; carries an errno name."""
 
@@ -211,7 +205,6 @@ __all__ = [
     "ControlPlaneError",
     "JobValidationError",
     "UnknownJobError",
-    "JobExecutionError",
     "EXIT_CODES",
     "exit_code",
     "SocketError",

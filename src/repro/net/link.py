@@ -99,12 +99,5 @@ class Link:
         sim.call_at(done_at + self.delay_sec, _dequeue_and_deliver)
         return True
 
-    def utilization(self, window: Optional[float] = None) -> float:
-        """Delivered-byte utilization over elapsed (or given) time."""
-        elapsed = window if window is not None else self.sim.now
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.delivered_bytes * 8.0 / (self.rate_bps * elapsed))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Link {self.name} {self.rate_bps / 1e9:.1f}Gbps>"

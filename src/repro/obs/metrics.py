@@ -106,18 +106,6 @@ class Histogram:
         else:
             self.counts[index] += 1
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram with identical bounds into this one."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.total += other.total
-        self.overflow += other.overflow
-        self.min_value = min(self.min_value, other.min_value)
-        self.max_value = max(self.max_value, other.max_value)
-
     def percentile(self, p: float) -> float:
         """The upper edge of the bucket holding the p-th percentile
         (0 < p <= 1); exact max for ranks landing past the top bucket."""

@@ -152,10 +152,6 @@ class Timeout(Event):
     def completed(self) -> bool:
         return self.processed
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
     def cancel(self) -> None:
         """Disarm a pending timeout (lazy heap deletion).
 

@@ -24,7 +24,7 @@ class StackSocket:
 
     ``TcpConnection`` satisfies this protocol; so does ``ShmChannel``.
     Callbacks: on_readable, on_writable, on_accept_ready, on_connected,
-    on_error, on_closed.  Properties: established, readable_bytes, eof.
+    on_error, on_closed.  Properties: readable_bytes, eof.
     """
 
 

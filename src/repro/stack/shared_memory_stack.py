@@ -49,10 +49,6 @@ class ShmChannel:
         self.bytes_received = 0
 
     @property
-    def established(self) -> bool:
-        return self.state == "connected"
-
-    @property
     def readable_bytes(self) -> int:
         return len(self._recv)
 

@@ -162,10 +162,6 @@ class TcpConnection:
         return (self.local_host or self.engine.host_id, self.local_port or 0)
 
     @property
-    def established(self) -> bool:
-        return self.state == TcpState.ESTABLISHED
-
-    @property
     def readable_bytes(self) -> int:
         return len(self.recv_buf)
 
@@ -947,7 +943,3 @@ class TcpEngine:
     @property
     def active_connections(self) -> int:
         return len(self._conns)
-
-    def connections(self) -> List[TcpConnection]:
-        """All live (non-listener) connections."""
-        return list(self._conns.values())

@@ -51,8 +51,6 @@ class TestLossyFabric:
         client_vm.spawn(client())
         sim.run(until=60.0)
         assert result["data"] == payload
-        retx = sum(c.retransmissions
-                   for c in nsm_c.stack.engine.connections())
         # Connections may already be closed; check engine-wide counters.
         assert nsm_c.stack.engine.segments_sent > 0
 

@@ -128,7 +128,7 @@ def test_stale_rtx_timer_does_not_pin_a_closed_connection():
     run(1)
     gc.collect()
     pending = [event for _, _, event in sim._heap
-               if event in rtx_entries and not event.cancelled]
+               if event in rtx_entries and not event._cancelled]
     assert pending, "a retransmission timer entry is still queued"
     assert len(opened) == 2  # the client's socket and the accepted child
     assert [ref() for ref in opened] == [None, None]

@@ -91,13 +91,6 @@ class TestLink:
         assert results_a == results_b
         assert any(not ok for ok in results_a)
 
-    def test_utilization(self, sim):
-        link = Link(sim, rate_bps=1e6, delay_sec=0.0)
-        link.transmit(make_packet(payload=1250 - HEADER_BYTES),
-                      lambda p: None)
-        sim.run(until=0.02)
-        assert 0.4 < link.utilization() <= 0.6
-
     def test_invalid_params(self, sim):
         with pytest.raises(ConfigurationError):
             Link(sim, rate_bps=0)

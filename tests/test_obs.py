@@ -45,18 +45,6 @@ class TestHistogram:
         assert hist.count == 1
         assert hist.percentile(0.5) == 50.0  # falls back to true max
 
-    def test_merge(self):
-        bounds = geometric_bounds(1e-6, 1.0, 16)
-        a = Histogram("h", {}, bounds=bounds)
-        b = Histogram("h", {}, bounds=bounds)
-        a.record(1e-3)
-        b.record(1e-2)
-        a.merge(b)
-        assert a.count == 2
-        assert a.max_value == 1e-2
-        with pytest.raises(ValueError):
-            a.merge(Histogram("h", {}, bounds=geometric_bounds(1e-6, 1.0, 8)))
-
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             geometric_bounds(0.0, 1.0, 8)

@@ -53,7 +53,7 @@ def run_session(env_builder, stack="kernel"):
         transcript["set"] = yield from client.set(b"answer", b"42")
         transcript["get"] = yield from client.get(b"answer")
         transcript["missing"] = yield from client.get(b"nope")
-        transcript["del"] = yield from client.delete(b"answer")
+        transcript["del"] = yield from client.command(b"DEL", b"answer")
         transcript["get2"] = yield from client.get(b"answer")
         yield from client.close()
 

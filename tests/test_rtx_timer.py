@@ -48,7 +48,7 @@ def severed_connection(**engine_kwargs):
     conn.on_error = lambda c, errno: errors.append(errno)
     a.connect(conn, ("B", 80))
     sim.run(until=0.01)
-    assert conn.established
+    assert conn.state == TcpState.ESTABLISHED
     del network._endpoints["B"]  # sever: B stops answering
     network.add_endpoint("B", lambda packet: None)
     a.send(conn, b"x" * 1000)

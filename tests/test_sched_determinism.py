@@ -403,7 +403,7 @@ class TestTimeoutCancel:
         first.callbacks.append(lambda e: fired.append(e))
         first.cancel()
         sim.run()
-        assert first.cancelled
+        assert first._cancelled
         assert fired == []
         assert sim.now == 2.0  # the cancelled entry still advances time
         assert sim.events_cancelled == 1

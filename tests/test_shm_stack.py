@@ -36,7 +36,7 @@ def connect_pair(sim, stack, port=9):
 class TestLifecycle:
     def test_connect_accept(self, sim, stack):
         client, server = connect_pair(sim, stack)
-        assert client.established and server.established
+        assert client.state == server.state == "connected"
         assert client.peer is server
 
     def test_connect_without_listener_refused(self, sim, stack):

@@ -25,7 +25,7 @@ def connect(sim, a, b, port=80, backlog=16):
     conn = a.socket()
     a.connect(conn, ("B", port))
     sim.run(until=0.01)
-    assert conn.established and children
+    assert conn.state == TcpState.ESTABLISHED and children
     return conn, children[0], listener
 
 
@@ -154,7 +154,7 @@ class TestStraySegments:
         network.send(Packet(("A", conn.local_port), ("B", 80), 0,
                             segment=dup))
         sim.run(until=0.2)
-        assert child.established  # nothing broke
+        assert child.state == TcpState.ESTABLISHED  # nothing broke
 
 
 class TestPortManagement:

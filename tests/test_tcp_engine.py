@@ -80,7 +80,7 @@ class TestHandshake:
         conn.on_connected = lambda c: connected.append(sim.now)
         a.connect(conn, ("B", 80))
         sim.run(until=1.0)
-        assert connected and conn.established
+        assert connected and conn.state == TcpState.ESTABLISHED
         # One round trip: 2 x (serialization + 2 hops of 50us).
         assert connected[0] < 0.001
 
@@ -107,7 +107,7 @@ class TestHandshake:
             a.connect(conn, ("B", 80))
         sim.run(until=0.1)
         assert len(listener.accept_queue) == 2
-        established = sum(1 for c in conns if c.established)
+        established = sum(1 for c in conns if c.state == TcpState.ESTABLISHED)
         assert established == 2
         # The refused client eventually retries via RTO.
         assert conns[2].state == TcpState.SYN_SENT
@@ -301,7 +301,7 @@ class TestLossRecovery:
         conn.on_connected = lambda c: a.send(c, b"x" * 1000)
         a.connect(conn, ("B", 80))
         sim.run(until=0.05)
-        assert conn.established
+        assert conn.state == TcpState.ESTABLISHED
         # Sever the path entirely.
         del network._endpoints["B"]
         network.add_endpoint("B", lambda p: None)
