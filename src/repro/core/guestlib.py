@@ -821,13 +821,9 @@ class GuestLib:
 
     # -- inbound dispatch ----------------------------------------------------------
 
-    def start_pollers(self) -> None:
-        """Start one poller per queue set (the NK device's first wake)."""
-        for idx in range(len(self.device.queue_sets)):
-            self.sim.process(self._poller(idx))
-
-    def _poller(self, qset_index: int):
-        """Drain completion/receive rings of one queue set (one vCPU lane)."""
+    def poller(self, qset_index: int):
+        """Drain completion/receive rings of one queue set (one vCPU lane);
+        the NK device starts one per queue set on its first wake."""
         qs = self.device.queue_sets[qset_index]
         core = self._core_for(qset_index)
         control_ring, data_ring = self.device.consume_rings(qs)

@@ -89,8 +89,9 @@ class NKDevice:
     def attach_consumer(self, consumer) -> None:
         """Attach the consumer of this device's consume rings.
 
-        ``consumer.start_pollers()`` runs on the first :meth:`wake`.  The
-        poll window opens now, as if a poller had parked at boot.
+        ``consumer.poller(i)`` is the generator that drains queue set
+        ``i``; the first :meth:`wake` starts one per queue set.  The poll
+        window opens now, as if a poller had parked at boot.
         """
         self._consumer = consumer
         self._poll_started_at = self.sim._now
@@ -130,7 +131,8 @@ class NKDevice:
         consumer = self._consumer
         if consumer is not None:
             self._consumer = None
-            consumer.start_pollers()
+            for idx in range(len(self.queue_sets)):
+                self.sim.process(consumer.poller(idx))
         event = self._wake_event
         if event is not None and event.callbacks:
             event.succeed()

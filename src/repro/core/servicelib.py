@@ -225,12 +225,9 @@ class ServiceLib:
 
     # -- pollers (VM -> NSM) -----------------------------------------------------
 
-    def start_pollers(self) -> None:
-        """Start one poller per queue set (the NK device's first wake)."""
-        for idx in range(len(self.device.queue_sets)):
-            self.sim.process(self._poller(idx))
-
-    def _poller(self, qset_index: int):
+    def poller(self, qset_index: int):
+        """Drain job/send rings of one queue set; the NK device starts one
+        per queue set on its first wake."""
         qs = self.device.queue_sets[qset_index]
         core = self.cores[qset_index % len(self.cores)]
         job_ring, send_ring = self.device.consume_rings(qs)

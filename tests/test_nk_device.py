@@ -145,7 +145,7 @@ def _guest_pollers(guestlib):
 
     from repro.core.guestlib import GuestLib
 
-    code = GuestLib._poller.__code__
+    code = GuestLib.poller.__code__
     return [obj for obj in gc.get_objects()
             if isinstance(obj, types.GeneratorType) and obj.gi_code is code
             and obj.gi_frame is not None
