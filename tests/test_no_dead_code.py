@@ -55,6 +55,7 @@ ALLOWLIST = {
                    "implement; no code is meant to name it",
 }
 
+#: CI workflows are not Python: any word in them counts.
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
