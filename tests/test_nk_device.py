@@ -1,12 +1,17 @@
-"""Tests for the NK device: ring direction, wake accounting, draining."""
+"""Tests for the NK device: ring direction, wake accounting, draining,
+and when its consumer's pollers start."""
 
-from types import SimpleNamespace
+import gc
+import types
 
 import pytest
 
+from repro.core.guestlib import GuestLib
+from repro.core.host import NetKernelHost
 from repro.core.nk_device import NKDevice, ROLE_NSM, ROLE_VM
 from repro.core.nqe import Nqe, NqeOp
 from repro.errors import ConfigurationError
+from repro.experiments.ablations import polling_wakeups
 from repro.mem.hugepages import HugepageRegion
 from repro.sim import Simulator
 
@@ -54,8 +59,8 @@ class TestNotification:
         # The doorbell kicks the home shard of the device's registration.
         device = make_device(sim)
         rings = []
-        device.ce_registration = SimpleNamespace(
-            engine=SimpleNamespace(kick=rings.append))
+        device.ce_registration = types.SimpleNamespace(
+            engine=types.SimpleNamespace(kick=rings.append))
         device.ring_doorbell()
         assert rings == [device]  # the doorbell identifies the kicker
 
@@ -134,17 +139,11 @@ class TestWakeAccountingPinned:
         (200e-6, (102, 1)),
     ])
     def test_polling_ablation_counts(self, window, expected):
-        from repro.experiments.ablations import polling_wakeups
         assert polling_wakeups(window) == expected
 
 
 def _guest_pollers(guestlib):
     """GuestLib poller generators alive for ``guestlib``."""
-    import gc
-    import types
-
-    from repro.core.guestlib import GuestLib
-
     code = GuestLib.poller.__code__
     return [obj for obj in gc.get_objects()
             if isinstance(obj, types.GeneratorType) and obj.gi_code is code
@@ -157,8 +156,6 @@ class TestPollersStartOnFirstWake:
     boot, without moving any simulated timestamp."""
 
     def _host(self, vcpus):
-        from repro.core.host import NetKernelHost
-
         sim = Simulator()
         host = NetKernelHost(sim)
         nsm = host.add_nsm("nsm0", vcpus=vcpus, stack="kernel")
