@@ -438,6 +438,23 @@ class TestShardDeterminism:
             assert fingerprint == ref_fp
         assert out["sim_now"] == ref["sim_now"]
 
+    def test_auto_placed_partitions_cohome_and_match_one_shard_run(self):
+        """``seed_conns`` boots every VM through shard-aware
+        ``assign_vm_auto`` with one established table entry (the
+        fig08_sharded_100k layout at 3 x 200 VMs): every VM co-homes
+        with its shard's NSM, nothing crosses a shard, and each shard
+        still matches a standalone 1-shard run."""
+        ref = _mux_workload(n_vms=200, active_vms=2, nqes_per_active=8,
+                            ring_slots=1024, seed_conns=True)
+        ref_fp = {key: ref[key] for key in _SHARD_FP_KEYS}
+        out = _sharded_mux_workload(n_shards=3, vms_per_shard=200,
+                                    active_per_shard=2, nqes_per_active=8,
+                                    ring_slots=1024, seed_conns=True)
+        assert out["cohomed"] == 3 * 200
+        assert out["handoffs"] == 0
+        assert out["per_shard"] == [ref_fp] * 3
+        assert out["sim_now"] == ref["sim_now"]
+
     def test_ready_vs_full_scan_identity_holds_per_shard(self):
         """Per-shard timelines, pinned when this test still compared the
         ready-set and the full-scan scheduler (hence its name)."""
