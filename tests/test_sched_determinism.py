@@ -250,7 +250,8 @@ class TestVectorizedIdenticalToScalar:
         assert _experiment_digest(exp_id) == EXPERIMENT_GOLDENS[exp_id][1]
 
 
-#: ``repro bench --quick`` fingerprints of the raw switching benches.
+#: Fingerprints of the raw switching workloads at the quick sizes of
+#: ``BENCH_QUICK_SIZES``.
 BENCH_QUICK_GOLDENS = {
     "nqe_switch": {"batches": 4000, "ce_busy_cycles": 1468000.0,
                    "events_cancelled": 0, "events_processed": 14006,
@@ -271,14 +272,25 @@ BENCH_QUICK_GOLDENS = {
 }
 
 
+#: name -> the ``_mux_workload`` arguments of its golden: ``nqe_switch``
+#: is one hot VM ringing bursts of 8, ``fig08_mux_<n>`` is n VMs with
+#: 1 in 10 active.
+BENCH_QUICK_SIZES = {
+    "nqe_switch": dict(n_vms=1, active_vms=1, nqes_per_active=2_000,
+                       burst=8, period=5e-6),
+    "fig08_mux_10": dict(n_vms=10, active_vms=1, nqes_per_active=100),
+    "fig08_mux_100": dict(n_vms=100, active_vms=10, nqes_per_active=60),
+    "fig08_mux_1000": dict(n_vms=1_000, active_vms=100,
+                           nqes_per_active=10),
+}
+
+
 class TestBenchFingerprints:
-    """The switching benches' simulated timelines, at ``--quick`` size."""
+    """The raw switching workloads' simulated timelines, at quick size."""
 
     @pytest.mark.parametrize("name", sorted(BENCH_QUICK_GOLDENS))
     def test_quick_fingerprint(self, name):
-        from repro.perf.bench import BENCHMARKS
-
-        assert BENCHMARKS[name](True)["fingerprint"] == \
+        assert _mux_workload(**BENCH_QUICK_SIZES[name]) == \
             BENCH_QUICK_GOLDENS[name]
 
 
