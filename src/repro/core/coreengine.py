@@ -43,6 +43,7 @@ from __future__ import annotations
 import heapq
 from typing import Deque, Dict, List, Optional, Tuple
 
+from repro.core.conn_table import ConnectionTableError
 from repro.core.nk_device import NKDevice, ROLE_NSM, ROLE_VM
 from repro.core.nqe import NQE_POOL, Nqe, NqeOp, RESULT_ERRNO
 from repro.cpu.core import Core
@@ -861,7 +862,18 @@ class CoreEngine:
             entry = table.insert(vm_tuple, nsm_id, qset)
             if op is NqeOp.ACCEPT_ATTACH:
                 # The NSM socket already exists; complete the entry now.
-                table.complete(vm_tuple, nqe.op_data)
+                try:
+                    table.complete(vm_tuple, nqe.op_data)
+                except ConnectionTableError:
+                    # op_data names an NSM socket another tuple holds.
+                    # An attach carries no token for an OP_RESULT, so
+                    # the guest's socket gets an EINVAL ERROR_EVENT.
+                    table.remove_vm(vm_tuple)
+                    self._push_to_vm(nqe.response(
+                        NqeOp.ERROR_EVENT,
+                        op_data=-RESULT_ERRNO["EINVAL"]), event=True)
+                    NQE_POOL.release(nqe)
+                    return None
         nsm_reg = switch._nsms.get(entry.nsm_id)
         if nsm_reg is None or not nsm_reg.active:
             # The serving NSM died between insert and this switch.

@@ -323,3 +323,30 @@ def test_sendto_with_a_malformed_aux_fails_the_send_with_einval():
     assert socks[0].tx_inflight == 0
     assert nsm.servicelib.vm_bad_aux == {hostile_vm.vm_id: 1}
     assert_census_clean(host, outstanding_before)
+
+
+def test_accept_attach_naming_a_bound_nsm_socket_completes_with_einval():
+    # A guest learns NSM socket ids from its own SOCKET results.  An
+    # ACCEPT_ATTACH naming one that another tuple already holds used to
+    # raise ConnectionTableError out of the switch, and with it out of
+    # sim.run().
+    crafted, seen = [], []
+
+    def nqes(host, device, vm):
+        bound = host.coreengine.table.lookup_vm(_server_listener(host))
+        assert bound.complete
+        real_dispatch = vm.guestlib._dispatch
+
+        def recording(nqe, qset_index):
+            seen.append((nqe.op, nqe.socket_id, nqe.op_data))
+            return real_dispatch(nqe, qset_index)
+
+        vm.guestlib._dispatch = recording
+        crafted.append((vm.vm_id, 0, 99))
+        yield 0, NQE_POOL.acquire(NqeOp.ACCEPT_ATTACH, *crafted[0],
+                                  op_data=bound.nsm_socket_id)
+
+    host, _, _, outstanding_before = _echo_next_to(nqes)
+    assert host.coreengine.table.lookup_vm(crafted[0]) is None
+    assert seen == [(NqeOp.ERROR_EVENT, 99, -RESULT_ERRNO["EINVAL"])]
+    assert_census_clean(host, outstanding_before)
