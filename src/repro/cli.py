@@ -22,11 +22,6 @@ calibration
 stats
     Run a quickstart-style workload with the repro.obs layer enabled
     and print per-stage NQE latency, ring occupancy, token buckets.
-bench
-    Run the wall-clock perf harness (``repro.perf``).  ``--out`` writes
-    BENCH_<name>.json files; fails if a sharded bench's per-shard
-    fingerprint differs from its 1-shard reference.  Wall time is a
-    trend; ``tests/test_cost_ratchet.py`` gates cost.
 chaos
     Run the seeded fault-injection workload (``repro.faults``);
     ``--verify`` replays the plan and fails unless bit-identical and
@@ -222,43 +217,6 @@ def _cmd_stats(as_json: bool, transfer_bytes: int) -> int:
     return _finish(env, as_json)
 
 
-def _cmd_bench(names: List[str], quick: bool, out_dir: str,
-               as_json: bool) -> int:
-    from repro.perf import write_results
-
-    env = Envelope("bench")
-    try:
-        payload = execute_job(JobSpec("bench", params={
-            "names": names or None, "quick": quick}))
-    except KeyError as error:
-        env.fail("usage", error.args[0])
-        return _finish(env, as_json)
-    results = payload["results"]
-    env.data = {"results": results, "written": []}
-    if not as_json:
-        for name, result in results.items():
-            line = (f"  {name:<16} wall={result['wall_s']:.3f}s "
-                    f"events={result['events']} "
-                    f"peak_rss={result['peak_rss']}KiB")
-            if not result.get("peak_rss_exact", True):
-                line += " (lifetime peak)"
-            if "fingerprint_match" in result:
-                line += f" identical={result['fingerprint_match']}"
-            print(line)
-    if out_dir:
-        for path in write_results(results, out_dir):
-            env.data["written"].append(path)
-            if not as_json:
-                print(f"wrote {path}")
-    mismatched = [n for n, r in results.items()
-                  if r.get("fingerprint_match") is False]
-    if mismatched:
-        env.fail("divergence",
-                 "TIMELINE DIVERGENCE: a shard's fingerprint differs from "
-                 f"its 1-shard reference run: {mismatched}")
-    return _finish(env, as_json)
-
-
 def _cmd_scenario(scenario: Scenario, args) -> int:
     """Every scenario verb: run (twice under ``--verify``), check each
     run's contract, compare fingerprints, print the summary."""
@@ -422,14 +380,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "stats", help="run an instrumented workload and print obs report"))
     stats_parser.add_argument("--bytes", type=int, default=1 << 20,
                               help="bytes the client transfers (default 1MiB)")
-    bench_parser = add_json(sub.add_parser(
-        "bench", help="run wall-clock performance benchmarks"))
-    bench_parser.add_argument("names", nargs="*",
-                              help="benchmark names (default: all)")
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="shrink workloads for CI smoke runs")
-    bench_parser.add_argument("--out", default="",
-                              help="directory for BENCH_<name>.json files")
     for scenario in SCENARIOS.values():
         scenario_parser = add_json(sub.add_parser(scenario.kind,
                                                   help=scenario.help))
@@ -505,8 +455,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_calibration(args.json)
         if args.command == "stats":
             return _cmd_stats(args.json, args.bytes)
-        if args.command == "bench":
-            return _cmd_bench(args.names, args.quick, args.out, args.json)
         if args.command in SCENARIOS:
             return _cmd_scenario(SCENARIOS[args.command], args)
         if args.command == "job":

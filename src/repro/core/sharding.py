@@ -44,10 +44,10 @@ Determinism
 -----------
 
 When the partition is traffic-closed — every VM homed with its serving
-NSM, as the fig08_sharded bench and auto-placement arrange — a shard's
-simulated timeline is independent of every other shard's, and its
-counters are bit-identical to a standalone one-shard run of the same
-population.  The perf harness asserts exactly that.
+NSM, as shard-aware auto-placement arranges — a shard's simulated
+timeline is independent of every other shard's, and its counters are
+bit-identical to a standalone one-shard run of the same population.
+``tests/test_sharding.py::TestShardDeterminism`` asserts exactly that.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ class ShardedCoreEngine:
 
         An NSM homed on the VM's own shard is preferred, so the VM's
         requests never cross a shard boundary (the traffic-closed layout
-        the fig08 sharded benches prove bit-identical to a one-shard
+        the sharded determinism tests prove bit-identical to a one-shard
         switch); the switch-wide least-loaded NSM is the fallback.
         """
         vm_reg = self._vms.get(vm_id)

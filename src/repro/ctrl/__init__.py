@@ -1,8 +1,8 @@
 """Control-plane service: jobs, runs, and fleet state as an API.
 
 This package makes the reproduction *operable* the way the paper makes
-the network stack operable: every run — experiment, bench, chaos,
-migrate, autoscale — is a :class:`~repro.ctrl.jobs.Job` with a
+the network stack operable: every run — experiment, chaos, migrate,
+capacity, autoscale — is a :class:`~repro.ctrl.jobs.Job` with a
 persisted spec, a retry budget, and a stored result, executed by one
 serialized :class:`~repro.ctrl.worker.JobWorker` against a JSON
 file-backed :class:`~repro.ctrl.store.RunStore`.  Two doors, one core:

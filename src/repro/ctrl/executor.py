@@ -42,12 +42,6 @@ def execute_job(spec: JobSpec,
             "params": params,
             "result": result.to_dict(),
         }
-    if spec.kind == "bench":
-        from repro.perf import run_benchmarks
-
-        results = run_benchmarks(params.get("names") or None,
-                                 quick=bool(params.get("quick", False)))
-        return {"kind": "bench", "params": params, "results": results}
     if spec.kind in SCENARIOS:
         return SCENARIOS[spec.kind].run(params, fleet_probe)
     raise AssertionError(f"unvalidated job kind {spec.kind!r}")

@@ -1,8 +1,8 @@
 """Job model for the control plane: every run is a Job.
 
-A :class:`JobSpec` describes *what* to run — an experiment, a bench
-sweep, a chaos/migration/autoscale scenario — with explicit parameters,
-a seed, and a bounded retry budget.  A :class:`Job` is one spec's
+A :class:`JobSpec` describes *what* to run — an experiment or a
+registered scenario (chaos, migrate, capacity, autoscale) — with
+explicit parameters, a seed, and a bounded retry budget.  A :class:`Job` is one spec's
 lifecycle in the RunStore::
 
     queued -> running -> done
@@ -37,7 +37,6 @@ STATES = (QUEUED, RUNNING, DONE, FAILED)
 #: theirs in repro.experiments.registry and repro.scenario.
 KIND_PARAMS: Dict[str, tuple] = {
     "experiment": (),  # resolved via the registry entry
-    "bench": ("names", "quick"),
     **{kind: scenario.params for kind, scenario in SCENARIOS.items()},
 }
 

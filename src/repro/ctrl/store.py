@@ -1,20 +1,18 @@
-"""JSON file-backed RunStore: job specs, results, and BENCH history.
+"""JSON file-backed RunStore: job specs and results.
 
 Layout (one directory, human-inspectable)::
 
     <root>/
       jobs/<job_id>.json      # Job record: spec + state + attempts
       results/<job_id>.json   # canonical result payload (see below)
-      bench/BENCH_<name>.json # append-only BENCH history across runs
 
 Every write is atomic (tmp file + ``os.replace``) and every JSON dump is
 canonical — ``sort_keys=True, indent=2`` and a trailing newline — so the
 same payload always produces byte-identical files.  That is what the
 acceptance check leans on: a job submitted through the CLI and the same
-job submitted over ``POST /jobs`` store *the same bytes*, and BENCH
-trajectories stay diffable across PRs.  Result files deliberately
-contain only the run's payload — no job id, no timestamps — so identity
-is a plain file comparison.
+job submitted over ``POST /jobs`` store *the same bytes*.  Result files
+deliberately contain only the run's payload — no job id, no timestamps
+— so identity is a plain file comparison.
 
 Crash-resume: :meth:`RunStore.recover` flips any job left ``running``
 (the worker process died mid-job) back to ``queued`` without touching
@@ -26,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, List
 
 from repro.errors import UnknownJobError
 from repro.ctrl.jobs import Job, JobSpec, QUEUED, RUNNING
@@ -48,15 +46,13 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 class RunStore:
-    """Persistent job + result + bench-history store (see module doc)."""
+    """Persistent job + result store (see module doc)."""
 
     def __init__(self, root: str = DEFAULT_STORE):
         self.root = Path(root)
         self.jobs_dir = self.root / "jobs"
         self.results_dir = self.root / "results"
-        self.bench_dir = self.root / "bench"
-        for directory in (self.jobs_dir, self.results_dir,
-                          self.bench_dir):
+        for directory in (self.jobs_dir, self.results_dir):
             directory.mkdir(parents=True, exist_ok=True)
 
     # -- jobs -----------------------------------------------------------------
@@ -137,17 +133,3 @@ class RunStore:
 
     def has_result(self, job_id: str) -> bool:
         return self._result_path(job_id).is_file()
-
-    # -- bench history ---------------------------------------------------------
-
-    def record_bench(self, name: str, result: Dict[str, Any],
-                     job_id: Optional[str] = None) -> Path:
-        """Append one benchmark result to its BENCH history file."""
-        path = self.bench_dir / f"BENCH_{name}.json"
-        history = json.loads(path.read_text()) if path.is_file() else []
-        entry = dict(result)
-        if job_id is not None:
-            entry["job_id"] = job_id
-        history.append(entry)
-        _atomic_write(path, canonical_json(history))
-        return path

@@ -4,7 +4,7 @@ This is the Aether-V execution model the NSM autoscaler already uses
 in-simulation (``core/autoscaler.py``), lifted to the control plane:
 submissions enqueue immediately, a single worker drains the queue in
 order, and at most one run is ever in flight — so two jobs can never
-interleave their simulations, and BENCH/chaos results stay comparable.
+interleave their simulations, and their results stay comparable.
 
 Lifecycle per attempt::
 
@@ -131,9 +131,6 @@ class JobWorker:
                 self.store.save_job(job)
             return 1
         self.store.save_result(job.job_id, payload)
-        if job.spec.kind == "bench":
-            for name, result in sorted(payload["results"].items()):
-                self.store.record_bench(name, result, job_id=job.job_id)
         job.error = None
         job.transition(DONE)
         self.store.save_job(job)

@@ -11,7 +11,8 @@ declaration against the runner's real signature, so the two cannot
 drift.
 
 Ids are canonicalized: ``fig08`` and ``fig8`` name the same experiment
-(zero-padded forms are what the bench harness and BENCH_* files use).
+(zero-padded forms are what the ``benchmarks/`` file names and the
+control-plane smoke use).
 """
 
 from __future__ import annotations

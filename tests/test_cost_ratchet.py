@@ -29,8 +29,8 @@ from typing import Callable, NamedTuple
 import pytest
 
 from perfbench.workloads import WORKLOADS
-from repro.perf.bench import _mux_workload
 from repro.sim.process import Process
+from tests.mux_workloads import _mux_workload
 
 SEED = 1
 #: The only interpreter whose ``calls`` counts are pinned.

@@ -99,14 +99,6 @@ class TestRunStore:
         assert store.result_bytes("job-000001") \
             == store.result_bytes("job-000002")
 
-    def test_bench_history_appends(self, tmp_path):
-        store = RunStore(tmp_path / "runs")
-        store.record_bench("fig08_mux", {"wall_s": 1.0}, job_id="job-1")
-        path = store.record_bench("fig08_mux", {"wall_s": 0.9},
-                                  job_id="job-2")
-        history = json.loads(path.read_text())
-        assert [h["job_id"] for h in history] == ["job-1", "job-2"]
-
 
 def _flaky_executor(failures_then_success):
     """An injectable executor failing the first N attempts."""

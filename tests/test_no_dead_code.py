@@ -47,6 +47,7 @@ ALLOWLIST = {
     "run_migration": "the migrate scenario's runner_path names it",
     "run_autoscale_scenario": "the autoscale scenario's runner_path "
                               "names it",
+    "run_capacity": "the capacity scenario's runner_path names it",
     "run_table2": "the experiment registry names it by string",
     "run_table7": "the experiment registry names it by string",
     "run_until_event": "the deadlock-guarded run the simulator tests "

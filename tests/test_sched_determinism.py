@@ -24,9 +24,9 @@ from repro.core.sharding import ShardedCoreEngine
 from repro.cpu.core import Core
 from repro.errors import SimulationError
 from repro.experiments import run_experiment
-from repro.perf.bench import _mux_workload
 from repro.sim import Simulator
 from tests.goldens import digest
+from tests.mux_workloads import _mux_workload
 
 
 def _reset_global_counters():

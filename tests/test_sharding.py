@@ -16,10 +16,10 @@ from repro.core.sharding import ShardedCoreEngine
 from repro.cpu.core import Core
 from repro.errors import ConfigurationError, SocketError
 from repro.net.fabric import Network
-from repro.perf.bench import _SHARD_FP_KEYS, _mux_workload, \
-    _sharded_mux_workload
 from repro.sim import Simulator
 from tests.census import assert_census_clean
+from tests.mux_workloads import _SHARD_FP_KEYS, _mux_workload, \
+    _sharded_mux_workload
 
 PORT = 7400
 
