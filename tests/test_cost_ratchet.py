@@ -2,8 +2,9 @@
 
 Each row runs a short, fixed slice of a perfbench workload (seed 1,
 built with ``perfbench.workloads.WORKLOADS``) past its fingerprint
-checkpoint, or one whole ``nqe_switch`` bench run, under
-``sys.setprofile`` with the cyclic collector off, and counts:
+checkpoint, or one whole ``nqe_switch`` run of
+``tests/mux_workloads.py``, under ``sys.setprofile`` with the cyclic
+collector off, and counts:
 
 - ``ops``: ops the workload completed (NQEs switched for
   ``nqe_switch``);
@@ -49,8 +50,8 @@ STEPS = {"echo_64b": 5, "bulk_8x64k": 2, "short_conn_64b": 5,
          "fleet_10k": 2}
 
 #: row -> pinned cost.  ``echo_64b+obs`` is ``echo_64b`` with
-#: ``host.enable_observability()``; ``nqe_switch`` is one whole bench
-#: run: one hot VM, 250 doorbells of 8 NQEs, 5 us apart.
+#: ``host.enable_observability()``; ``nqe_switch`` is one whole raw
+#: switching run: one hot VM, 250 doorbells of 8 NQEs, 5 us apart.
 RATCHET = {
     "echo_64b": Cost(ops=388, events=15_159, resumes=12_042,
                      calls=243_691),

@@ -2,7 +2,7 @@
 
 Representative workloads — full experiments, a GuestLib-to-TCP
 transfer, raw-device multiplexing with and without rate limits, and the
-switching benches — must reproduce constants recorded when the ready-set
+quick-size raw switching workloads — must reproduce constants recorded when the ready-set
 scheduler and the slab TCP buffers were proven bit-identical to the seed
 full-scan scheduler and the scalar buffer layout, which they replaced
 (see ``tests/goldens.py`` for how to re-record them).  A multi-stream
