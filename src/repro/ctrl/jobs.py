@@ -2,8 +2,8 @@
 
 A :class:`JobSpec` describes *what* to run — an experiment or a
 registered scenario (chaos, migrate, capacity, autoscale) — with
-explicit parameters, a seed, and a bounded retry budget.  A :class:`Job` is one spec's
-lifecycle in the RunStore::
+explicit parameters, a seed, and a bounded retry budget.  A
+:class:`Job` is one spec's lifecycle in the RunStore::
 
     queued -> running -> done
                      \\-> queued (retry, exponential backoff)

@@ -2,14 +2,15 @@
 
 Representative workloads — full experiments, a GuestLib-to-TCP
 transfer, raw-device multiplexing with and without rate limits, and the
-quick-size raw switching workloads — must reproduce constants recorded when the ready-set
-scheduler and the slab TCP buffers were proven bit-identical to the seed
-full-scan scheduler and the scalar buffer layout, which they replaced
-(see ``tests/goldens.py`` for how to re-record them).  A multi-stream
-bulk transfer pins the per-segment TCP, fabric and link path: clock,
-event counts, link and segment counters and per-component cycles; a
-second golden pins the same run without the event counts, which a change
-to how timers sit in the event heap may move.  The suite also
+raw switching workloads at quick size — must reproduce constants
+recorded when the ready-set scheduler and the slab TCP buffers were
+proven bit-identical to the seed full-scan scheduler and the scalar
+buffer layout, which they replaced (see ``tests/goldens.py`` for how to
+re-record them).  A multi-stream bulk transfer pins the per-segment
+TCP, fabric and link path: clock, event counts, link and segment
+counters and per-component cycles; a second golden pins the same run
+without the event counts, which a change to how timers sit in the event
+heap may move.  The suite also
 unit-tests the supporting machinery (cancellable timeouts, the NQE
 pool, the stale-wakeup fix, zero-allocation switching).
 """
