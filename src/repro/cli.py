@@ -20,8 +20,9 @@ run <ids...>
 calibration
     Dump the calibrated cost model constants.
 stats
-    Run a quickstart-style workload with the repro.obs layer enabled
-    and print per-stage NQE latency, ring occupancy, token buckets.
+    Run a quickstart-style workload with the repro.obs NQE tracer on
+    and print per-stage NQE latency and cycles, then ring occupancy,
+    token buckets and switch counters read from the host at the end.
 chaos
     Run the seeded fault-injection workload (``repro.faults``);
     ``--verify`` replays the plan and fails unless bit-identical and
@@ -141,7 +142,7 @@ def _stats_workload(transfer_bytes: int):
     network = Network(sim, default_rate_bps=gbps(100),
                       default_delay_sec=usec(25))
     host = NetKernelHost(sim, network)
-    obs = host.enable_observability(sample_interval=100e-6)
+    obs = host.enable_observability()
 
     nsm = host.add_nsm("nsm0", vcpus=1, stack="kernel")
     vm_server = host.add_vm("vm-server", vcpus=1, nsm=nsm)

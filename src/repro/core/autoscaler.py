@@ -265,7 +265,6 @@ class NsmAutoscaler:
         self.managed[name] = nsm
         self.counters["spawned"] += 1
         self._log("spawn", f"{name}@shard{shard}")
-        self._notify("spawn")
 
     def _do_retire(self, name: str):
         nsm = self.host.nsms.get(name)
@@ -311,7 +310,6 @@ class NsmAutoscaler:
         self._draining.discard(name)
         self.counters["retired"] += 1
         self._log("retire", name)
-        self._notify("retire")
 
     def _do_reap(self, nsm_id: int) -> None:
         """A crashed NSM was quarantined: reclaim its stack state (the
@@ -329,7 +327,6 @@ class NsmAutoscaler:
         self._draining.discard(nsm.name)
         self._log("reap", f"{nsm.name}: {stats['conns']} conns, "
                           f"{stats['listeners']} listeners")
-        self._notify("reap")
 
     def _do_migrate(self, vm_id: int, target_nsm_id: int, reason: str):
         engine = self.host.coreengine
@@ -357,7 +354,6 @@ class NsmAutoscaler:
             return
         self.counters["migrations"] += 1
         self._log("migrate", f"vm{vm_id}->nsm{target_nsm_id} ({reason})")
-        self._notify("migrate")
 
     # -- invariants & audit ----------------------------------------------------
 
@@ -370,11 +366,6 @@ class NsmAutoscaler:
     def _log(self, action: str, detail: str = "") -> None:
         self.events.append({"t": round(self.sim.now, 9),
                             "action": action, "detail": detail})
-
-    def _notify(self, action: str) -> None:
-        obs = getattr(self.host, "obs", None)
-        if obs is not None:
-            obs.on_autoscale(action)
 
     def report(self) -> dict:
         """Counters + fleet shape, JSON-ready, with the per-shard load

@@ -322,8 +322,6 @@ class GuestLib:
                 return
         self.admission_waits += 1
         self.ops_shed += 1
-        if self.obs is not None:
-            self.obs.on_op_shed(op)
         raise TryAgainError(f"{op.name} rejected by overload admission "
                             f"control after {self.max_op_retries} backoffs")
 
@@ -380,15 +378,11 @@ class GuestLib:
             # releases the (possibly still coming) response.
             self._pending.pop(token, None)
             self.op_timeouts += 1
-            if self.obs is not None:
-                self.obs.on_op_timeout(op)
             if attempt + 1 >= attempts:
                 raise TimedOutError(
                     f"{op.name} got no response within "
                     f"{attempts} attempt(s)")
             self.op_retries += 1
-            if self.obs is not None:
-                self.obs.on_op_retry(op)
         yield core.execute(self.cost.guestlib_nqe_complete, "guestlib.complete")
         result = OpResult(response.op_data, response.aux)
         NQE_POOL.release(response)

@@ -67,18 +67,17 @@ class NetKernelHost:
         #: NSM autoscaler (repro.core.autoscaler); None until enabled.
         self.autoscaler = None
 
-    def enable_observability(self, sample_interval: Optional[float] = None):
-        """Switch on the repro.obs datapath tracing/metrics layer.
+    def enable_observability(self):
+        """Switch on the repro.obs per-hop NQE tracer and return it.
 
-        Idempotent; components added later are instrumented too.  With
-        ``sample_interval`` set, ring/hugepage/token-bucket gauges are
-        sampled periodically (they are always sampled at report time).
+        Idempotent; components added later are traced too.  The report
+        reads every other number (counters, rings, hugepages, token
+        buckets, cycles) from the host's components at report time.
         """
         if self.obs is None:
             from repro.obs import Observability
 
-            Observability(self.sim).attach_host(
-                self, sample_interval=sample_interval)
+            Observability(self)
         return self.obs
 
     # -- NSMs -------------------------------------------------------------------

@@ -165,7 +165,7 @@ class NKDevice:
         return False
 
     def ring_depths(self) -> dict:
-        """Current and peak occupancy per ring, for obs samplers."""
+        """Current and peak occupancy per ring, for the obs report."""
         depths = {}
         for qs in self.queue_sets:
             for ring_name in ("job", "send", "completion", "receive"):

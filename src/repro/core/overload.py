@@ -221,12 +221,7 @@ class OverloadGovernor:
             new_level = max(self.level, LEVEL_PRESSURED)
         if new_level != self.level:
             self.level_transitions += 1
-            old = self.level
             self.level = new_level
-            obs = self.engine.switch.obs
-            if obs is not None:
-                obs.on_overload_level(self.engine, old, new_level,
-                                      occ, lat)
         self._retarget_quotas()
 
     def _retarget_quotas(self) -> None:

@@ -361,8 +361,6 @@ class ShardedCoreEngine:
                     self.vm_to_nsm[vm_id] = standby
                     moved.append(vm_id)
             home.vms_failed_over += len(moved)
-        if self.obs is not None:
-            self.obs.on_nsm_quarantined(nsm_id, reason, len(moved))
         for vm_id in moved:
             for listener in self.failover_listeners:
                 listener(vm_id, nsm_id, standby)
@@ -483,10 +481,6 @@ class ShardedCoreEngine:
         home.conns_migrated += len(exports)
         home.migration_parked_ops += parked_ops
         self.migrations.append(record)
-        if self.obs is not None:
-            self.obs.on_migration(vm_id, source_nsm_id, target_nsm_id,
-                                  record["blackout_sec"], len(exports),
-                                  parked_ops)
         return record
 
     def _await_nsm_quiescent(self, source_reg: _Registration, source_lib,

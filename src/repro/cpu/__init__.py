@@ -3,6 +3,5 @@ cost model that maps NetKernel/stack operations to cycles."""
 
 from repro.cpu.core import Core
 from repro.cpu.cost_model import CostModel, DEFAULT_COST_MODEL
-from repro.cpu.accounting import CpuAccountant
 
-__all__ = ["Core", "CostModel", "DEFAULT_COST_MODEL", "CpuAccountant"]
+__all__ = ["Core", "CostModel", "DEFAULT_COST_MODEL"]

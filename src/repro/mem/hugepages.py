@@ -128,7 +128,7 @@ class HugepageRegion:
         return self._buffers.get(buffer_id)
 
     def watermarks(self) -> Dict[str, int]:
-        """Occupancy snapshot for samplers (bytes and buffer counts)."""
+        """Occupancy snapshot for the obs report (bytes and buffer counts)."""
         return {
             "capacity": self.capacity,
             "allocated": self.allocated,

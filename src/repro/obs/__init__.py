@@ -1,42 +1,41 @@
-"""repro.obs: the datapath observability layer.
+"""repro.obs: the per-hop NQE tracer and the report that reads the host.
 
-One :class:`Observability` instance owns a :class:`MetricsRegistry`, an
-:class:`NqeTracer`, a :class:`CpuAccountant`, and (optionally) a periodic
-:class:`PeriodicSampler`.  Components hold an ``obs`` attribute that is
-``None`` by default; every hook site is guarded by ``if obs is not None``
-so a run without observability pays nothing beyond that attribute check.
-The five per-NQE hop sites (GuestLib enqueue and deliver, the switch,
-ServiceLib consume and emit) call ``obs.tracer`` directly; the failure,
-migration and overload hooks are the ``on_*`` methods below.
+An :class:`Observability` instance owns a :class:`MetricsRegistry` of
+latency histograms and the :class:`NqeTracer` that fills them.
+Components hold an ``obs`` attribute that is ``None`` by default; the
+five per-NQE hop sites (GuestLib enqueue and deliver, the switch,
+ServiceLib consume and emit) are the only hooks, each guarded by
+``if obs is not None``, so a run without observability pays nothing
+beyond that attribute check.  Every other number in :meth:`report` is
+read, at report time, from the component that already keeps it: the
+switch's counters and migration records, the GuestLibs' op counters,
+the autoscaler, the overload governor, the rings, the hugepage regions
+and each core's busy-cycle ledger.
 
 Enable it on a host before (or after — late components are wired too)
 building VMs and NSMs::
 
     host = NetKernelHost(sim, network)
-    obs = host.enable_observability(sample_interval=1e-3)
+    obs = host.enable_observability()
     ...
     sim.run(until=1.0)
     report = obs.report()     # stages, ops, rings, buckets, cycles
 
-Hooks never yield, never charge cycles, and never create simulation
-events (the sampler is a separate process reading state), so the
-simulated timeline of the workload is identical with observability on or
-off — asserted by tests/test_obs.py.
+The tracer never yields, never charges cycles, and never creates
+simulation events, so the simulated timeline of the workload is
+identical with observability on or off — asserted by tests/test_obs.py.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Iterable
 
-from repro.cpu.accounting import CpuAccountant
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               geometric_bounds)
-from repro.obs.samplers import PeriodicSampler, sample_host
+from repro.obs.metrics import Histogram, MetricsRegistry, geometric_bounds
 from repro.obs.trace import HOP_STAGES, NqeTracer
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "NqeTracer",
-    "Observability", "PeriodicSampler", "geometric_bounds", "HOP_STAGES",
+    "Histogram", "MetricsRegistry", "NqeTracer", "Observability",
+    "geometric_bounds", "HOP_STAGES",
 ]
 
 #: Which cycle ledger (group, component) backs each latency stage in the
@@ -49,102 +48,54 @@ STAGE_CYCLE_SOURCES = {
     "ce_to_guest": ("vms", "guestlib.dispatch"),
 }
 
+#: failover report key -> the GuestLib counter summed into it.
+GUEST_OP_COUNTERS = (
+    ("guestlib.op_retries", "op_retries"),
+    ("guestlib.op_sheds", "ops_shed"),
+    ("guestlib.op_timeouts", "op_timeouts"),
+)
+
+
+def _by_component(cores: Iterable) -> Dict[str, float]:
+    """Busy cycles per labelled component, merged over ``cores``."""
+    merged: Dict[str, float] = {}
+    for core in cores:
+        for component, cycles in core.busy_by_component.items():
+            merged[component] = merged.get(component, 0.0) + cycles
+    return merged
+
 
 class Observability:
-    """Facade wiring tracer + metrics + samplers into a NetKernelHost."""
+    """The NQE tracer wired into a NetKernelHost, plus its report."""
 
-    def __init__(self, sim):
-        self.sim = sim
+    def __init__(self, host):
+        """Install the tracer on ``host``'s switch and on all current
+        (and future — see NetKernelHost.add_vm/add_nsm) VMs and NSMs."""
+        self.sim = host.sim
         self.registry = MetricsRegistry()
-        self.tracer = NqeTracer(sim, self.registry)
-        self.accountant = CpuAccountant()
-        self.sampler: Optional[PeriodicSampler] = None
-        self._host = None
-
-    # -- failure/recovery hooks (§8) --------------------------------------
-
-    def on_nsm_quarantined(self, nsm_id: int, reason: str,
-                           vms_moved: int) -> None:
-        self.registry.counter("failover.quarantines").inc()
-        self.registry.counter("failover.vms_moved").inc(vms_moved)
-
-    def on_migration(self, vm_id: int, source_nsm: int, target_nsm: int,
-                     blackout_sec: float, sockets_moved: int,
-                     parked_ops: int) -> None:
-        """A live migration completed: record its blackout and volume."""
-        self.registry.counter("migration.completed").inc()
-        self.registry.counter("migration.sockets_moved").inc(sockets_moved)
-        self.registry.counter("migration.parked_ops").inc(parked_ops)
-        self.registry.histogram("migration.blackout_sec").record(blackout_sec)
-
-    def on_autoscale(self, action: str, detail: str = "") -> None:
-        """An autoscaler job completed (spawn / retire / migrate)."""
-        self.registry.counter(f"autoscale.{action}").inc()
-
-    def on_op_timeout(self, op) -> None:
-        self.registry.counter("guestlib.op_timeouts",
-                              op=getattr(op, "name", str(op))).inc()
-
-    def on_op_retry(self, op) -> None:
-        self.registry.counter("guestlib.op_retries",
-                              op=getattr(op, "name", str(op))).inc()
-
-    # -- overload hooks ----------------------------------------------------
-
-    def on_overload_level(self, engine, old_level: int, new_level: int,
-                          occupancy: float, latency_ewma: float) -> None:
-        """A governor changed pressure level (reads only; no events)."""
-        self.registry.counter("overload.level_transitions").inc()
-        self.registry.gauge("overload.level").set(new_level)
-        self.registry.gauge("overload.occupancy").set(occupancy)
-        self.registry.gauge("overload.latency_ewma").set(latency_ewma)
-
-    def on_op_shed(self, op) -> None:
-        """A guest op failed fast with EAGAIN (admission control)."""
-        self.registry.counter("guestlib.op_sheds",
-                              op=getattr(op, "name", str(op))).inc()
-
-    # -- wiring ------------------------------------------------------------
-
-    def attach_host(self, host,
-                    sample_interval: Optional[float] = None) -> "Observability":
-        """Install hooks on a host's CoreEngine and all current (and
-        future — see NetKernelHost.add_vm/add_nsm) VMs and NSMs."""
+        self.tracer = NqeTracer(self.sim, self.registry)
         self._host = host
         host.obs = self
         host.coreengine.obs = self
-        self.accountant.register("ce", host.ce_cores)
         for vm in host.vms.values():
             self.attach_vm(vm)
         for nsm in host.nsms.values():
             self.attach_nsm(nsm)
-        if sample_interval is not None:
-            self.sampler = PeriodicSampler(self.sim, sample_interval,
-                                           self.sample_now)
-        return self
 
     def attach_vm(self, vm) -> None:
         vm.guestlib.obs = self
-        self.accountant.register("vms", vm.cores)
 
     def attach_nsm(self, nsm) -> None:
         nsm.servicelib.obs = self
-        self.accountant.register("nsms", nsm.cores)
-
-    def sample_now(self) -> None:
-        """Snapshot rings/hugepages/token-buckets into gauges right now."""
-        if self._host is not None:
-            sample_host(self.registry, self._host)
 
     # -- reporting ---------------------------------------------------------
 
     def report(self) -> dict:
         """The combined per-stage latency + cycles report (JSON-ready)."""
-        self.sample_now()
-        component_cycles = {
-            group: self.accountant.by_component(group)
-            for group in self.accountant.groups()
-        }
+        host = self._host
+        engine = host.coreengine
+        stats = engine.stats()
+        component_cycles = self._cycles()
         stages = []
         for snap in self.tracer.hop_snapshot():
             group, component = STAGE_CYCLE_SOURCES[snap["stage"]]
@@ -173,67 +124,88 @@ class Observability:
                     "max_us": snap["max"] * 1e6,
                 })
         rings = {}
-        for gauge in self.registry.gauges_named("ring."):
-            owner = gauge.labels["owner"]
-            ring = gauge.labels["ring"]
-            field = gauge.name.split(".", 1)[1]
-            rings.setdefault(f"{owner}.{ring}", {})[field] = gauge.value
+        regions = {}
+        devices = [(name, vm.guestlib.device)
+                   for name, vm in host.vms.items()]
+        devices += [(name, nsm.servicelib.device)
+                    for name, nsm in host.nsms.items()]
+        for owner, device in devices:
+            for ring, depths in device.ring_depths().items():
+                rings[f"{owner}.{ring}"] = {"depth": depths["depth"],
+                                            "peak_depth": depths["peak"]}
+        for vm in host.vms.values():
+            region = vm.guestlib.device.hugepages
+            regions[region.name] = region
         hugepages = {}
-        for gauge in self.registry.gauges_named("hugepages."):
-            region = gauge.labels["region"]
-            field = gauge.name.split(".", 1)[1]
-            hugepages.setdefault(region, {})[field] = gauge.value
-        token_buckets = (self._host.coreengine.isolation_state()
-                         if self._host is not None else {})
+        for name, region in sorted(regions.items()):
+            marks = region.watermarks()
+            hugepages[name] = {key: marks[key] for key in (
+                "allocated", "free", "live_buffers", "peak_allocated")}
         report = {
             "stages": stages,
             "ops": ops,
-            "rings": rings,
+            "rings": dict(sorted(rings.items())),
             "hugepages": hugepages,
-            "token_buckets": {str(vm): state
-                              for vm, state in token_buckets.items()},
+            "token_buckets": {str(vm): state for vm, state
+                              in engine.isolation_state().items()},
             "cycles": component_cycles,
-            "counters": {m.name: m.value
-                         for m in (self.tracer.traced,
-                                   self.tracer.dropped_records)},
+            "counters": {"nqe.traced": self.tracer.traced,
+                         "nqe.trace_overflow": self.tracer.dropped_records},
         }
         failover = {}
-        for prefix in ("failover.", "guestlib.op_"):
-            for counter in self.registry.counters_named(prefix):
-                key = counter.name
-                op = counter.labels.get("op")
-                if op:
-                    key = f"{key}.{op}"
-                failover[key] = failover.get(key, 0) + counter.value
+        if stats["nsms_quarantined"]:
+            failover["failover.quarantines"] = stats["nsms_quarantined"]
+            failover["failover.vms_moved"] = stats["vms_failed_over"]
+        for key, counter in GUEST_OP_COUNTERS:
+            total = sum(getattr(vm.guestlib, counter)
+                        for vm in host.vms.values())
+            if total:
+                failover[key] = total
         if failover:
             report["failover"] = failover
-        migration = {}
-        for counter in self.registry.counters_named("migration."):
-            migration[counter.name] = counter.value
-        for hist in self.registry.histograms_named("migration."):
-            snap = hist.snapshot()
-            migration[hist.name] = {
-                "count": snap["count"],
-                "p50": snap["p50"],
-                "p99": snap["p99"],
-                "max": snap["max"],
-                "mean": snap["mean"],
+        if engine.migrations:
+            blackout = Histogram("migration.blackout_sec", {})
+            for record in engine.migrations:
+                blackout.record(record["blackout_sec"])
+            snap = blackout.snapshot()
+            report["migration"] = {
+                "migration.completed": stats["vms_migrated"],
+                "migration.parked_ops": stats["migration_parked_ops"],
+                "migration.sockets_moved": stats["conns_migrated"],
+                "migration.blackout_sec": {
+                    key: snap[key]
+                    for key in ("count", "p50", "p99", "max", "mean")},
             }
-        if migration:
-            report["migration"] = migration
-        autoscale = {}
-        for counter in self.registry.counters_named("autoscale."):
-            autoscale[counter.name] = counter.value
-        if autoscale:
-            report["autoscale"] = autoscale
-        if self._host is not None:
-            engine = self._host.coreengine
-            report["coreengine"] = engine.stats()
-            drops = engine.per_vm_drops()
-            if drops:
-                report["per_vm_drops"] = {str(vm): d
-                                          for vm, d in drops.items()}
-            governor = engine.overload
-            if governor is not None:
-                report["overload"] = governor.stats()
+        scaler = host.autoscaler
+        if scaler is not None:
+            counts = {
+                "autoscale.migrate": scaler.counters["migrations"],
+                "autoscale.reap": sum(event["action"] == "reap"
+                                      for event in scaler.events),
+                "autoscale.retire": scaler.counters["retired"],
+                "autoscale.spawn": scaler.counters["spawned"],
+            }
+            autoscale = {key: n for key, n in counts.items() if n}
+            if autoscale:
+                report["autoscale"] = autoscale
+        report["coreengine"] = stats
+        drops = engine.per_vm_drops()
+        if drops:
+            report["per_vm_drops"] = {str(vm): d for vm, d in drops.items()}
+        governor = engine.overload
+        if governor is not None:
+            report["overload"] = governor.stats()
         return report
+
+    def _cycles(self) -> Dict[str, Dict[str, float]]:
+        """Busy cycles per component for each role group that has cores
+        on the host now (the switch always does)."""
+        host = self._host
+        groups = {
+            "ce": host.ce_cores,
+            "nsms": [core for nsm in host.nsms.values()
+                     for core in nsm.cores],
+            "vms": [core for vm in host.vms.values() for core in vm.cores],
+        }
+        return {group: _by_component(cores)
+                for group, cores in groups.items() if cores}

@@ -1,4 +1,4 @@
-"""Simulation-aware metric primitives: counters, gauges, histograms.
+"""Simulation-aware latency histograms and the registry that holds them.
 
 Everything here is plain bookkeeping on simulated quantities — recording a
 value never touches the event loop, charges no cycles, and therefore never
@@ -35,44 +35,6 @@ def geometric_bounds(lower: float, upper: float, count: int) -> List[float]:
 #: Default latency buckets: 100 ns .. 1 s, 64 geometric buckets (~30%
 #: resolution per bucket — plenty for p50/p95/p99 of µs-scale datapaths).
 DEFAULT_LATENCY_BOUNDS = geometric_bounds(1e-7, 1.0, 64)
-
-
-class Counter:
-    """A monotonically increasing count (events, bytes, drops...)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: Dict[str, object]):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def snapshot(self) -> dict:
-        return {"name": self.name, "labels": dict(self.labels),
-                "value": self.value}
-
-
-class Gauge:
-    """A point-in-time level (ring depth, tokens, bytes allocated...)."""
-
-    __slots__ = ("name", "labels", "value", "updated_at")
-
-    def __init__(self, name: str, labels: Dict[str, object]):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-        self.updated_at: Optional[float] = None
-
-    def set(self, value: float, now: Optional[float] = None) -> None:
-        self.value = value
-        self.updated_at = now
-
-    def snapshot(self) -> dict:
-        return {"name": self.name, "labels": dict(self.labels),
-                "value": self.value, "updated_at": self.updated_at}
 
 
 class Histogram:
@@ -142,26 +104,10 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create store of metrics keyed by (name, labels)."""
+    """Get-or-create store of histograms keyed by (name, labels)."""
 
     def __init__(self):
-        self._counters: Dict[Tuple[str, LabelItems], Counter] = {}
-        self._gauges: Dict[Tuple[str, LabelItems], Gauge] = {}
         self._histograms: Dict[Tuple[str, LabelItems], Histogram] = {}
-
-    def counter(self, name: str, **labels) -> Counter:
-        key = (name, _label_key(labels))
-        metric = self._counters.get(key)
-        if metric is None:
-            metric = self._counters[key] = Counter(name, labels)
-        return metric
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        key = (name, _label_key(labels))
-        metric = self._gauges.get(key)
-        if metric is None:
-            metric = self._gauges[key] = Gauge(name, labels)
-        return metric
 
     def histogram(self, name: str, bounds: Optional[List[float]] = None,
                   **labels) -> Histogram:
@@ -176,26 +122,3 @@ class MetricsRegistry:
         for (name, _), metric in sorted(self._histograms.items()):
             if name.startswith(prefix):
                 yield metric
-
-    def counters_named(self, prefix: str) -> Iterator[Counter]:
-        """All counters whose name starts with ``prefix``."""
-        for (name, _), metric in sorted(self._counters.items()):
-            if name.startswith(prefix):
-                yield metric
-
-    def gauges_named(self, prefix: str) -> Iterator[Gauge]:
-        """All gauges whose name starts with ``prefix``."""
-        for (name, _), metric in sorted(self._gauges.items()):
-            if name.startswith(prefix):
-                yield metric
-
-    def snapshot(self) -> dict:
-        """Everything, as plain JSON-serializable dicts."""
-        return {
-            "counters": [m.snapshot()
-                         for _, m in sorted(self._counters.items())],
-            "gauges": [m.snapshot()
-                       for _, m in sorted(self._gauges.items())],
-            "histograms": [m.snapshot()
-                           for _, m in sorted(self._histograms.items())],
-        }

@@ -43,8 +43,9 @@ class NqeTracer:
         self._inflight: Dict[int, dict] = {}
         self._hops = {stage: registry.histogram(f"nqe.hop.{stage}")
                       for stage in HOP_STAGES}
-        self.traced = registry.counter("nqe.traced")
-        self.dropped_records = registry.counter("nqe.trace_overflow")
+        self.traced = 0
+        #: Requests not kept for correlation (in-flight table full).
+        self.dropped_records = 0
 
     # -- stations, in datapath order ----------------------------------------
 
@@ -52,11 +53,11 @@ class NqeTracer:
         trace = {"op": nqe.op, "vm_id": nqe.vm_id,
                  "guest_enqueue": self.sim.now}
         nqe.trace = trace
-        self.traced.inc()
+        self.traced += 1
         if len(self._inflight) < self.max_inflight:
             self._inflight[nqe.token] = trace
         else:
-            self.dropped_records.inc()
+            self.dropped_records += 1
 
     def ce_switch(self, nqe: Nqe, source_role: str) -> None:
         trace = nqe.trace

@@ -1,8 +1,7 @@
-"""Tests for cores, the cost model, and CPU accounting."""
+"""Tests for cores and the cost model."""
 
 import pytest
 
-from repro.cpu.accounting import CpuAccountant
 from repro.cpu.core import Core
 from repro.cpu.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.errors import ResourceError
@@ -101,22 +100,3 @@ class TestCostModel:
         high = model.nsm_copy_cycles(8192, aggregate_gbps=100)
         assert high > low
 
-
-class TestAccounting:
-    def test_group_totals(self, sim):
-        vm_core, nsm_core = Core(sim), Core(sim)
-        accountant = CpuAccountant()
-        accountant.register("vm", [vm_core])
-        accountant.register("nsm", [nsm_core])
-        vm_core.charge(100)
-        nsm_core.charge(300)
-        assert accountant.cycles("vm") == 100
-        assert accountant.total_cycles(["vm", "nsm"]) == 400
-
-    def test_by_component_merges_cores(self, sim):
-        cores = [Core(sim), Core(sim)]
-        accountant = CpuAccountant()
-        accountant.register("vm", cores)
-        cores[0].charge(10, "x")
-        cores[1].charge(20, "x")
-        assert accountant.by_component("vm")["x"] == 30

@@ -1,6 +1,6 @@
-"""The repro.obs observability layer: metric primitives, NQE lifecycle
-tracing through a real workload, samplers, the zero-cost-when-disabled
-guarantee, and the ``repro stats`` CLI surface."""
+"""The repro.obs observability layer: latency histograms, NQE lifecycle
+tracing through a real workload, the report read from the host, the
+zero-cost-when-disabled guarantee, and the ``repro stats`` CLI surface."""
 
 import json
 
@@ -8,8 +8,7 @@ import pytest
 
 from repro.core.host import NetKernelHost
 from repro.net.fabric import Network
-from repro.obs import HOP_STAGES, MetricsRegistry, PeriodicSampler, \
-    geometric_bounds
+from repro.obs import HOP_STAGES, MetricsRegistry, geometric_bounds
 from repro.obs.metrics import Histogram
 from repro.sim import Simulator
 from repro.units import gbps, mbps, usec
@@ -55,39 +54,18 @@ class TestHistogram:
 class TestMetricsRegistry:
     def test_get_or_create_identity(self):
         reg = MetricsRegistry()
-        assert reg.counter("c", vm=1) is reg.counter("c", vm=1)
-        assert reg.counter("c", vm=1) is not reg.counter("c", vm=2)
-        assert reg.gauge("g") is reg.gauge("g")
         assert reg.histogram("h", vm=1) is reg.histogram("h", vm=1)
+        assert reg.histogram("h", vm=1) is not reg.histogram("h", vm=2)
 
     def test_named_iteration_and_snapshot(self):
         reg = MetricsRegistry()
         reg.histogram("nqe.e2e.CONNECT", vm=1).record(1e-4)
         reg.histogram("nqe.hop.guest_to_ce").record(2e-5)
-        reg.gauge("ring.depth", owner="vm").set(3, now=0.5)
         assert [h.name for h in reg.histograms_named("nqe.e2e.")] \
             == ["nqe.e2e.CONNECT"]
-        assert [g.name for g in reg.gauges_named("ring.")] == ["ring.depth"]
-        snap = reg.snapshot()
-        assert len(snap["histograms"]) == 2
-        assert snap["gauges"][0]["value"] == 3
-        json.dumps(snap)  # fully serializable
-
-
-# ---------------------------------------------------------------- sampler --
-
-class TestPeriodicSampler:
-    def test_samples_at_interval(self):
-        sim = Simulator()
-        ticks = []
-        sampler = PeriodicSampler(sim, 1e-3, lambda: ticks.append(sim.now))
-        sim.run(until=0.0105)
-        assert sampler.samples == 11  # t=0, 1ms, ..., 10ms
-        assert ticks[1] == pytest.approx(1e-3)
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            PeriodicSampler(Simulator(), 0.0, lambda: None)
+        snaps = [h.snapshot() for h in reg.histograms_named("nqe.")]
+        assert [s["count"] for s in snaps] == [1, 1]
+        json.dumps(snaps)  # fully serializable
 
 
 # ------------------------------------------------------------- end-to-end --
@@ -98,8 +76,7 @@ def _run_workload(enable_obs: bool, transfer_bytes: int = 1 << 16):
     network = Network(sim, default_rate_bps=gbps(100),
                       default_delay_sec=usec(25))
     host = NetKernelHost(sim, network)
-    obs = (host.enable_observability(sample_interval=100e-6)
-           if enable_obs else None)
+    obs = host.enable_observability() if enable_obs else None
     nsm = host.add_nsm("nsm0", vcpus=1, stack="kernel")
     vm_server = host.add_vm("srv", vcpus=1, nsm=nsm)
     vm_client = host.add_vm("cli", vcpus=1, nsm=nsm)
@@ -180,7 +157,7 @@ class TestTracingEndToEnd:
             assert stage["cycles"] > 0
         kinds = {op["kind"] for op in report["ops"]}
         assert {"e2e", "oneway", "event"} <= kinds
-        # Sampled gauges: ring occupancy and token-bucket state.
+        # Read from the host at report time: rings and token buckets.
         assert any(key.startswith("cli.") for key in report["rings"])
         assert any(fields.get("peak_depth", 0) > 0
                    for fields in report["rings"].values())
@@ -196,11 +173,6 @@ class TestTracingEndToEnd:
         json.dumps(report)  # JSON-ready end to end
         assert client_buckets  # at least one VM reported
 
-    def test_sampler_ran(self, traced_run):
-        _, obs, _ = traced_run
-        assert obs.sampler is not None
-        assert obs.sampler.samples > 100  # 100 µs interval over ~2 s
-
 
 class TestZeroCostWhenDisabled:
     def test_timeline_identical_with_and_without_obs(self):
@@ -210,6 +182,9 @@ class TestZeroCostWhenDisabled:
         host_on, _, done_on = _run_workload(enable_obs=True)
         assert done_off["server_bytes"] == done_on["server_bytes"]
         assert done_off["finished_at"] == done_on["finished_at"]
+        for counter in ("events_processed", "events_cancelled"):
+            assert getattr(host_off.sim, counter) \
+                == getattr(host_on.sim, counter), counter
         stats_off = host_off.coreengine.stats()
         stats_on = host_on.coreengine.stats()
         assert stats_off == stats_on
