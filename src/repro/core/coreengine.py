@@ -859,21 +859,26 @@ class CoreEngine:
                 # with an errno.
                 qs = nsm_device.queue_sets[qset]
                 return (qs.send if op is NqeOp.SEND else qs.job), nsm_device
-            entry = table.insert(vm_tuple, nsm_id, qset)
             if op is NqeOp.ACCEPT_ATTACH:
+                # Attach only to an NSM socket the switch offered this
+                # VM in an ACCEPT_EVENT, once: any other op_data names a
+                # socket another tuple holds or one bound later, whose
+                # own completion would then collide in the table.
+                offer = (nqe.vm_id, nqe.op_data)
+                if offer not in switch.accept_offers:
+                    self._refuse_attach(nqe)
+                    return None
+                switch.accept_offers.discard(offer)
+                entry = table.insert(vm_tuple, nsm_id, qset)
                 # The NSM socket already exists; complete the entry now.
                 try:
                     table.complete(vm_tuple, nqe.op_data)
                 except ConnectionTableError:
-                    # op_data names an NSM socket another tuple holds.
-                    # An attach carries no token for an OP_RESULT, so
-                    # the guest's socket gets an EINVAL ERROR_EVENT.
                     table.remove_vm(vm_tuple)
-                    self._push_to_vm(nqe.response(
-                        NqeOp.ERROR_EVENT,
-                        op_data=-RESULT_ERRNO["EINVAL"]), event=True)
-                    NQE_POOL.release(nqe)
+                    self._refuse_attach(nqe)
                     return None
+            else:
+                entry = table.insert(vm_tuple, nsm_id, qset)
         nsm_reg = switch._nsms.get(entry.nsm_id)
         if nsm_reg is None or not nsm_reg.active:
             # The serving NSM died between insert and this switch.
@@ -885,6 +890,14 @@ class CoreEngine:
         # An NSM device consumes (job, send) — consume_rings() inlined.
         ring = qs.send if nqe.op is NqeOp.SEND else qs.job
         return ring, nsm_device
+
+    def _refuse_attach(self, nqe: Nqe) -> None:
+        """Consume a refused ACCEPT_ATTACH.  An attach carries no token
+        for an OP_RESULT, so the guest's socket gets an EINVAL
+        ERROR_EVENT."""
+        self._push_to_vm(nqe.response(
+            NqeOp.ERROR_EVENT, op_data=-RESULT_ERRNO["EINVAL"]), event=True)
+        NQE_POOL.release(nqe)
 
     def _resolve_nsm_to_vm(self, reg: _Registration, nqe: Nqe):
         """Pick the destination (ring, device) for an NSM-egress NQE, or
@@ -917,6 +930,9 @@ class CoreEngine:
             aux = nqe.aux
             if type(aux) is dict and aux.get("req_op") == NqeOp.CLOSE:
                 table.remove_vm(vm_tuple)
+        elif op is NqeOp.ACCEPT_EVENT:
+            # The one NSM socket this VM may now ACCEPT_ATTACH to.
+            self.switch.accept_offers.add((nqe.vm_id, nqe.op_data))
         vm_device = vm_reg.device
         qs = vm_device.queue_sets[nqe.queue_set_id % len(vm_device.queue_sets)]
         # A VM device consumes (completion, receive) — consume_rings()

@@ -105,6 +105,10 @@ class ShardedCoreEngine:
         # over: their ops fail fast instead of raising (a VM that never
         # had an assignment is a configuration error; this is not).
         self._orphaned_vms: set = set()
+        #: (vm_id, NSM socket id) of each connection carried to a VM in
+        #: an ACCEPT_EVENT and not attached yet: the only NSM sockets a
+        #: guest ACCEPT_ATTACH may name.
+        self.accept_offers: set = set()
         # Isolation limits (§4.4).
         self._bw_limits: Dict[int, TokenBucket] = {}
         self._op_limits: Dict[int, TokenBucket] = {}
@@ -198,6 +202,7 @@ class ShardedCoreEngine:
         reg.active = False  # ready-heap entries are skipped lazily
         if numeric_id in self._vms:
             del self._vms[numeric_id]
+            self._withdraw_offers(lambda vm_id: vm_id == numeric_id)
             for entry in self.table.entries_for_vm(numeric_id):
                 self.table.remove_vm(entry.vm_tuple)
             self.vm_to_nsm.pop(numeric_id, None)
@@ -211,10 +216,17 @@ class ShardedCoreEngine:
         self.quarantined.pop(numeric_id, None)
         home._reclaim_device(reg, fail_fast=True)
         self._reset_connections(home, numeric_id, "nsm-deregistered")
+        self._withdraw_offers(
+            lambda vm_id: self.vm_to_nsm.get(vm_id) == numeric_id)
         for vm_id, assigned in list(self.vm_to_nsm.items()):
             if assigned == numeric_id:
                 del self.vm_to_nsm[vm_id]
                 self._orphaned_vms.add(vm_id)
+
+    def _withdraw_offers(self, of_vm: Callable[[int], bool]) -> None:
+        """Drop the accept offers made to every VM ``of_vm`` selects."""
+        self.accept_offers = {offer for offer in self.accept_offers
+                              if not of_vm(offer[0])}
 
     def _reset_connections(self, home: CoreEngine, nsm_id: int,
                            reason: str) -> int:
@@ -353,6 +365,8 @@ class ShardedCoreEngine:
         home._reclaim_device(reg, fail_fast=True)
         home.conns_reset_on_failover += self._reset_connections(
             home, nsm_id, reason)
+        self._withdraw_offers(
+            lambda vm_id: self.vm_to_nsm.get(vm_id) == nsm_id)
         standby = self._least_loaded_nsm(exclude=nsm_id)
         moved: List[int] = []
         if standby is not None:

@@ -21,11 +21,12 @@ from tests.census import assert_census_clean
 PAYLOAD = bytes(range(256)) * 16
 
 
-def _echo_next_to(hostile_nqes):
+def _echo_next_to(hostile_nqes, push_at=1.5e-3):
     """Run a 4 KiB echo between two well-behaved VMs while a third pushes
     ``hostile_nqes(host, device, vm)`` — (ring index, NQE) pairs, iterated
-    at push time — straight into its own produce rings mid-echo.  Returns the host, the NSM, the
-    hostile VM and the NQE pool's outstanding count before the run."""
+    at push time — straight into its own produce rings at ``push_at``
+    (mid-echo by default).  Returns the host, the NSM, the hostile VM
+    and the NQE pool's outstanding count before the run."""
     outstanding_before = NQE_POOL.outstanding
     sim = Simulator()
     host = NetKernelHost(sim, Network(sim, default_rate_bps=gbps(10),
@@ -64,7 +65,7 @@ def _echo_next_to(hostile_nqes):
         device = host.coreengine.vm_device(hostile_vm.vm_id)
         rings = device.produce_rings(device.queue_sets[0])
         nqes = hostile_nqes(host, device, hostile_vm)
-        yield sim.timeout(1.5e-3)  # mid-echo
+        yield sim.timeout(push_at)
         for ring, nqe in nqes:
             rings[ring].push(nqe, owner="hostile")
         device.ring_doorbell()
@@ -349,4 +350,38 @@ def test_accept_attach_naming_a_bound_nsm_socket_completes_with_einval():
     host, _, _, outstanding_before = _echo_next_to(nqes)
     assert host.coreengine.table.lookup_vm(crafted[0]) is None
     assert seen == [(NqeOp.ERROR_EVENT, 99, -RESULT_ERRNO["EINVAL"])]
+    assert_census_clean(host, outstanding_before)
+
+
+def test_accept_attach_before_the_nsm_socket_is_bound_completes_with_einval():
+    # NSM socket ids are a guessable counter.  An ACCEPT_ATTACH naming
+    # ids nobody holds yet used to bind them to the hostile tuples, so
+    # the OP_RESULT announcing one for a neighbour's socket() later
+    # collided in the table and raised out of sim.run().  Pushed after
+    # the server listens and before the client's socket(), the attaches
+    # name the next five ids.
+    crafted, seen = [], []
+
+    def nqes(host, device, vm):
+        listener = host.coreengine.table.lookup_vm(_server_listener(host))
+        assert listener.complete
+        real_dispatch = vm.guestlib._dispatch
+
+        def recording(nqe, qset_index):
+            seen.append((nqe.op, nqe.socket_id, nqe.op_data))
+            return real_dispatch(nqe, qset_index)
+
+        vm.guestlib._dispatch = recording
+        for offset in range(1, 6):
+            crafted.append((vm.vm_id, 0, 100 + offset))
+            yield 0, NQE_POOL.acquire(
+                NqeOp.ACCEPT_ATTACH, *crafted[-1],
+                op_data=listener.nsm_socket_id + offset)
+
+    host, _, _, outstanding_before = _echo_next_to(nqes, push_at=0.9e-3)
+    einval = -RESULT_ERRNO["EINVAL"]
+    assert all(host.coreengine.table.lookup_vm(vt) is None
+               for vt in crafted)
+    assert seen == [(NqeOp.ERROR_EVENT, vt[2], einval) for vt in crafted]
+    assert not host.coreengine.accept_offers  # the echo's one was taken
     assert_census_clean(host, outstanding_before)
