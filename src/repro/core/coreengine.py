@@ -874,6 +874,7 @@ class CoreEngine:
                 try:
                     table.complete(vm_tuple, nqe.op_data)
                 except ConnectionTableError:
+                    # Another tuple's OP_RESULT announced this id first.
                     table.remove_vm(vm_tuple)
                     self._refuse_attach(nqe)
                     return None

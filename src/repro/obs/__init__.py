@@ -71,9 +71,8 @@ class Observability:
     def __init__(self, host):
         """Install the tracer on ``host``'s switch and on all current
         (and future — see NetKernelHost.add_vm/add_nsm) VMs and NSMs."""
-        self.sim = host.sim
         self.registry = MetricsRegistry()
-        self.tracer = NqeTracer(self.sim, self.registry)
+        self.tracer = NqeTracer(host.sim, self.registry)
         self._host = host
         host.obs = self
         host.coreengine.obs = self
