@@ -123,7 +123,6 @@ class Observability:
                     "max_us": snap["max"] * 1e6,
                 })
         rings = {}
-        regions = {}
         devices = [(name, vm.guestlib.device)
                    for name, vm in host.vms.items()]
         devices += [(name, nsm.servicelib.device)
@@ -132,19 +131,17 @@ class Observability:
             for ring, depths in device.ring_depths().items():
                 rings[f"{owner}.{ring}"] = {"depth": depths["depth"],
                                             "peak_depth": depths["peak"]}
+        hugepages = {}
         for vm in host.vms.values():
             region = vm.guestlib.device.hugepages
-            regions[region.name] = region
-        hugepages = {}
-        for name, region in sorted(regions.items()):
             marks = region.watermarks()
-            hugepages[name] = {key: marks[key] for key in (
+            hugepages[region.name] = {key: marks[key] for key in (
                 "allocated", "free", "live_buffers", "peak_allocated")}
         report = {
             "stages": stages,
             "ops": ops,
             "rings": dict(sorted(rings.items())),
-            "hugepages": hugepages,
+            "hugepages": dict(sorted(hugepages.items())),
             "token_buckets": {str(vm): state for vm, state
                               in engine.isolation_state().items()},
             "cycles": component_cycles,
