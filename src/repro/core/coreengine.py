@@ -880,6 +880,12 @@ class CoreEngine:
                     return None
             else:
                 entry = table.insert(vm_tuple, nsm_id, qset)
+        elif nqe.op is NqeOp.ACCEPT_ATTACH:
+            # A tuple the table already holds (a socket this VM opened)
+            # is never offered: attaching it would re-point the context
+            # op_data names, whoever owns it, at that socket.
+            self._refuse_attach(nqe)
+            return None
         nsm_reg = switch._nsms.get(entry.nsm_id)
         if nsm_reg is None or not nsm_reg.active:
             # The serving NSM died between insert and this switch.

@@ -385,3 +385,43 @@ def test_accept_attach_before_the_nsm_socket_is_bound_completes_with_einval():
     assert seen == [(NqeOp.ERROR_EVENT, vt[2], einval) for vt in crafted]
     assert not host.coreengine.accept_offers  # the echo's one was taken
     assert_census_clean(host, outstanding_before)
+
+
+def test_accept_attach_on_an_open_socket_cannot_take_a_neighbours_connection():
+    # The offer check ran only for a tuple new to the table.  An
+    # ACCEPT_ATTACH on a socket the guest had opened itself reached
+    # ServiceLib, which handed the echo server's accepted connection to
+    # that socket: its data and its close were the hostile VM's.
+    socks, owners = [], []
+
+    def hijack(host, vm):
+        lib = vm.guestlib
+        sock = yield from lib.socket()
+        socks.append(sock)
+        server_id = host.vms["srv"].vm_id
+        accepted = []
+        while not accepted:  # strike as soon as the server has attached
+            yield lib.sim.timeout(10e-6)
+            accepted = [entry for entry
+                        in host.coreengine.table.entries_for_vm(server_id)
+                        if entry.vm_tuple != _server_listener(host)]
+        yield from lib._push(sock.home_qset, NQE_POOL.acquire(
+            NqeOp.ACCEPT_ATTACH, vm.vm_id, sock.home_qset, sock.sock_id,
+            op_data=accepted[0].nsm_socket_id))
+        yield lib.sim.timeout(20e-6)
+        ctx = host.nsms["nsm0"].servicelib._by_nsm_id.get(
+            accepted[0].nsm_socket_id)
+        owners.append((accepted[0].vm_tuple, ctx and ctx.vm_tuple))
+        yield lib.sim.timeout(1e-3)
+        yield from lib.close(sock)
+
+    def nqes(host, device, vm):
+        vm.spawn(hijack(host, vm))
+        return []
+
+    host, _, _, outstanding_before = _echo_next_to(nqes)
+    [(server_tuple, owner)] = owners
+    assert owner == server_tuple
+    assert socks[0].errno == "EINVAL"
+    assert_census_clean(host, outstanding_before)
+
