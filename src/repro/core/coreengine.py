@@ -937,6 +937,9 @@ class CoreEngine:
             aux = nqe.aux
             if type(aux) is dict and aux.get("req_op") == NqeOp.CLOSE:
                 table.remove_vm(vm_tuple)
+                # A closed listener's unattached children are gone.
+                for sock_id in aux.get("reaped", ()):
+                    self.switch.accept_offers.discard((nqe.vm_id, sock_id))
         elif op is NqeOp.ACCEPT_EVENT:
             # The one NSM socket this VM may now ACCEPT_ATTACH to.
             self.switch.accept_offers.add((nqe.vm_id, nqe.op_data))

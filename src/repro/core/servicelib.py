@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.nk_device import NKDevice
 from repro.core.nqe import NQE_POOL, Nqe, NqeOp, RESULT_ERRNO
@@ -208,9 +208,10 @@ class ServiceLib:
             self.sim.call_later(2e-6, lambda: self._push(ring, nqe))
 
     def _respond(self, request: Nqe, ctx_qset: int, op_data: int = 0,
-                 req_op: Optional[NqeOp] = None) -> None:
+                 req_op: Optional[NqeOp] = None, **aux) -> None:
         response = request.response(NqeOp.OP_RESULT, op_data=op_data,
-                                    aux={"req_op": req_op or request.op})
+                                    aux={"req_op": req_op or request.op,
+                                         **aux})
         self._emit(ctx_qset, response, event=False)
 
     def _respond_errno(self, request: Nqe, ctx_qset: int,
@@ -464,15 +465,18 @@ class ServiceLib:
             return
         self._abort_pending_connect(ctx, qset)
         ctx.closing = True
+        extra = {}
         if ctx.kind == "udp":
             self.stack.udp_close(ctx.stack_sock)
             self._by_nsm_id.pop(ctx.nsm_sock_id, None)
         else:
             if ctx.is_listener:
-                self._reap_listener_backlog(ctx)
+                # The switch withdraws the accept offers it made for
+                # the children this frees.
+                extra["reaped"] = self._reap_listener_backlog(ctx)
             if not ctx.pending_tx:
                 self._finish_close(ctx)
-        self._respond(nqe, qset, op_data=0, req_op=NqeOp.CLOSE)
+        self._respond(nqe, qset, op_data=0, req_op=NqeOp.CLOSE, **extra)
         self._by_vm_tuple.pop(nqe.vm_tuple, None)
 
     def _op_shutdown(self, nqe: Nqe, qset: int):
@@ -503,12 +507,14 @@ class ServiceLib:
             pass
         self._by_nsm_id.pop(ctx.nsm_sock_id, None)
 
-    def _reap_listener_backlog(self, ctx: _SocketContext) -> None:
+    def _reap_listener_backlog(self, ctx: _SocketContext) -> List[int]:
         """Closing a listener strands the children the guest never
         attached: pipelined-accept contexts (ACCEPT_EVENT still in flight
         or unread) and connections queued inside the stack.  Reset and
         free them all — as Linux does when a listening socket closes —
-        so neither stack connections nor contexts leak."""
+        so neither stack connections nor contexts leak.  Returns the NSM
+        socket ids of the freed contexts."""
+        reaped = []
         for child in list(self._by_nsm_id.values()):
             if child.listener_ctx is ctx and child.vm_tuple is None:
                 try:
@@ -516,6 +522,7 @@ class ServiceLib:
                 except SocketError:
                     pass
                 self._by_nsm_id.pop(child.nsm_sock_id, None)
+                reaped.append(child.nsm_sock_id)
         while True:
             try:
                 stranded = self.stack.accept(ctx.stack_sock)
@@ -527,6 +534,7 @@ class ServiceLib:
                 self.stack.abort(stranded)
             except SocketError:
                 pass
+        return reaped
 
     # -- data path ----------------------------------------------------------------------
 

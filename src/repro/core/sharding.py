@@ -107,7 +107,9 @@ class ShardedCoreEngine:
         self._orphaned_vms: set = set()
         #: (vm_id, NSM socket id) of each connection carried to a VM in
         #: an ACCEPT_EVENT and not attached yet: the only NSM sockets a
-        #: guest ACCEPT_ATTACH may name.
+        #: guest ACCEPT_ATTACH, on a tuple new to the table, may name.
+        #: Withdrawn on attach, when the listener's close reaps the
+        #: child, and when the VM or the NSM serving it leaves.
         self.accept_offers: set = set()
         # Isolation limits (§4.4).
         self._bw_limits: Dict[int, TokenBucket] = {}

@@ -425,3 +425,52 @@ def test_accept_attach_on_an_open_socket_cannot_take_a_neighbours_connection():
     assert socks[0].errno == "EINVAL"
     assert_census_clean(host, outstanding_before)
 
+
+def test_closing_a_listener_withdraws_its_unattached_accept_offers():
+    # An ACCEPT_EVENT the guest drops (its listener is closing, or the
+    # event was lost) leaves an offer nobody attaches.  The listener's
+    # CLOSE result names the children ServiceLib reaps, and the switch
+    # withdraws their offers with them.
+    outstanding_before = NQE_POOL.outstanding
+    sim = Simulator()
+    host = NetKernelHost(sim, Network(sim, default_rate_bps=gbps(10),
+                                      default_delay_sec=usec(25)))
+    nsm = host.add_nsm("nsm0", vcpus=1, stack="kernel")
+    server_vm = host.add_vm("srv", vcpus=1, nsm=nsm)
+    client_vm = host.add_vm("cli", vcpus=1, nsm=nsm)
+    api_s, api_c = host.socket_api(server_vm), host.socket_api(client_vm)
+    real_dispatch = server_vm.guestlib._dispatch
+
+    def dropping_accepts(nqe, qset_index):
+        if nqe.op is NqeOp.ACCEPT_EVENT:
+            return False  # the poller releases it
+        return real_dispatch(nqe, qset_index)
+
+    server_vm.guestlib._dispatch = dropping_accepts
+    offers = []
+
+    def server():
+        listener = yield from api_s.socket()
+        yield from api_s.bind(listener, 80)
+        yield from api_s.listen(listener)
+        yield sim.timeout(2e-3)  # both clients are connected by now
+        offers.append(len(host.coreengine.accept_offers))
+        yield from api_s.close(listener)
+        offers.append(len(host.coreengine.accept_offers))
+
+    def client():
+        yield sim.timeout(0.5e-3)
+        sock = yield from api_c.socket()
+        yield from api_c.connect(sock, ("nsm0", 80))
+        try:
+            yield from api_c.recv(sock, 4096)  # the reap resets it
+        except SocketError:
+            pass
+        yield from api_c.close(sock)
+
+    server_vm.spawn(server())
+    client_vm.spawn(client())
+    client_vm.spawn(client())
+    sim.run(until=0.05)
+    assert offers == [2, 0]
+    assert_census_clean(host, outstanding_before)
