@@ -103,6 +103,7 @@ class TestControlLoop:
         sim, host, auto = _autoscaled_host([60.0])  # desired = 2
         host.enable_failover(heartbeat_interval=1e-3,
                              detection_timeout=3e-3)
+        obs = host.enable_observability()
 
         def crash_managed():
             name, nsm = sorted(auto.managed.items())[0]
@@ -121,6 +122,12 @@ class TestControlLoop:
         assert dangling == 0
         # The fleet is back at strength with only live NSMs serving.
         assert len(host.coreengine._active_nsm_ids()) == 2
+        report = obs.report()
+        assert report["failover"] == {"failover.quarantines": 1,
+                                      "failover.vms_moved": 0}
+        assert report["autoscale"]["autoscale.reap"] == actions.count("reap")
+        assert (report["autoscale"]["autoscale.spawn"]
+                == auto.counters["spawned"])
 
 
 class TestShardAwareSpawn:

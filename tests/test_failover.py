@@ -66,6 +66,7 @@ class TestFailover:
                                 op_timeout=10e-3)
         host.enable_failover(heartbeat_interval=1e-3,
                              detection_timeout=5e-3)
+        obs = host.enable_observability()
         api_s = host.socket_api(server_vm)
         api_c = host.socket_api(client_vm)
         log = {"resets": 0, "ok_after_crash": 0, "errors": []}
@@ -125,6 +126,9 @@ class TestFailover:
         assert log["errors"] == []
         assert ce.stats()["conns_reset_on_failover"] >= 1
         assert ce.stats()["vms_failed_over"] == 1
+        failover = obs.report()["failover"]
+        assert failover["failover.quarantines"] == 1
+        assert failover["failover.vms_moved"] == 1
 
     def test_crash_without_standby_fails_ops_fast_not_hung(self):
         sim = Simulator()
@@ -181,6 +185,7 @@ class TestOpDeadlines:
         nsm = host.add_nsm("nsm0", vcpus=1, stack="kernel")
         vm = host.add_vm("vm1", vcpus=1, nsm=nsm, op_timeout=5e-3,
                          max_op_retries=3)
+        obs = host.enable_observability()
         api = host.socket_api(vm)
         outcome = {}
 
@@ -195,6 +200,10 @@ class TestOpDeadlines:
         assert outcome["value"] == 1
         assert vm.guestlib.op_retries >= 1
         assert vm.guestlib.op_timeouts >= 1
+        # obs reads the same GuestLib counters; nothing was quarantined.
+        assert obs.report()["failover"] == {
+            "guestlib.op_retries": vm.guestlib.op_retries,
+            "guestlib.op_timeouts": vm.guestlib.op_timeouts}
 
 
 class TestDeliveryBackpressure:
