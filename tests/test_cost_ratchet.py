@@ -2,12 +2,12 @@
 
 Each row runs a short, fixed slice of a perfbench workload (seed 1,
 built with ``perfbench.workloads.WORKLOADS``) past its fingerprint
-checkpoint, or one whole ``nqe_switch`` run of
-``tests/mux_workloads.py``, under ``sys.setprofile`` with the cyclic
-collector off, and counts:
+checkpoint, one whole ``nqe_switch`` run of
+``tests/mux_workloads.py``, or the ``fleet_boot`` of idle VMs, under
+``sys.setprofile`` with the cyclic collector off, and counts:
 
 - ``ops``: ops the workload completed (NQEs switched for
-  ``nqe_switch``);
+  ``nqe_switch``, VMs booted for ``fleet_boot``);
 - ``events``: simulator events processed;
 - ``resumes``: calls of ``Process._resume``;
 - ``calls``: every Python-level "call" event, generator resumes
@@ -30,6 +30,8 @@ from typing import Callable, NamedTuple
 import pytest
 
 from perfbench.workloads import WORKLOADS
+from repro.core.host import NetKernelHost
+from repro.sim import Simulator
 from repro.sim.process import Process
 from tests.mux_workloads import _mux_workload
 
@@ -51,7 +53,8 @@ STEPS = {"echo_64b": 5, "bulk_8x64k": 2, "short_conn_64b": 5,
 
 #: row -> pinned cost.  ``echo_64b+obs`` is ``echo_64b`` with
 #: ``host.enable_observability()``; ``nqe_switch`` is one whole raw
-#: switching run: one hot VM, 250 doorbells of 8 NQEs, 5 us apart.
+#: switching run: one hot VM, 250 doorbells of 8 NQEs, 5 us apart;
+#: ``fleet_boot`` boots BOOT_VMS auto-placed idle VMs on a 4-shard host.
 RATCHET = {
     "echo_64b": Cost(ops=388, events=15_159, resumes=12_042,
                      calls=243_691),
@@ -65,7 +68,11 @@ RATCHET = {
                       calls=256_164),
     "nqe_switch": Cost(ops=4_000, events=1_756, resumes=1_755,
                        calls=56_610),
+    "fleet_boot": Cost(ops=1_000, events=0, resumes=0, calls=31_002),
 }
+
+#: Idle VMs the ``fleet_boot`` row boots.
+BOOT_VMS = 1_000
 
 
 def _profiled(fn: Callable[[], None]) -> tuple:
@@ -121,9 +128,31 @@ def _measure_nqe_switch() -> Cost:
                 calls)
 
 
+def _measure_fleet_boot() -> Cost:
+    """Boot BOOT_VMS idle VMs, auto-placed over four NSMs on four
+    shards, and run the simulator past their boot events."""
+    sim = Simulator()
+    host = NetKernelHost(sim, ce_shards=4)
+    for shard in range(4):
+        host.add_nsm(f"nsm{shard}", vcpus=1, stack="kernel", shard=shard)
+    sim.run(until=1e-4)
+    vms, events = len(host.vms), sim.events_processed
+
+    def boot():
+        for i in range(BOOT_VMS):
+            host.add_vm(f"vm{i}", backoff_seed=SEED)
+        sim.run(until=2e-4)
+
+    calls, resumes = _profiled(boot)
+    return Cost(len(host.vms) - vms, sim.events_processed - events,
+                resumes, calls)
+
+
 def _measure(row: str) -> Cost:
     if row == "nqe_switch":
         return _measure_nqe_switch()
+    if row == "fleet_boot":
+        return _measure_fleet_boot()
     name, _, obs = row.partition("+")
     return _measure_workload(name, obs=bool(obs))
 
