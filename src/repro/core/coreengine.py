@@ -44,7 +44,7 @@ import heapq
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.conn_table import ConnectionTableError
-from repro.core.nk_device import NKDevice, ROLE_NSM, ROLE_VM
+from repro.core.nk_device import NKDevice, RING_NAMES, ROLE_NSM, ROLE_VM
 from repro.core.nqe import NQE_POOL, Nqe, NqeOp, RESULT_ERRNO
 from repro.cpu.core import Core
 from repro.errors import ConfigurationError
@@ -342,7 +342,7 @@ class CoreEngine:
         NQEs produced after the sweep wait parked and route to the target
         after the rebind — which is where their contexts will live."""
         device = reg.device
-        for qs in device.queue_sets:
+        for qs in device.built_queue_sets:
             for ring in device.produce_rings(qs):
                 pending = len(ring)
                 if not pending:
@@ -369,8 +369,8 @@ class CoreEngine:
         """Drain every ring of a departed device.  SPSC claims are
         bypassed (owner=None): the owner is gone, CoreEngine is the only
         party left standing."""
-        for qs in reg.device.queue_sets:
-            for ring_name in ("job", "send", "completion", "receive"):
+        for qs in reg.device.built_queue_sets:
+            for ring_name in RING_NAMES:
                 ring = getattr(qs, ring_name)
                 while True:
                     batch = ring.pop_batch(64, owner=None)
@@ -700,7 +700,7 @@ class CoreEngine:
         limited = bw is not None or ops is not None
         batch_size = self.batch_size
         scratch = self._scratch
-        for qs in device.queue_sets:
+        for qs in device.built_queue_sets:
             filled = 0
             for ring in device.produce_rings(qs):
                 room = batch_size - filled

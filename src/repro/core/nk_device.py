@@ -18,11 +18,20 @@ poller process at all.  Attaching opens the poll window exactly where a
 poller parked at boot used to open it, and the pollers' start takes the
 heap slot that poller's wake event took, so the simulated timeline is
 the same as with pollers started at boot.
+
+The lanes themselves (one :class:`QueueSet` of four rings per vCPU) are
+built on the first read of ``queue_sets``: the guest's first push, the
+switch's first delivery to the device, or a test that pushes straight
+into the rings.  An idle VM owns no ring at all.  Walkers that only read
+or drain what was produced (the switch's scheduler and drains, the
+overload governor's occupancy sample, reclaim, migration's parked-op
+count, ``ring_depths``) read ``built_queue_sets`` instead, which is
+empty until the lanes exist, so looking never builds them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.queues import DEFAULT_RING_SLOTS, QueueSet
 from repro.errors import ConfigurationError
@@ -33,9 +42,32 @@ from repro.sim.event import Event
 ROLE_VM = "vm"
 ROLE_NSM = "nsm"
 
+#: The four rings of a lane, in report order.
+RING_NAMES = ("job", "send", "completion", "receive")
+
+
+class _Lanes:
+    """``NKDevice.queue_sets``: the device's lanes, built on first read.
+
+    A non-data descriptor: the first read builds the lanes and stores
+    them as an ordinary instance attribute, which shadows the
+    descriptor, so every later read is a plain attribute load with no
+    call (a ``property`` would cost one call per read on the datapath).
+    """
+
+    def __get__(self, device, owner=None):
+        if device is None:
+            return self
+        lanes = device.queue_sets = device.built_queue_sets = [
+            QueueSet(device.owner_id, i, slots=device.ring_slots)
+            for i in range(device.lane_count)]
+        return lanes
+
 
 class NKDevice:
     """Queue sets + hugepage mapping + notification for one VM or NSM."""
+
+    queue_sets: List[QueueSet] = _Lanes()
 
     def __init__(self, sim, owner_id: str, role: str, queue_sets: int,
                  hugepages: HugepageRegion,
@@ -48,9 +80,10 @@ class NKDevice:
         self.sim = sim
         self.owner_id = owner_id
         self.role = role
-        self.queue_sets: List[QueueSet] = [
-            QueueSet(owner_id, i, slots=ring_slots) for i in range(queue_sets)
-        ]
+        self.lane_count = queue_sets
+        self.ring_slots = ring_slots
+        #: ``queue_sets`` once something has read it; until then empty.
+        self.built_queue_sets: Sequence[QueueSet] = ()
         self.hugepages = hugepages
         self.poll_window_sec = poll_window_sec
         #: Back-reference installed by CoreEngine at registration: the
@@ -131,7 +164,7 @@ class NKDevice:
         consumer = self._consumer
         if consumer is not None:
             self._consumer = None
-            for idx in range(len(self.queue_sets)):
+            for idx in range(self.lane_count):
                 self.sim.process(consumer.poller(idx))
         event = self._wake_event
         if event is not None and event.callbacks:
@@ -156,7 +189,7 @@ class NKDevice:
         # Checked once per serviced device by the ready-set scheduler, so
         # the ring directions are inlined instead of built as tuples.
         vm = self.role == ROLE_VM
-        for qs in self.queue_sets:
+        for qs in self.built_queue_sets:
             if vm:
                 if qs.job._count or qs.send._count:
                     return True
@@ -165,18 +198,22 @@ class NKDevice:
         return False
 
     def ring_depths(self) -> dict:
-        """Current and peak occupancy per ring, for the obs report."""
+        """Current and peak occupancy per ring, for the obs report.  An
+        unbuilt lane reads as empty rings and stays unbuilt."""
         depths = {}
-        for qs in self.queue_sets:
-            for ring_name in ("job", "send", "completion", "receive"):
-                ring = getattr(qs, ring_name)
-                depths[f"qs{qs.index}.{ring_name}"] = {
-                    "depth": len(ring),
-                    "peak": ring.peak_depth,
-                    "capacity": ring.capacity,
-                }
+        built = self.built_queue_sets
+        for index in range(self.lane_count):
+            for ring_name in RING_NAMES:
+                if built:
+                    ring = getattr(built[index], ring_name)
+                    depth = {"depth": len(ring), "peak": ring.peak_depth,
+                             "capacity": ring.capacity}
+                else:
+                    depth = {"depth": 0, "peak": 0,
+                             "capacity": self.ring_slots}
+                depths[f"qs{index}.{ring_name}"] = depth
         return depths
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<NKDevice {self.owner_id} role={self.role} "
-                f"x{len(self.queue_sets)}>")
+                f"x{self.lane_count}>")

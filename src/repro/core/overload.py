@@ -186,7 +186,8 @@ class OverloadGovernor:
 
     def _max_occupancy(self) -> float:
         """Max windowed occupancy fraction across every ring of every
-        device this engine services (resets each ring's window)."""
+        device this engine services (resets each ring's window).  Unbuilt
+        lanes hold no NQE and are skipped, so sampling builds none."""
         occ = 0.0
         engine = self.engine
         for registry in (engine.switch._vms, engine.switch._nsms):
@@ -194,8 +195,7 @@ class OverloadGovernor:
                 reg = registry[numeric_id]
                 if reg.engine is not engine:
                     continue  # homed on a peer shard, governed there
-                device = reg.device
-                for qs in device.queue_sets:
+                for qs in reg.device.built_queue_sets:
                     for ring in (qs.job, qs.send, qs.completion,
                                  qs.receive):
                         frac = ring.take_hwm() / ring.capacity

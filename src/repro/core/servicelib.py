@@ -812,7 +812,7 @@ class ServiceLib:
             raise ConfigurationError(
                 f"stack {getattr(self.stack, 'name', '?')} does not "
                 "support live migration")
-        n_qsets = len(self.device.queue_sets)
+        n_qsets = self.device.lane_count
         # Pass 1: move the stack-level endpoints.  Listeners bulk-move
         # their children, so later per-child calls are no-ops.
         for record in records:

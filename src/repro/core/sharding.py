@@ -463,7 +463,7 @@ class ShardedCoreEngine:
             if region is not None:
                 target_lib.attach_vm_region(vm_id, region)
             target_lib.import_vm_sockets(vm_id, exports, source_lib.stack)
-            n_qsets = len(target_reg.device.queue_sets)
+            n_qsets = target_reg.device.lane_count
             rebound = self.table.rebind_vm(
                 vm_id, target_nsm_id,
                 queue_set_for=lambda vt: hash(vt) % n_qsets)
@@ -474,7 +474,7 @@ class ShardedCoreEngine:
             home._resume_device(vm_reg)
             raise
         device = vm_reg.device
-        parked_ops = sum(len(ring) for qs in device.queue_sets
+        parked_ops = sum(len(ring) for qs in device.built_queue_sets
                          for ring in device.produce_rings(qs))
         vm_reg.parked = False
         home._resume_device(vm_reg)
@@ -511,7 +511,7 @@ class ShardedCoreEngine:
             if source_lib.busy_handlers == 0:
                 pending = any(
                     nqe is not None and nqe.vm_id == vm_id
-                    for qs in device.queue_sets
+                    for qs in device.built_queue_sets
                     for ring in device.consume_rings(qs)
                     for nqe in ring.snapshot())
                 if not pending:

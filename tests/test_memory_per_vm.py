@@ -3,10 +3,10 @@
 An idle VM's NK device (four 4,096-NQE rings per lane) and GuestLib must
 cost almost nothing, or a host cannot multiplex thousands of tenant VMs
 onto a few NSMs (§4.3, Fig. 8).  Preallocated ring slots alone cost
-~128 KiB per VM; lazily grown slabs and a backoff RNG built on first draw
-bring the whole VM to a few KiB.  tracemalloc counts Python allocations
-and the collector counts tracked objects, so both figures are
-deterministic and machine-independent.
+~128 KiB per VM; lanes built on first use and a backoff RNG built on
+first draw bring the whole VM under 2 KiB.  tracemalloc counts Python
+allocations and the collector counts tracked objects, so both figures
+are deterministic and machine-independent.
 """
 
 import gc
@@ -18,17 +18,21 @@ from repro.core.host import NetKernelHost
 from repro.sim import Simulator
 
 VMS = 2_000
-#: The tripwire: eager 4,096-slot rings alone would be ~128 KiB per VM.
-MAX_BYTES_PER_VM = 16 * 1024
-#: gc-tracked objects each idle VM adds, exactly: 6 lists (4 ring slabs,
-#: the vCPU list GuestVM and GuestLib share, and ``NKDevice.queue_sets``),
-#: 4 rings, and one each of GuestVM, GuestLib, Core, NKDevice, QueueSet,
-#: HugepageRegion and _Registration.  An idle VM runs no poller: GuestLib's
-#: start on the device's first wake, and the device builds its wake event
-#: only when a consumer waits.  The doorbell goes through the registration
-#: (no bound method), and ``Core.busy_by_component`` is a plain dict, which
-#: the collector does not track while it maps str to float.
-IDLE_VM_OBJECTS = 17
+#: The tripwire, just above the ~1.9 KiB an idle VM costs while its NK
+#: device has built no lane (eager lanes cost ~1.7 KiB more, eager
+#: 4,096-slot rings alone ~128 KiB).
+MAX_BYTES_PER_VM = 3 * 1024
+#: gc-tracked objects each idle VM adds, exactly: one each of GuestVM,
+#: GuestLib, Core, NKDevice, HugepageRegion and _Registration, plus the
+#: vCPU list GuestVM and GuestLib share.  The device builds its lanes (a
+#: QueueSet, four rings and four slabs per vCPU) on the first read of
+#: ``queue_sets``, which an idle VM never makes.  An idle VM runs no
+#: poller either: GuestLib's start on the device's first wake, and the
+#: device builds its wake event only when a consumer waits.  The doorbell
+#: goes through the registration (no bound method), and
+#: ``Core.busy_by_component`` is a plain dict, which the collector does
+#: not track while it maps str to float.
+IDLE_VM_OBJECTS = 7
 
 
 def _tracked_objects() -> int:
@@ -77,7 +81,7 @@ def idle_vms():
     return measure_idle_vms()
 
 
-def test_booted_idle_vm_costs_at_most_16_kib(idle_vms):
+def test_booted_idle_vm_costs_at_most_3_kib(idle_vms):
     per_vm, _ = idle_vms
     assert per_vm <= MAX_BYTES_PER_VM, f"{per_vm / 1024:.1f} KiB per VM"
 

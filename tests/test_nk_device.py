@@ -1,5 +1,5 @@
 """Tests for the NK device: ring direction, wake accounting, draining,
-and when its consumer's pollers start."""
+when its consumer's pollers start and when it builds its lanes."""
 
 import gc
 import types
@@ -10,9 +10,11 @@ from repro.core.guestlib import GuestLib
 from repro.core.host import NetKernelHost
 from repro.core.nk_device import NKDevice, ROLE_NSM, ROLE_VM
 from repro.core.nqe import Nqe, NqeOp
+from repro.core.queues import QueueSet
 from repro.errors import ConfigurationError
 from repro.experiments.ablations import polling_wakeups
 from repro.mem.hugepages import HugepageRegion
+from repro.mem.ring import SpscRing
 from repro.sim import Simulator
 
 
@@ -151,19 +153,31 @@ def _guest_pollers(guestlib):
             and obj.gi_frame.f_locals.get("self") is guestlib]
 
 
+def _host(vcpus=1, name="vm0"):
+    sim = Simulator()
+    host = NetKernelHost(sim)
+    nsm = host.add_nsm("nsm0", vcpus=vcpus, stack="kernel")
+    vm = host.add_vm(name, vcpus=vcpus, nsm=nsm)
+    return sim, host, vm
+
+
+def _lane_objects(owner_id):
+    """Live QueueSets and SpscRings built for device ``owner_id``.  Give
+    the device a name no other test uses: a collection frees only the
+    garbage of earlier tests, not what they still hold."""
+    prefix = f"{owner_id}.qs"
+    gc.collect()
+    return [obj for obj in gc.get_objects()
+            if (isinstance(obj, QueueSet) and obj.owner_id == owner_id)
+            or (isinstance(obj, SpscRing) and obj.name.startswith(prefix))]
+
+
 class TestPollersStartOnFirstWake:
     """A consumer's pollers start on its device's first wake, not at
     boot, without moving any simulated timestamp."""
 
-    def _host(self, vcpus):
-        sim = Simulator()
-        host = NetKernelHost(sim)
-        nsm = host.add_nsm("nsm0", vcpus=vcpus, stack="kernel")
-        vm = host.add_vm("vm0", vcpus=vcpus, nsm=nsm)
-        return sim, host, vm
-
     def test_idle_vm_owns_no_poller_process(self):
-        sim, host, vm = self._host(vcpus=1)
+        sim, host, vm = _host(vcpus=1)
         sim.run(until=1e-3)
         assert _guest_pollers(vm.guestlib) == []
         device = host.coreengine.vm_device(vm.vm_id)
@@ -171,13 +185,16 @@ class TestPollersStartOnFirstWake:
         assert device._wake_event is None
 
     def test_two_lane_first_wake_starts_both_pollers(self):
-        sim, host, vm = self._host(vcpus=2)
+        sim, host, vm = _host(vcpus=2, name="two-lanes")
+        device = host.coreengine.vm_device(vm.vm_id)
         api = host.socket_api(vm)
-        done = []
+        done, built = [], []
 
         def app():
             yield sim.timeout(1e-3)
+            built.append(len(device.built_queue_sets))
             yield from api.socket(0)
+            built.append(len(device.built_queue_sets))
             done.append(sim.now)
             # Lane 1's completion is drained by lane 1's poller.
             sock = yield from api.socket(1)
@@ -190,6 +207,54 @@ class TestPollersStartOnFirstWake:
         assert _guest_pollers(vm.guestlib) == []
         sim.run()
         assert len(_guest_pollers(vm.guestlib)) == 2
-        # The completion times of pollers started at boot.
+        # The first socket op builds both lanes: a QueueSet and four rings
+        # each.
+        assert built == [0, 2]
+        assert len(_lane_objects(device.owner_id)) == 2 * 5
+        # The completion times of pollers and lanes started at boot.
         assert done == [0.0010004630434782605, 0.001000926086956521,
                         0.0010013891304347816]
+
+
+class TestLanesBuildOnFirstUse:
+    """A device builds its lanes on the first read of ``queue_sets``;
+    walkers that only read ring state leave an idle device's unbuilt."""
+
+    def test_idle_vm_device_builds_no_lane(self):
+        sim, host, vm = _host(name="idle-lanes")
+        sim.run(until=1e-3)
+        device = host.coreengine.vm_device(vm.vm_id)
+        assert device.built_queue_sets == ()
+        assert "queue_sets" not in vars(device)
+        assert _lane_objects(device.owner_id) == []
+
+    def test_first_read_builds_each_lane_once(self, sim):
+        device = make_device(sim, queue_sets=2)
+        lanes = device.queue_sets
+        assert [qs.index for qs in lanes] == [0, 1]
+        assert device.queue_sets is lanes
+        assert device.built_queue_sets is lanes
+        assert lanes[0].job.capacity == device.ring_slots
+
+    def test_governor_samples_over_idle_vms_build_no_lane(self):
+        sim = Simulator()
+        host = NetKernelHost(sim)
+        host.add_nsm("nsm0", vcpus=1, stack="kernel")
+        vms = [host.add_vm(f"vm{i}") for i in range(300)]
+        governor = host.coreengine.enable_overload_control()
+        sim.run(until=1e-3)
+        assert governor.samples >= 4
+        engine = host.coreengine
+        assert all(engine.vm_device(vm.vm_id).built_queue_sets == ()
+                   for vm in vms)
+
+    def test_obs_report_and_teardown_build_no_lane(self):
+        sim, host, vm = _host()
+        obs = host.enable_observability()
+        sim.run(until=1e-3)
+        device = host.coreengine.vm_device(vm.vm_id)
+        rings = obs.report()["rings"]
+        assert rings["vm0.qs0.job"] == {"depth": 0, "peak_depth": 0}
+        assert len([r for r in rings if r.startswith("vm0.")]) == 4
+        host.remove_vm(vm)
+        assert device.built_queue_sets == ()
