@@ -149,9 +149,6 @@ class Observability:
                          "nqe.trace_overflow": self.tracer.dropped_records},
         }
         failover = {}
-        if stats["nsms_quarantined"]:
-            failover["failover.quarantines"] = stats["nsms_quarantined"]
-            failover["failover.vms_moved"] = stats["vms_failed_over"]
         for key, counter in GUEST_OP_COUNTERS:
             total = sum(getattr(vm.guestlib, counter)
                         for vm in host.vms.values())
@@ -165,9 +162,6 @@ class Observability:
                 blackout.record(record["blackout_sec"])
             snap = blackout.snapshot()
             report["migration"] = {
-                "migration.completed": stats["vms_migrated"],
-                "migration.parked_ops": stats["migration_parked_ops"],
-                "migration.sockets_moved": stats["conns_migrated"],
                 "migration.blackout_sec": {
                     key: snap[key]
                     for key in ("count", "p50", "p99", "max", "mean")},

@@ -123,8 +123,9 @@ class TestControlLoop:
         # The fleet is back at strength with only live NSMs serving.
         assert len(host.coreengine._active_nsm_ids()) == 2
         report = obs.report()
-        assert report["failover"] == {"failover.quarantines": 1,
-                                      "failover.vms_moved": 0}
+        assert report["coreengine"]["nsms_quarantined"] == 1
+        assert report["coreengine"]["vms_failed_over"] == 0
+        assert "failover" not in report  # no guest op timed out or shed
         assert report["autoscale"]["autoscale.reap"] == actions.count("reap")
         assert (report["autoscale"]["autoscale.spawn"]
                 == auto.counters["spawned"])

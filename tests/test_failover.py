@@ -126,9 +126,9 @@ class TestFailover:
         assert log["errors"] == []
         assert ce.stats()["conns_reset_on_failover"] >= 1
         assert ce.stats()["vms_failed_over"] == 1
-        failover = obs.report()["failover"]
-        assert failover["failover.quarantines"] == 1
-        assert failover["failover.vms_moved"] == 1
+        counters = obs.report()["coreengine"]
+        assert counters["nsms_quarantined"] == 1
+        assert counters["vms_failed_over"] == 1
 
     def test_crash_without_standby_fails_ops_fast_not_hung(self):
         sim = Simulator()
