@@ -24,9 +24,14 @@ PAYLOAD = bytes(range(256)) * 16
 def _echo_next_to(hostile_nqes, push_at=1.5e-3):
     """Run a 4 KiB echo between two well-behaved VMs while a third pushes
     ``hostile_nqes(host, device, vm)`` — (ring index, NQE) pairs, iterated
-    at push time — straight into its own produce rings at ``push_at``
-    (mid-echo by default).  Returns the host, the NSM, the hostile VM
-    and the NQE pool's outstanding count before the run."""
+    at push time — straight into its own produce rings at ``push_at``.
+    The echo's accepted connection lives only from about 1.15 to
+    1.27 ms, so the default 1.5 ms push lands after the echo, next to a
+    listening server with no live connection; a test that must strike a
+    live neighbour connection waits for the server's accepted table
+    entry instead, as the ACCEPT_ATTACH hijack test does.  Returns the
+    host, the NSM, the hostile VM and the NQE pool's outstanding count
+    before the run."""
     outstanding_before = NQE_POOL.outstanding
     sim = Simulator()
     host = NetKernelHost(sim, Network(sim, default_rate_bps=gbps(10),
