@@ -227,10 +227,12 @@ class CoreEngine:
 
         #: Doorbell state.  ``_kicked`` is the lost-doorbell guard: set by
         #: every kick, cleared at the top of each pass, checked before
-        #: sleeping.  ``_doorbell_waiter`` exists only while the loop is
-        #: asleep; a kick landing while the switch is awake just sets the
-        #: flag and queues *no* event (the old always-an-Event doorbell
-        #: processed one ghost event per mid-pass kick).
+        #: sleeping.  ``_doorbell_waiter`` is set only while the loop is
+        #: asleep (the switch process's waker, or an Event in a
+        #: rate-stall sleep); a kick landing while the switch is awake
+        #: just sets the flag and queues *no* event (the old
+        #: always-an-Event doorbell processed one ghost event per
+        #: mid-pass kick).
         self._kicked = False
         self._doorbell_waiter: Optional[object] = None
         self._running = True
@@ -650,20 +652,21 @@ class CoreEngine:
     def _idle_sleep(self, stall: Optional[float]):
         """Sleep until a doorbell or (when rate-stalled) token refill.
 
-        The waiter event is armed here, only while the loop actually
-        sleeps; kick() succeeds it.  A doorbell landing while the switch
-        is awake therefore costs a flag store, not a queued event.
+        The waiter is armed here, only while the loop actually sleeps;
+        kick() succeeds it.  A doorbell landing while the switch is
+        awake therefore costs a flag store, not a queued event.
         """
-        waiter = Event(self.sim)
-        self._doorbell_waiter = waiter
         if stall is None:
-            # No token-refill deadline to race: wait on the waiter
-            # itself instead of wrapping it in an AnyOf, which would add
-            # one same-timestamp event hop per idle period.  The switch
-            # still wakes at the same simulated instant; only the
-            # intra-instant event count shrinks.
+            # No token-refill deadline to race: park on the switch
+            # process's own reusable waker, which kick() pushes at the
+            # (now, seq) key a fresh Event's succeed() would take, so
+            # an idle period allocates nothing.
+            waiter = self._process.waker
+            self._doorbell_waiter = waiter
             yield waiter
             return
+        waiter = Event(self.sim)
+        self._doorbell_waiter = waiter
         self.rate_limited_stalls += 1
         timeout = self.sim.timeout(max(stall, 1e-6))
         yield self.sim.any_of((waiter, timeout))

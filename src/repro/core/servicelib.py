@@ -124,6 +124,9 @@ class ServiceLib:
         #: CONNECT/SENDTO/SETSOCKOPT/GETSOCKOPT NQEs answered EINVAL for
         #: a malformed ``aux``, by VM id.
         self.vm_bad_aux: Dict[int, int] = {}
+        #: ACCEPT_ATTACH NQEs naming no unattached child of the VM's
+        #: own listeners, answered EINVAL, by VM id.
+        self.vm_bad_attaches: Dict[int, int] = {}
         #: Pump passes run with an overload-clamped receive window.
         self.rx_window_clamps = 0
         #: SEND/SENDTO handlers suspended on their copy, the only handlers
@@ -380,9 +383,23 @@ class ServiceLib:
         return finish
 
     def _op_accept_attach(self, nqe: Nqe, qset: int):
-        """The guest attached its socket id to an accepted connection."""
+        """The guest attached its socket id to an accepted connection.
+
+        Only a child no socket holds yet, accepted on one of the
+        attaching VM's own listeners, is attached.  Any other attach is
+        counted against the VM and answered with an EINVAL ERROR_EVENT
+        (it carries no token for an OP_RESULT), whatever the switch let
+        through."""
         ctx = self._by_nsm_id.get(nqe.op_data)
-        if ctx is None:
+        listener = ctx.listener_ctx if ctx is not None else None
+        if (listener is None or ctx.vm_tuple is not None
+                or listener.vm_tuple is None
+                or listener.vm_tuple[0] != nqe.vm_id):
+            bad = self.vm_bad_attaches
+            bad[nqe.vm_id] = bad.get(nqe.vm_id, 0) + 1
+            self._emit(qset, nqe.response(
+                NqeOp.ERROR_EVENT, op_data=-RESULT_ERRNO["EINVAL"]),
+                event=True)
             return
         ctx.vm_tuple = nqe.vm_tuple
         ctx.qset = qset

@@ -603,6 +603,21 @@ class ShardedCoreEngine:
         for shard in self.shards:
             shard.kick(None)
 
+    def ring_pending(self, device: Optional[NKDevice] = None) -> None:
+        """Doorbell every registered device (or only ``device``) whose
+        produce rings hold NQEs, on its home shard.  Like a migration's
+        resume, never subject to injected doorbell loss: the fault
+        injector calls it when a loss window closes, so NQEs whose only
+        doorbell was dropped are serviced."""
+        if device is not None:
+            regs = [device.ce_registration]
+        else:
+            regs = [*self._vms.values(), *self._nsms.values()]
+        for reg in regs:
+            if (reg is not None and reg.active
+                    and reg.device.produce_pending()):
+                reg.engine._resume_device(reg)
+
     def stop(self) -> None:
         """Shut every shard's switching loop down."""
         for shard in self.shards:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, TYPE_CHECKING
 
 from repro.errors import ResourceError
-from repro.sim.event import Event, Timeout
 from repro.units import PAPER_CORE_HZ
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -35,8 +34,10 @@ class Core:
         # Time at which the core finishes everything currently queued.
         self._free_at: float = 0.0
 
-    def execute(self, cycles: float, component: str = "unattributed") -> Event:
-        """Submit ``cycles`` of work; returns an event firing on completion.
+    def execute(self, cycles: float, component: str = "unattributed") -> float:
+        """Submit ``cycles`` of work; returns the seconds from now until
+        it completes, for a process to yield (``yield core.execute(...)``
+        resumes it at completion, with no event allocated).
 
         Work is serialized: if the core is busy, the new work starts when
         the queue drains.  ``component`` labels the cycles in the ledger.
@@ -51,7 +52,7 @@ class Core:
         now = self.sim._now
         start = self._free_at if self._free_at > now else now
         self._free_at = start + cycles / self.hz
-        return Timeout(self.sim, self._free_at - now)
+        return self._free_at - now
 
     def charge(self, cycles: float, component: str = "unattributed") -> None:
         """Account cycles without modelling their latency.
@@ -69,11 +70,11 @@ class Core:
 
     def execute_nowait(self, cycles: float,
                        component: str = "unattributed") -> None:
-        """Occupy core time without returning a completion event.
+        """Occupy core time without returning a completion delay.
 
         Same timeline effect as :meth:`execute` (later work queues behind
-        it), but allocation-free — the fast path for per-packet stack
-        work nobody waits on directly.
+        it) — the fast path for per-packet stack work nobody waits on
+        directly.
         """
         if cycles < 0:
             raise ResourceError(f"negative work: {cycles}")

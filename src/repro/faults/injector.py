@@ -4,8 +4,10 @@ Point faults (crash, stall, hugepage squeeze) are scheduled on the sim
 clock with ``call_at``.  Probabilistic faults (doorbell loss, ring-slot
 drops, delayed completions) install the injector as
 ``coreengine.faults``; CoreEngine consults the three hook methods on its
-datapath.  Hooks draw from one seeded ``random.Random`` in simulation
-order, so a given (plan, seed, workload) triple replays bit-identically.
+datapath.  When a doorbell-loss window closes, every device in its scope
+whose produce rings still hold NQEs is rung again.  Hooks draw from one
+seeded ``random.Random`` in simulation order, so a given (plan, seed,
+workload) triple replays bit-identically.
 """
 
 from __future__ import annotations
@@ -97,9 +99,15 @@ class FaultInjector:
                     event.at,
                     lambda e=event: self._force_overload(e.duration))
             elif event.kind == "doorbell-loss":
+                device = self._device_for(event.target)
                 self._doorbell_windows.append(
-                    (event.at, event.end, event.probability,
-                     self._device_for(event.target)))
+                    (event.at, event.end, event.probability, device))
+                # A device whose last doorbell fell in the window would
+                # never be serviced again: re-ring its rings at the end.
+                self.sim.call_at(
+                    event.end,
+                    lambda device=device: self.host.coreengine.ring_pending(
+                        device))
             elif event.kind == "ring-slot-drop":
                 self._slot_windows.append(
                     (event.at, event.end, event.probability,

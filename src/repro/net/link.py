@@ -4,6 +4,7 @@ drop-tail queue with optional ECN marking and fault injection."""
 from __future__ import annotations
 
 import random
+from heapq import heappush
 from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
@@ -85,18 +86,15 @@ class Link:
         busy_until = self._busy_until
         start = busy_until if busy_until > now else now
         self._busy_until = done_at = start + serialize
-
-        def _dequeue_and_deliver() -> None:
-            # Backlog is freed at delivery rather than at the end of
-            # serialization — a delay_sec-worth of over-count, negligible
-            # next to the queue size, and it halves the event count.
-            self._backlog_bytes -= size
-            packet.sent_at = sim._now
-            self.delivered_packets += 1
-            self.delivered_bytes += size
-            deliver(packet)
-
-        sim.call_at(done_at + self.delay_sec, _dequeue_and_deliver)
+        # The packet is its own heap entry: Packet._process frees the
+        # backlog and calls ``deliver`` when the simulator pops it.  It
+        # is keyed at now + (due - now), not at ``due``: the float sum
+        # is the due time every timeline was recorded with.
+        packet._link = self
+        packet._deliver = deliver
+        due = done_at + self.delay_sec
+        heappush(sim._heap, (now + (due - now), sim._seq, packet))
+        sim._seq += 1
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

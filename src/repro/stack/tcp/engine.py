@@ -513,7 +513,11 @@ class TcpEngine:
                 conn.cc.on_fast_retransmit()
                 self._retransmit_one(conn)
 
-        self._pump(conn)
+        if len(conn.send_buf) or conn.fin_pending:
+            # With nothing buffered and no FIN pending, _pump would send
+            # nothing and arm nothing (the persist timer needs buffered
+            # bytes): a pure receiver's data segments skip the call.
+            self._pump(conn)
 
     def _account_ack(self, conn: TcpConnection, ack: int, delta: int) -> int:
         """Split an ACK advance into SYN/FIN/data parts; trims send_buf."""

@@ -56,19 +56,23 @@ STEPS = {"echo_64b": 5, "bulk_8x64k": 2, "short_conn_64b": 5,
 #: switching run: one hot VM, 250 doorbells of 8 NQEs, 5 us apart;
 #: ``fleet_boot`` boots BOOT_VMS auto-placed idle VMs on a 4-shard host.
 RATCHET = {
+    # Delay yields, packet-owned link hops and the switch's reusable
+    # doorbell waker: no Timeout, Call or Event per wait.  A pure
+    # receiver's ACKs skip the no-op _pump.
     "echo_64b": Cost(ops=388, events=15_159, resumes=12_042,
-                     calls=243_691),
+                     calls=217_453),
     "echo_64b+obs": Cost(ops=388, events=15_159, resumes=12_042,
-                         calls=274_046),
+                         calls=247_808),
+    # Mostly link hops: 186 of 298 events per op.
     "bulk_8x64k": Cost(ops=166, events=48_828, resumes=17_860,
-                       calls=1_053_724),
+                       calls=924_888),
     "short_conn_64b": Cost(ops=36, events=4_533, resumes=3_552,
-                           calls=65_598),
+                           calls=59_135),
     "fleet_10k": Cost(ops=400, events=16_369, resumes=13_164,
-                      calls=256_164),
-    # One lane build per raw device on its first ring read: 2 calls.
+                      calls=228_964),
+    # No link: only the switch's batch waits and doorbell sleeps.
     "nqe_switch": Cost(ops=4_000, events=1_756, resumes=1_755,
-                       calls=56_612),
+                       calls=55_614),
     # An idle VM builds no lane: 6 calls fewer per VM than eager lanes.
     "fleet_boot": Cost(ops=1_000, events=0, resumes=0, calls=25_002),
 }

@@ -13,18 +13,25 @@ def sim():
     return Simulator()
 
 
+def _finish(sim, core, cycles):
+    """Run a process that yields ``core.execute(cycles)`` until it has
+    resumed."""
+    def wait():
+        yield core.execute(cycles)
+
+    sim.run_until_event(sim.process(wait()))
+
+
 class TestCore:
     def test_execute_takes_cycles_over_hz_seconds(self, sim):
         core = Core(sim, hz=1e9)
-        event = core.execute(5e8)
-        sim.run_until_event(event)
+        _finish(sim, core, 5e8)
         assert sim.now == pytest.approx(0.5)
 
     def test_work_serializes_fifo(self, sim):
         core = Core(sim, hz=1e9)
         core.execute(1e9)
-        second = core.execute(1e9)
-        sim.run_until_event(second)
+        _finish(sim, core, 1e9)
         assert sim.now == pytest.approx(2.0)
 
     def test_busy_ledger_by_component(self, sim):
@@ -45,11 +52,10 @@ class TestCore:
 
     def test_idle_gap_not_counted_busy(self, sim):
         core = Core(sim, hz=1e9)
-        sim.run_until_event(core.execute(1e8))
+        _finish(sim, core, 1e8)
         sim.timeout(1.0)
         sim.run()
-        event = core.execute(1e8)
-        sim.run_until_event(event)
+        _finish(sim, core, 1e8)
         # Work resumes at now, not at the old completion time.
         assert sim.now == pytest.approx(1.2)
 

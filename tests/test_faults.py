@@ -127,6 +127,15 @@ class TestChaosEffects:
         assert slots["faults"]["slots_dropped"] > 0
         assert slots["ce"]["nqes_dropped"] >= slots["faults"]["slots_dropped"]
 
+    @pytest.mark.parametrize("seed", [2, 23])
+    def test_doorbell_loss_strands_no_nqe(self, seed):
+        # Each seed drops the last doorbell a device rings before it goes
+        # quiet, which used to leave a SEND NQE and its hugepage buffer
+        # in the client's ring for good.  The window's close re-rings it.
+        result = scenario_runs.chaos(seed, "doorbell-loss", 0.2)
+        assert result["faults"]["doorbells_dropped"] > 0
+        assert result["leaks"] == []
+
     def test_delayed_completion_slows_but_does_not_break(self):
         result = run_chaos(seed=9, plan_name="delayed-completion",
                            duration=0.2)

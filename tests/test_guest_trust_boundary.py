@@ -479,3 +479,68 @@ def test_closing_a_listener_withdraws_its_unattached_accept_offers():
     sim.run(until=0.05)
     assert offers == [2, 0]
     assert_census_clean(host, outstanding_before)
+
+
+def test_servicelib_refuses_an_attach_to_a_neighbours_child():
+    # ServiceLib's own ownership check, driven directly as though the
+    # switch's offer check had let the attach through: a hostile VM
+    # naming the id of a child accepted on the server's listener gets
+    # an EINVAL ERROR_EVENT, and the child stays unattached.
+    outstanding_before = NQE_POOL.outstanding
+    sim = Simulator()
+    host = NetKernelHost(sim, Network(sim, default_rate_bps=gbps(10),
+                                      default_delay_sec=usec(25)))
+    nsm = host.add_nsm("nsm0", vcpus=1, stack="kernel")
+    lib = nsm.servicelib
+    server_vm = host.add_vm("srv", vcpus=1, nsm=nsm)
+    client_vm = host.add_vm("cli", vcpus=1, nsm=nsm)
+    hostile_vm = host.add_vm("hostile", vcpus=1, nsm=nsm)
+    api_s, api_c = host.socket_api(server_vm), host.socket_api(client_vm)
+    real_server_dispatch = server_vm.guestlib._dispatch
+    real_hostile_dispatch = hostile_vm.guestlib._dispatch
+    seen, children = [], []
+
+    def dropping_accepts(nqe, qset_index):
+        if nqe.op is NqeOp.ACCEPT_EVENT:
+            return False  # the child stays unattached
+        return real_server_dispatch(nqe, qset_index)
+
+    def recording(nqe, qset_index):
+        seen.append((nqe.op, nqe.socket_id, nqe.op_data))
+        return real_hostile_dispatch(nqe, qset_index)
+
+    server_vm.guestlib._dispatch = dropping_accepts
+    hostile_vm.guestlib._dispatch = recording
+
+    def server():
+        listener = yield from api_s.socket()
+        yield from api_s.bind(listener, 80)
+        yield from api_s.listen(listener)
+        yield sim.timeout(2e-3)  # the client is connected by now
+        children.extend(ctx for ctx in lib._by_nsm_id.values()
+                        if ctx.listener_ctx is not None)
+        attach = NQE_POOL.acquire(NqeOp.ACCEPT_ATTACH, hostile_vm.vm_id,
+                                  0, 99, op_data=children[0].nsm_sock_id)
+        lib._op_accept_attach(attach, 0)
+        NQE_POOL.release(attach)
+        yield sim.timeout(1e-3)
+        yield from api_s.close(listener)  # reaps the unattached child
+
+    def client():
+        yield sim.timeout(0.5e-3)
+        sock = yield from api_c.socket()
+        yield from api_c.connect(sock, ("nsm0", 80))
+        try:
+            yield from api_c.recv(sock, 4096)  # the reap resets it
+        except SocketError:
+            pass
+        yield from api_c.close(sock)
+
+    server_vm.spawn(server())
+    client_vm.spawn(client())
+    sim.run(until=0.05)
+    [child] = children
+    assert child.vm_tuple is None
+    assert lib.vm_bad_attaches == {hostile_vm.vm_id: 1}
+    assert seen == [(NqeOp.ERROR_EVENT, 99, -RESULT_ERRNO["EINVAL"])]
+    assert_census_clean(host, outstanding_before)

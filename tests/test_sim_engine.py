@@ -4,9 +4,12 @@ import weakref
 
 import pytest
 
+from repro.core.nqe import Nqe, NqeOp
+from repro.core.sharding import ShardedCoreEngine
+from repro.cpu.core import Core
 from repro.errors import SimulationError
 from repro.sim import Simulator
-from repro.sim.event import Call, Timeout
+from repro.sim.event import Call, Event, Timeout
 
 
 @pytest.fixture
@@ -356,3 +359,121 @@ class TestCallbackTimeouts:
         sim.run(until=1.0)
         with pytest.raises(SimulationError):
             sim.call_due(0.5, lambda: None)
+
+
+class TestAllocationFreeWaits:
+    """A yielded delay and a parked process's waker take the heap slots a
+    Timeout and an Event would: same ``(when, seq)`` keys, same order."""
+
+    @staticmethod
+    def _timeline(sleep, park):
+        """(wakeup log, final seq, events processed) of a script whose
+        processes sleep with ``sleep(sim, delay)`` and park with
+        ``park(process)``, interleaved with same-instant calls, a failed
+        event caught inside a generator, and a doorbell."""
+        sim = Simulator()
+        log = []
+        failing = sim.event()
+        parked = {}
+
+        def sleeper(name, delays):
+            for delay in delays:
+                yield sleep(sim, delay)
+                log.append((name, sim.now))
+
+        def thrower():
+            try:
+                yield failing
+            except RuntimeError:
+                log.append(("caught", sim.now))
+            # The first wait after a throw goes through _throw/_wait.
+            yield sleep(sim, 0.25)
+            log.append(("thrower", sim.now))
+
+        def doorbell_sleeper():
+            waiter, parked["wake"] = park(parked["process"])
+            yield waiter
+            log.append(("parked", sim.now))
+            yield sleep(sim, 0.0)
+            log.append(("parked", sim.now))
+
+        sim.process(sleeper("a", [0.25, 0.25, 0.0]))
+        sim.call_at(0.25, lambda: log.append(("call", sim.now)))
+        sim.process(sleeper("b", [0.5, 0.0]))
+        sim.process(thrower())
+        parked["process"] = sim.process(doorbell_sleeper())
+        sim.call_later(0.25, lambda: failing.fail(RuntimeError("x")))
+        sim.call_at(0.5, lambda: log.append(("call", sim.now)))
+        sim.call_at(0.5, lambda: parked["wake"]())
+        sim.run()
+        return log, sim._seq, sim.events_processed
+
+    def test_delays_and_waker_take_the_timeout_and_event_slots(self):
+        def event_park(process):
+            event = Event(process.sim)
+            return event, event.succeed
+
+        def waker_park(process):
+            return process.waker, process.waker.succeed
+
+        allocating = self._timeline(lambda sim, delay: sim.timeout(delay),
+                                    event_park)
+        allocation_free = self._timeline(lambda sim, delay: delay,
+                                         waker_park)
+        assert allocation_free == allocating
+        log = allocation_free[0]
+        assert log == [("call", 0.25), ("a", 0.25), ("caught", 0.25),
+                       ("call", 0.5), ("b", 0.5), ("a", 0.5),
+                       ("thrower", 0.5), ("parked", 0.5), ("b", 0.5),
+                       ("a", 0.5), ("parked", 0.5)]
+
+    @pytest.mark.parametrize("delay", [-1e-9, float("nan")])
+    def test_negative_delay_fails_the_process(self, sim, delay):
+        def bad():
+            yield delay
+
+        process = sim.process(bad())
+        with pytest.raises(SimulationError):
+            sim.run_until_event(process)
+
+    def test_negative_delay_after_a_throw_fails_the_process(self, sim):
+        failing = sim.event()
+
+        def bad():
+            try:
+                yield failing
+            except RuntimeError:
+                pass
+            yield -1.0
+
+        process = sim.process(bad())
+        failing.fail(RuntimeError("x"))
+        with pytest.raises(SimulationError):
+            sim.run_until_event(process)
+
+    def test_doorbell_wakes_a_switch_in_its_rate_stall_sleep(self, sim):
+        # The stall path still races an Event doorbell against the token
+        # refill: a kick 2 ms into a ~10 ms stall wakes the switch then.
+        engine = ShardedCoreEngine(sim, [Core(sim, name="ce")], batch_size=4)
+        nsm_id, _ = engine.register_nsm("nsm0", queue_sets=1)
+        limited_id, limited = engine.register_vm("limited", queue_sets=1)
+        other_id, other = engine.register_vm("other", queue_sets=1)
+        engine.assign_vm(limited_id, nsm_id)
+        engine.assign_vm(other_id, nsm_id)
+        engine.set_ops_limit(limited_id, 100.0)  # burst 1, refill 10 ms
+        ring, _ = limited.produce_rings(limited.queue_sets[0])
+        for _ in range(2):
+            ring.push(Nqe(NqeOp.SETSOCKOPT, limited_id, 0, 1), owner="guest")
+        limited.ring_doorbell()
+        shard = engine.shards[0]
+        sim.run(until=0.002)
+        assert engine.nqes_switched == 1
+        assert shard.rate_limited_stalls == 1
+        assert shard._doorbell_waiter is not None
+        assert shard._doorbell_waiter is not shard._process.waker
+        other_ring, _ = other.produce_rings(other.queue_sets[0])
+        other_ring.push(Nqe(NqeOp.SETSOCKOPT, other_id, 0, 1), owner="guest")
+        other.ring_doorbell()
+        sim.run(until=0.0021)
+        assert engine.nqes_switched == 2  # woken long before the refill
+        assert shard.stale_wakeups == 1
